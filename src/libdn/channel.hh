@@ -194,6 +194,11 @@ class TokenChannel
                now >= stallUntil_;
     }
 
+    /** The host time at which a pending stop-and-wait stall ends:
+     *  writableAt(t) holds for every t >= writableFrom(). Like
+     *  writableAt(), producer-side only. */
+    double writableFrom() const { return stallUntil_; }
+
     /** Payload-only serialization of one token within a frame. */
     double
     payloadSerNs() const

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
+#include <map>
 #include <ostream>
 
 #include "base/logging.hh"
@@ -130,26 +132,30 @@ LIBDNModel::finalize()
     // dependency matrix: output channel C depends on input channel D
     // when any port of C combinationally depends on any port of D.
     outDeps_.assign(outSpecs_.size(), {});
-    if (forceOutputDeps_) {
-        // Fast-mode (Fig. 3b): one concatenated token out per
-        // concatenated token in, lockstep.
-        for (size_t c = 0; c < outSpecs_.size(); ++c)
+    for (size_t c = 0; c < outSpecs_.size(); ++c) {
+        std::vector<int> &deps = outDeps_[c];
+        if (forceOutputDeps_) {
+            // Fast-mode (Fig. 3b): one concatenated token out per
+            // concatenated token in, lockstep.
             for (size_t i = 0; i < inSpecs_.size(); ++i)
-                outDeps_[c].insert(int(i));
-    } else {
-        for (size_t c = 0; c < outPortIdx_.size(); ++c) {
-            for (int out_sig : outPortIdx_[c]) {
-                for (int in_sig : sim_->outputDeps(out_sig)) {
-                    auto it = sigToInChan.find(in_sig);
-                    if (it != sigToInChan.end())
-                        outDeps_[c].insert(it->second);
-                }
+                deps.push_back(int(i));
+            continue;
+        }
+        for (int out_sig : outPortIdx_[c]) {
+            for (int in_sig : sim_->outputDeps(out_sig)) {
+                auto it = sigToInChan.find(in_sig);
+                if (it != sigToInChan.end())
+                    deps.push_back(it->second);
             }
         }
+        std::sort(deps.begin(), deps.end());
+        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
     }
 
     for (unsigned t = 0; t < numThreads_; ++t) {
-        const ThreadState &th = threads_[t];
+        ThreadState &th = threads_[t];
+        th.situation.assign(inSpecs_.size() + outSpecs_.size(), 0);
+        th.lastSituation.assign(th.situation.size(), 0);
         for (size_t c = 0; c < inSpecs_.size(); ++c) {
             if (!th.inChans[c]) {
                 fatal("partition '", name_, "': input channel '",
@@ -191,26 +197,26 @@ LIBDNModel::threadTick(ThreadState &th, double now)
     // Cheap no-change check: if the channel situation is identical to
     // the last tick of this thread within the same target cycle, the
     // FSMs cannot make new progress, so skip the evaluation.
-    std::vector<bool> situation;
-    situation.reserve(th.inChans.size() + th.outChans.size());
-    for (const auto &ch : th.inChans)
-        situation.push_back(ch->headReady(now));
+    size_t num_in = th.inChans.size();
+    for (size_t c = 0; c < num_in; ++c)
+        th.situation[c] = th.inChans[c]->headReady(now);
     for (size_t c = 0; c < th.outChans.size(); ++c)
-        situation.push_back(!th.fired[c] && !th.outChans[c]->full() &&
-                            th.outChans[c]->writableAt(now));
-    if (th.situationValid && situation == th.lastSituation)
+        th.situation[num_in + c] = !th.fired[c] &&
+                                   !th.outChans[c]->full() &&
+                                   th.outChans[c]->writableAt(now);
+    if (th.situationValid && th.situation == th.lastSituation)
         return false;
-    th.lastSituation = situation;
+    th.situation.swap(th.lastSituation);
     th.situationValid = true;
+    // The input bits double as the visible-token mask below.
+    const uint8_t *in_avail = th.lastSituation.data();
 
     if (numThreads_ > 1)
         sim_->loadState(th.seq);
 
     // Poke values of every visible input token.
-    std::vector<bool> in_avail(th.inChans.size(), false);
-    for (size_t c = 0; c < th.inChans.size(); ++c) {
-        if (th.inChans[c]->headReady(now)) {
-            in_avail[c] = true;
+    for (size_t c = 0; c < num_in; ++c) {
+        if (in_avail[c]) {
             const Token &token = th.inChans[c]->head();
             FIREAXE_ASSERT(token.size() == inPortIdx_[c].size());
             for (size_t i = 0; i < token.size(); ++i)
@@ -254,8 +260,8 @@ LIBDNModel::threadTick(ThreadState &th, double now)
 
     // fireFSM: advance a target cycle when every input channel has a
     // token and every output channel has fired.
-    bool all_in = std::all_of(in_avail.begin(), in_avail.end(),
-                              [](bool b) { return b; });
+    bool all_in = std::all_of(in_avail, in_avail + num_in,
+                              [](uint8_t b) { return b != 0; });
     bool all_fired = std::all_of(th.fired.begin(), th.fired.end(),
                                  [](bool b) { return b; });
     if (all_in && all_fired) {
@@ -284,7 +290,26 @@ bool
 LIBDNModel::tick(double now)
 {
     FIREAXE_ASSERT(finalized_, "finalize() before tick()");
+    ++ticks_;
     return threadTick(threads_[curThread_], now);
+}
+
+double
+LIBDNModel::wakeTimeNs(double now) const
+{
+    const ThreadState &th = threads_[curThread_];
+    double wake = std::numeric_limits<double>::infinity();
+    for (const auto &ch : th.inChans) {
+        double ready = ch->headReadyTime();
+        if (ready > now)
+            wake = std::min(wake, ready);
+    }
+    for (size_t c = 0; c < th.outChans.size(); ++c) {
+        const TokenChannel &ch = *th.outChans[c];
+        if (!th.fired[c] && !ch.full() && !ch.writableAt(now))
+            wake = std::min(wake, ch.writableFrom());
+    }
+    return wake;
 }
 
 uint64_t
@@ -303,7 +328,7 @@ LIBDNModel::minTargetCycle() const
     return m;
 }
 
-const std::set<int> &
+const std::vector<int> &
 LIBDNModel::outputChannelDeps(int slot) const
 {
     FIREAXE_ASSERT(finalized_ && slot >= 0 &&

@@ -23,7 +23,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -128,6 +127,23 @@ class LIBDNModel
      */
     bool tick(double now);
 
+    /**
+     * Earliest host time after @p now at which the scheduled
+     * thread's channel situation can change on its own: the next
+     * input head becoming visible (the raw queue head, so a
+     * reliable channel's NAK and duplicate handling run on the same
+     * host edge as they would tick by tick), or the end of a
+     * stop-and-wait stall on an output that could fire otherwise.
+     * +inf when only another partition can change it. Between
+     * @p now and this time tick() returns false without touching
+     * any state, unless a peer moves a token on a shared channel.
+     */
+    double wakeTimeNs(double now) const;
+
+    /** tick() calls over the model's lifetime (wall-cost counter;
+     *  not part of the checkpointed state). */
+    uint64_t ticks() const { return ticks_; }
+
     /** Target cycle count of a thread. */
     uint64_t targetCycle(unsigned thread = 0) const;
 
@@ -143,8 +159,9 @@ class LIBDNModel
     size_t numInputChannels() const { return inSpecs_.size(); }
     size_t numOutputChannels() const { return outSpecs_.size(); }
 
-    /** Dependency set of an output channel slot (input slots). */
-    const std::set<int> &outputChannelDeps(int slot) const;
+    /** Dependency set of an output channel slot: its input slots,
+     *  sorted ascending. */
+    const std::vector<int> &outputChannelDeps(int slot) const;
 
     /** Lifetime statistics (all threads). */
     uint64_t totalFires() const { return fires_; }
@@ -200,8 +217,11 @@ class LIBDNModel
         std::vector<ChannelPtr> outChans;
         std::vector<bool> fired;
         uint64_t cycle = 0;
-        // Situation signature for cheap no-change detection.
-        std::vector<bool> lastSituation;
+        // Situation signature for cheap no-change detection: one
+        // byte per input (head visible) then per output (could
+        // fire). Both buffers are reused every tick.
+        std::vector<uint8_t> situation;
+        std::vector<uint8_t> lastSituation;
         bool situationValid = false;
     };
 
@@ -218,12 +238,13 @@ class LIBDNModel
     std::vector<ChannelSpec> outSpecs_;
     std::vector<std::vector<int>> inPortIdx_;  // per slot: signal idx
     std::vector<std::vector<int>> outPortIdx_;
-    std::vector<std::set<int>> outDeps_; // out slot -> in slots
+    std::vector<std::vector<int>> outDeps_; // out slot -> in slots
     std::vector<ThreadState> threads_;
     unsigned curThread_ = 0;
     bool finalized_ = false;
     uint64_t fires_ = 0;
     uint64_t advances_ = 0;
+    uint64_t ticks_ = 0;
     bool forceOutputDeps_ = false;
     /** Monitor callbacks are skipped below this target cycle
      *  (single-partition restart re-execution). */

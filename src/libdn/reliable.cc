@@ -285,6 +285,7 @@ ReliableTokenChannel::poll(double now) const
             // Sequence-number check: a link-layer replay of an
             // already-delivered token.
             rxStats_.add("duplicates_discarded");
+            ++dupDiscards_;
             if (probe_)
                 probe_->onEvent("duplicate_discarded", now);
             queue2_.popFront();

@@ -141,6 +141,11 @@ class ReliableTokenChannel : public TokenChannel
      */
     void failover(double ser_time, double latency);
 
+    /** Link-layer duplicates the consumer has dropped from the
+     *  queue (consumer side). Each frees a slot that full() counts
+     *  without delivering a token, so it can unblock the producer. */
+    uint64_t duplicatesDiscarded() const { return dupDiscards_; }
+
     /** Unacked producer-side copies currently buffered. */
     size_t retransmitBufferSize() const { return rtxBuf_.size(); }
 
@@ -268,6 +273,7 @@ class ReliableTokenChannel : public TokenChannel
     mutable uint64_t lastDelivered_ = 0;
     uint64_t enqCount2_ = 0;
     mutable uint64_t deqCount2_ = 0;
+    mutable uint64_t dupDiscards_ = 0;
     /** Physical pushes into queue2_ (producer side; counts link-layer
      *  duplicates, unlike enqCount2_). */
     uint64_t qPushes2_ = 0;

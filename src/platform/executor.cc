@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -418,20 +419,18 @@ MultiFpgaSim::telemetryTick(size_t p, double now, double step,
                             bool progress, bool advanced)
 {
     PartTelemetry &pt = partTel_[p];
-    // FAME-5: an advancing multi-threaded partition burns N host
-    // cycles for the target cycle; a stalled or merely-firing tick
-    // burns one.
-    pt.hostCycles.fetch_add(advanced ? plan_.fame5Threads[p] : 1,
-                            std::memory_order_relaxed);
     pt.targetCycles.store(models_[p]->minTargetCycle(),
                           std::memory_order_relaxed);
 
     obs::Tracer *tr = telemetry_->tracer();
     if (!progress) {
-        obs::add(pt.waitTicks);
-        if (pt.waitStartNs < 0.0)
-            pt.waitStartNs = now;
+        creditIdleTicks(p, 1, now);
     } else {
+        // FAME-5: an advancing multi-threaded partition burns N host
+        // cycles for the target cycle; a merely-firing tick burns
+        // one.
+        pt.hostCycles.fetch_add(advanced ? plan_.fame5Threads[p] : 1,
+                                std::memory_order_relaxed);
         // Close a pending wait-for-tokens span (consecutive
         // no-progress ticks merge into one span).
         if (pt.waitStartNs >= 0.0) {
@@ -453,6 +452,18 @@ MultiFpgaSim::telemetryTick(size_t p, double now, double step,
         pt.lastFmrSampleNs = now;
         sampleFmr(p, now);
     }
+}
+
+void
+MultiFpgaSim::creditIdleTicks(size_t p, uint64_t n, double first_edge)
+{
+    if (n == 0)
+        return;
+    PartTelemetry &pt = partTel_[p];
+    pt.hostCycles.fetch_add(n, std::memory_order_relaxed);
+    obs::add(pt.waitTicks, n);
+    if (pt.waitStartNs < 0.0)
+        pt.waitStartNs = first_edge;
 }
 
 void
@@ -767,9 +778,10 @@ MultiFpgaSim::run(uint64_t target_cycles)
     }
 }
 
-void
+bool
 MultiFpgaSim::checkFailover(int p, double now)
 {
+    bool any = false;
     // Graceful degradation: a channel that exhausted its retry
     // budget fails over to host-managed PCIe (the transport that
     // works anywhere) and keeps the run alive, just slower. Under
@@ -790,8 +802,10 @@ MultiFpgaSim::checkFailover(int p, double now)
             warn("channel '", cs.chan->name(),
                  "' exhausted its retry budget; failing over to ",
                  host.name);
+            any = true;
         }
     }
+    return any;
 }
 
 void
@@ -849,6 +863,101 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
         return true;
     };
 
+    // Next-event time advance (DESIGN.md §5k). A partition whose
+    // tick made no progress sleeps: until host time wake_ns[p] its
+    // channels cannot change on their own, so its tick is certain to
+    // return false. Its idle edges are skipped lazily, and only while
+    // they precede in (time, index) order the earliest tick any other
+    // partition may take. So next_tick[p] is, at every tick, exactly
+    // where the tick-by-tick loop has it, and every exit leaves it
+    // there.
+    std::vector<char> awake(num_parts, 1);
+    std::vector<double> wake_ns(num_parts, 0.0);
+
+    // What one partition does can change what another sees only
+    // through a shared channel. A duplicate the consumer discards
+    // frees a slot in the producer's full() without progress.
+    std::vector<std::vector<size_t>> peers(num_parts);
+    std::vector<std::vector<const libdn::ReliableTokenChannel *>>
+        inbound(num_parts);
+    for (const auto &cs : channels_) {
+        size_t src = size_t(cs.srcPart), dst = size_t(cs.dstPart);
+        if (src != dst) {
+            peers[src].push_back(dst);
+            peers[dst].push_back(src);
+        }
+        inbound[dst].push_back(cs.chan.get());
+    }
+    for (auto &list : peers) {
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+    auto discarded = [&](size_t p) {
+        uint64_t n = 0;
+        for (const auto *chan : inbound[p])
+            n += chan->duplicatesDiscarded();
+        return n;
+    };
+    std::vector<uint64_t> discards(num_parts);
+    for (size_t p = 0; p < num_parts; ++p)
+        discards[p] = discarded(p);
+
+    const obs::TelemetryConfig *tcfg =
+        telemetry_ ? &telemetry_->config() : nullptr;
+    bool sample_fmr = tcfg && telemetry_->registry() &&
+                      tcfg->fmrSampleIntervalNs > 0.0;
+    bool report = tcfg && tcfg->progressIntervalNs > 0.0;
+    // A sleeping partition q ticks at edge e once its channels can
+    // change or one of the loop's deadlines falls due, each in
+    // exactly the form the checks below evaluate it.
+    auto due = [&](size_t q, double e) {
+        return e >= wake_ns[q] || e - last_progress > deadlock_window ||
+               (sample_fmr && e - partTel_[q].lastFmrSampleNs >=
+                                  tcfg->fmrSampleIntervalNs) ||
+               (report && e - lastReportNs_ >= tcfg->progressIntervalNs);
+    };
+    // A host time no later than the first edge at which due(q, .)
+    // holds. The margin covers rounding in the deadline forms.
+    auto dueFloor = [&](size_t q) {
+        auto below = [](double t) { return t - 1e-9 * std::abs(t); };
+        double t = std::min(wake_ns[q],
+                            below(last_progress + deadlock_window));
+        if (sample_fmr)
+            t = std::min(t, below(partTel_[q].lastFmrSampleNs +
+                                  tcfg->fmrSampleIntervalNs));
+        if (report)
+            t = std::min(t, below(lastReportNs_ +
+                                  tcfg->progressIntervalNs));
+        return std::max(t, next_tick[q]);
+    };
+    // Skip sleeping partition p's idle edges up to the first that is
+    // due or that another partition may tick before.
+    auto skipIdle = [&](size_t p) {
+        double bound = std::numeric_limits<double>::infinity();
+        size_t bound_part = num_parts;
+        for (size_t q = 0; q < num_parts; ++q) {
+            if (q == p)
+                continue;
+            double t = awake[q] ? next_tick[q] : dueFloor(q);
+            if (t < bound) {
+                bound = t;
+                bound_part = q;
+            }
+        }
+        double e = next_tick[p];
+        uint64_t n = 0;
+        bool woke;
+        while (!(woke = due(p, e)) &&
+               (e < bound || (e == bound && p < bound_part))) {
+            e += period[p];
+            ++n;
+        }
+        if (telemetry_)
+            creditIdleTicks(p, n, next_tick[p]);
+        next_tick[p] = e;
+        awake[p] = woke;
+    };
+
     while (true) {
         if (allDone())
             break;
@@ -861,11 +970,18 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
             break;
         }
 
-        // Next partition tick in host time.
-        size_t p = 0;
-        for (size_t i = 1; i < num_parts; ++i)
-            if (next_tick[i] < next_tick[p])
-                p = i;
+        // Next partition tick in host time; a sleeping partition at
+        // the front skips ahead first.
+        size_t p;
+        while (true) {
+            p = 0;
+            for (size_t i = 1; i < num_parts; ++i)
+                if (next_tick[i] < next_tick[p])
+                    p = i;
+            if (awake[p])
+                break;
+            skipIdle(p);
+        }
         now = next_tick[p];
 
         uint64_t before = models_[p]->minTargetCycle();
@@ -880,20 +996,29 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
 
         if (progress)
             last_progress = now;
+        uint64_t seen = discarded(p);
+        if (progress || seen != discards[p]) {
+            discards[p] = seen;
+            for (size_t q : peers[p])
+                awake[q] = 1;
+        }
 
         if (telemetry_) {
             telemetryTick(p, now, step, progress, advanced);
             maybeStreamFlush(now);
-            const obs::TelemetryConfig &tcfg = telemetry_->config();
-            if (tcfg.progressIntervalNs > 0.0 &&
-                now - lastReportNs_ >= tcfg.progressIntervalNs) {
+            if (report &&
+                now - lastReportNs_ >= tcfg->progressIntervalNs) {
                 lastReportNs_ = now;
                 reportProgress(now, target_cycles);
             }
         }
 
-        if (faults_.enabled())
-            checkFailover(-1, now);
+        if (faults_.enabled() && checkFailover(-1, now)) {
+            // A failover drops the channel's batching and its
+            // stop-and-wait stall, which the producer may be
+            // sleeping on.
+            std::fill(awake.begin(), awake.end(), 1);
+        }
 
         if (now - last_progress > deadlock_window) {
             // Watchdog: before declaring deadlock, check whether any
@@ -934,6 +1059,13 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
         if (advanced && stopCondition_ && stopCondition_()) {
             result.stopped = true;
             break;
+        }
+
+        if (!progress) {
+            // Sleep until the channels can change on their own or a
+            // deadline falls due; a peer's progress wakes it sooner.
+            awake[p] = 0;
+            wake_ns[p] = models_[p]->wakeTimeNs(now);
         }
     }
 

@@ -594,6 +594,12 @@ class MultiFpgaSim
     /** Per-event-loop-iteration telemetry hook. */
     void telemetryTick(size_t p, double now, double step,
                        bool progress, bool advanced);
+    /** Charge @p n host edges on which partition @p p made no
+     *  progress, the first at @p first_edge: host cycles, wait ticks
+     *  and the wait-for-tokens span they open. Used for each tick
+     *  without progress and for the edges the sequential loop
+     *  skips. */
+    void creditIdleTicks(size_t p, uint64_t n, double first_edge);
     /** Periodic FMR sample for partition @p p plus the sim-rate
      *  gauge; runs on the partition's owning thread. */
     void sampleFmr(size_t p, double now);
@@ -608,7 +614,8 @@ class MultiFpgaSim
     void maybeStreamFlush(double now);
     /** Unconditional stream chunk (drain + tokens + metrics line). */
     void streamFlush(double now);
-    /** The original single-threaded discrete-event loop. */
+    /** The single-threaded discrete-event loop, with next-event
+     *  time advance over idle host edges (DESIGN.md §5k). */
     RunResult runSequential(uint64_t target_cycles);
     /** The same schedule on the src/par worker-thread engine. */
     RunResult runParallel(uint64_t target_cycles);
@@ -617,8 +624,9 @@ class MultiFpgaSim
     void finishRun(RunResult &result, double now);
     /** Fail partition @p p's retry-exhausted output channels over to
      *  host-managed PCIe; p < 0 scans every channel. Runs on the
-     *  producing partition's owning thread. */
-    void checkFailover(int p, double now);
+     *  producing partition's owning thread. Returns whether any
+     *  channel failed over. */
+    bool checkFailover(int p, double now);
     /** One event-loop execution to @p target_cycles on the selected
      *  backend (no autosnapshot chunking). */
     RunResult runOnce(uint64_t target_cycles);

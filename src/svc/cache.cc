@@ -94,6 +94,48 @@ ArtifactCache::putElaboration(uint64_t key,
     elab_.put(key, std::move(e), entry_bytes);
 }
 
+std::shared_ptr<const Elaboration>
+ArtifactCache::elaborate(
+    uint64_t key,
+    const std::function<std::shared_ptr<const Elaboration>()> &build,
+    bool &hit)
+{
+    std::unique_lock<std::mutex> lock(mtx_);
+    auto it = elabInFlight_.find(key);
+    if (it != elabInFlight_.end()) {
+        auto pending = it->second;
+        ++elab_.stats.hits;
+        lock.unlock();
+        hit = true;
+        return pending.get();
+    }
+    if (auto found = elab_.find(key)) {
+        hit = true;
+        return std::static_pointer_cast<const Elaboration>(found);
+    }
+    std::promise<std::shared_ptr<const Elaboration>> promise;
+    elabInFlight_.emplace(key, promise.get_future().share());
+    lock.unlock();
+
+    hit = false;
+    std::shared_ptr<const Elaboration> elab;
+    try {
+        elab = build();
+    } catch (...) {
+        lock.lock();
+        elabInFlight_.erase(key);
+        lock.unlock();
+        promise.set_exception(std::current_exception());
+        throw;
+    }
+    lock.lock();
+    elab_.put(key, elab, elab->byteSize);
+    elabInFlight_.erase(key);
+    lock.unlock();
+    promise.set_value(elab);
+    return elab;
+}
+
 std::shared_ptr<const verify::Report>
 ArtifactCache::findReport(uint64_t key)
 {

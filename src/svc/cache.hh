@@ -27,13 +27,16 @@
  *
  * Thread safety: one mutex per cache instance; every operation is a
  * short map lookup + list splice. The service's worker pool shares
- * one instance.
+ * one instance. Elaboration is single-flight (elaborate()): identical
+ * concurrent jobs build the plan once.
  */
 
 #ifndef FIREAXE_SVC_CACHE_HH
 #define FIREAXE_SVC_CACHE_HH
 
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -90,6 +93,20 @@ class ArtifactCache
     void putElaboration(uint64_t key,
                         std::shared_ptr<const Elaboration> elab);
 
+    /**
+     * The elaboration for @p key, running @p build (outside the
+     * lock) and inserting its result on a miss. Single-flight: a
+     * caller that finds @p key being built by another waits for that
+     * build and counts a hit, so concurrent identical jobs elaborate
+     * once. @p hit tells whether this caller reused a result. An
+     * exception from @p build reaches every caller waiting on it.
+     */
+    std::shared_ptr<const Elaboration>
+    elaborate(uint64_t key,
+              const std::function<std::shared_ptr<const Elaboration>()>
+                  &build,
+              bool &hit);
+
     // --- verify reports (keyed by platform::contentHash) ----------
     std::shared_ptr<const verify::Report> findReport(uint64_t key);
     void putReport(uint64_t key,
@@ -138,6 +155,11 @@ class ArtifactCache
 
     mutable std::mutex mtx_;
     Shard elab_;
+    /** Elaborations being built by elaborate(), by key. */
+    std::unordered_map<
+        uint64_t,
+        std::shared_future<std::shared_ptr<const Elaboration>>>
+        elabInFlight_;
     Shard report_;
     Shard program_;
 };

@@ -37,12 +37,7 @@ bool
 JobRunner::elaborate()
 {
     auto t0 = std::chrono::steady_clock::now();
-    uint64_t key = spec_.elabSignature();
-    if (cache_)
-        elab_ = cache_->findElaboration(key);
-    if (elab_) {
-        outcome_.elabCacheHit = true;
-    } else {
+    auto build = [this] {
         const TargetInfo *t = findTarget(spec_.target);
         auto circuit = t->build();
         auto pspec = t->spec(circuit);
@@ -56,10 +51,13 @@ JobRunner::elaborate()
                 ch.capacity = size_t(spec_.channelCapacity);
         fresh->contentHash = platform::contentHash(fresh->plan);
         fresh->byteSize = estimatePlanBytes(fresh->plan);
-        elab_ = fresh;
-        if (cache_)
-            cache_->putElaboration(key, elab_);
-    }
+        return std::shared_ptr<const Elaboration>(std::move(fresh));
+    };
+    if (cache_)
+        elab_ = cache_->elaborate(spec_.elabSignature(), build,
+                                  outcome_.elabCacheHit);
+    else
+        elab_ = build();
     outcome_.elaborateNs = elapsedNs(t0);
     outcome_.artifactHash = elab_->contentHash;
     return true;

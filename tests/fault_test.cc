@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 #include <vector>
 
@@ -594,5 +595,6 @@ TEST(Fault, DeterministicScheduleIsReproducible)
     EXPECT_EQ(a, b);
     EXPECT_EQ(ra.retransmits, rb.retransmits);
     EXPECT_EQ(ra.faultStats.all(), rb.faultStats.all());
-    EXPECT_DOUBLE_EQ(ra.hostTimeNs, rb.hostTimeNs);
+    EXPECT_EQ(std::bit_cast<uint64_t>(ra.hostTimeNs),
+              std::bit_cast<uint64_t>(rb.hostTimeNs));
 }

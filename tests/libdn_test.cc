@@ -142,7 +142,7 @@ TEST(LIBDN, WaitsForInputToken)
     model.finalize();
 
     // The output channel depends on the input channel.
-    EXPECT_EQ(model.outputChannelDeps(out_slot), std::set<int>{0});
+    EXPECT_EQ(model.outputChannelDeps(out_slot), std::vector<int>{0});
 
     model.tick(0.0);
     EXPECT_TRUE(out_ch->empty()); // no input token yet -> no fire

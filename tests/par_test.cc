@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -381,8 +382,8 @@ TEST(ParExec, MatchesSequentialAndGoldenAcrossWorkerCounts)
         // The schedules are identical, not merely equivalent: the
         // same cycle count and the same total host time.
         EXPECT_EQ(par.result.targetCycles, seq.result.targetCycles);
-        EXPECT_DOUBLE_EQ(par.result.hostTimeNs,
-                         seq.result.hostTimeNs);
+        EXPECT_EQ(std::bit_cast<uint64_t>(par.result.hostTimeNs),
+                  std::bit_cast<uint64_t>(seq.result.hostTimeNs));
         // Prefix of the sequential trace too (it may itself run a
         // little past the target before the last partition crosses).
         size_t n = std::min(seq.trace.size(), par.trace.size());
@@ -409,8 +410,8 @@ TEST(ParExec, FaultInjectionStaysBitExactInParallel)
         EXPECT_FALSE(par.result.deadlocked);
         EXPECT_GT(par.result.retransmits, 0u);
         EXPECT_EQ(par.result.targetCycles, seq.result.targetCycles);
-        EXPECT_DOUBLE_EQ(par.result.hostTimeNs,
-                         seq.result.hostTimeNs);
+        EXPECT_EQ(std::bit_cast<uint64_t>(par.result.hostTimeNs),
+                  std::bit_cast<uint64_t>(seq.result.hostTimeNs));
         size_t n = std::min(seq.trace.size(), par.trace.size());
         ASSERT_GE(n, cycles);
         for (size_t i = 0; i < n; ++i)
@@ -438,8 +439,8 @@ TEST(ParExec, SchedulingJitterDoesNotChangeResults)
         ParityRun par = runBackend(soc, exec, cycles, &faults);
         EXPECT_FALSE(par.result.deadlocked);
         EXPECT_EQ(par.result.targetCycles, seq.result.targetCycles);
-        EXPECT_DOUBLE_EQ(par.result.hostTimeNs,
-                         seq.result.hostTimeNs);
+        EXPECT_EQ(std::bit_cast<uint64_t>(par.result.hostTimeNs),
+                  std::bit_cast<uint64_t>(seq.result.hostTimeNs));
         size_t n = std::min(seq.trace.size(), par.trace.size());
         ASSERT_GE(n, cycles);
         for (size_t i = 0; i < n; ++i)
@@ -469,7 +470,8 @@ TEST(ParExec, TransientStallsAreExcusedInParallel)
     EXPECT_GT(par.result.faultStats.get("link_stalls"), 0u);
     EXPECT_GT(par.result.transientStallEvents, 0u);
     EXPECT_EQ(par.result.targetCycles, seq.result.targetCycles);
-    EXPECT_DOUBLE_EQ(par.result.hostTimeNs, seq.result.hostTimeNs);
+    EXPECT_EQ(std::bit_cast<uint64_t>(par.result.hostTimeNs),
+              std::bit_cast<uint64_t>(seq.result.hostTimeNs));
     size_t n = std::min(seq.trace.size(), par.trace.size());
     ASSERT_GE(n, cycles);
     for (size_t i = 0; i < n; ++i)
@@ -494,7 +496,8 @@ TEST(ParExec, FailoverRunsOnWorkerThreads)
     EXPECT_GT(par.result.linkFailovers, 0u);
     EXPECT_TRUE(par.result.degraded);
     EXPECT_EQ(par.result.targetCycles, seq.result.targetCycles);
-    EXPECT_DOUBLE_EQ(par.result.hostTimeNs, seq.result.hostTimeNs);
+    EXPECT_EQ(std::bit_cast<uint64_t>(par.result.hostTimeNs),
+              std::bit_cast<uint64_t>(seq.result.hostTimeNs));
     size_t n = std::min(seq.trace.size(), par.trace.size());
     ASSERT_GE(n, cycles);
     for (size_t i = 0; i < n; ++i)
@@ -611,7 +614,8 @@ TEST(ParExec, TokenStreamingStaysBitExactAcrossWorkers)
 
     EXPECT_FALSE(result.deadlocked);
     EXPECT_EQ(result.targetCycles, ref_result.targetCycles);
-    EXPECT_DOUBLE_EQ(result.hostTimeNs, ref_result.hostTimeNs);
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.hostTimeNs),
+              std::bit_cast<uint64_t>(ref_result.hostTimeNs));
     settle(sim, cycles + 25);
     EXPECT_EQ(finalStateSignature(sim, nparts), ref_sig);
     size_t n = std::min(ref_trace.size(), trace.size());

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -521,7 +522,8 @@ TEST(Autosnapshot, PeriodicSnapshotsDoNotPerturbTheRun)
     // Snapshot boundaries are quiesce points: cycle counts, host
     // time, every observation and the final state are unchanged.
     EXPECT_EQ(r.targetCycles, golden.result.targetCycles);
-    EXPECT_DOUBLE_EQ(r.hostTimeNs, golden.result.hostTimeNs);
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.hostTimeNs),
+              std::bit_cast<uint64_t>(golden.result.hostTimeNs));
     EXPECT_GE(sim.snapshotCount(), 4u);
     settle(sim, 525);
     EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
