@@ -23,11 +23,26 @@
  *    executed before its tick, so full()/not-full decisions — and
  *    with them serializer timing and the entire token schedule — are
  *    independent of worker interleaving.
- *  - Workers self-pace dataflow-style: a partition whose gates fail
- *    parks on a condition variable and is woken by a generation
- *    counter that every clock publication bumps. The partition with
- *    the lexicographically smallest (clock, index) can always
- *    proceed, so the pool never parks entirely before completion.
+ *  - Workers self-pace dataflow-style, each taking its partitions
+ *    earliest first: a partition whose gates fail parks on a
+ *    condition variable and is woken by a generation counter that
+ *    every clock publication bumps (one per tick, or one per run of
+ *    skipped edges). The partition with the lexicographically
+ *    smallest (clock, index) can always proceed, so the pool never
+ *    parks entirely before completion.
+ *  - Next-event time advance: a partition whose last tick made no
+ *    progress (and found no output full) is asleep. Its following
+ *    ticks are certain to change nothing until an input head it has
+ *    not seen becomes visible or one of its Deadlines falls due, so
+ *    its worker walks those idle edges by repeated `+= step`,
+ *    credits them in one onIdle call and publishes its clock once
+ *    for the whole run of edges. Input bounds are re-read on every
+ *    attempt: for an empty channel, the producer's published clock
+ *    (loaded before the head is read) plus the lookahead; for a head
+ *    the last tick did not see, its ready time. A walk also stops
+ *    before the earliest tick another partition of the same worker
+ *    may take, so a one-worker run leaves every partition where the
+ *    sequential executor does.
  *
  * Genuine LI-BDN deadlock (a circular token dependency) manifests as
  * livelock — host clocks keep advancing while no fireFSM makes
@@ -39,16 +54,21 @@
  * time beyond its consumer's clock, e.g. a fault-recovery penalty)
  * means a transient stall — progress clocks reset and the run
  * continues; otherwise the deadlock hook fires with the world frozen
- * for diagnosis.
+ * for diagnosis. The reported deadlock time is the earliest edge at
+ * which a partition became suspect, which does not depend on how far
+ * the other workers ran before the pool quiesced.
  */
 
 #ifndef FIREAXE_PAR_ENGINE_HH
 #define FIREAXE_PAR_ENGINE_HH
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -74,6 +94,51 @@ struct ChannelDesc
     double lookaheadNs = 0.0;
 };
 
+/**
+ * When a sleeping partition must tick again although none of its
+ * channels changes: at the first host edge e at which any of these
+ * falls due. Each is kept in exactly the form the run loop's own
+ * check evaluates, so both executor loops find the same edge bit for
+ * bit. The default is due on every edge.
+ */
+struct Deadlines
+{
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    /** e >= wakeNs: the model's own wake time. */
+    double wakeNs = -kInf;
+    /** e - watchdogFromNs > watchdogNs: the deadlock watchdog. */
+    double watchdogFromNs = 0.0;
+    double watchdogNs = kInf;
+    /** e - sampleFromNs >= sampleEveryNs: the next FMR sample. */
+    double sampleFromNs = 0.0;
+    double sampleEveryNs = kInf;
+    /** e - reportFromNs >= reportEveryNs: the next progress report. */
+    double reportFromNs = 0.0;
+    double reportEveryNs = kInf;
+
+    bool
+    due(double e) const
+    {
+        return e >= wakeNs || e - watchdogFromNs > watchdogNs ||
+               e - sampleFromNs >= sampleEveryNs ||
+               e - reportFromNs >= reportEveryNs;
+    }
+
+    /** A host time no later than the first edge at which due()
+     *  holds; a 1e-9 relative margin covers rounding in the forms. */
+    double
+    floorNs() const
+    {
+        auto below = [](double t) {
+            return std::isfinite(t) ? t - 1e-9 * std::abs(t) : t;
+        };
+        return std::min({wakeNs, below(watchdogFromNs + watchdogNs),
+                         below(sampleFromNs + sampleEveryNs),
+                         below(reportFromNs + reportEveryNs)});
+    }
+};
+
 /** What one partition tick did (returned by the tick hook). */
 struct TickResult
 {
@@ -85,6 +150,9 @@ struct TickResult
     bool reachedTarget = false;
     /** A stop condition fired; end the run for all partitions. */
     bool stopRequested = false;
+    /** Without progress: when the partition must tick again even if
+     *  its channels stay unchanged. */
+    Deadlines idle;
 };
 
 struct EngineHooks
@@ -97,11 +165,16 @@ struct EngineHooks
      * evaluate at @p now.
      */
     std::function<TickResult(int part, double now)> onTick;
+    /** Partition @p part skipped @p edges idle host edges, the first
+     *  at @p first_edge. Runs on the partition's worker thread. */
+    std::function<void(int part, uint64_t edges, double first_edge)>
+        onIdle;
     /** A quiesced all-partition stall was excused as transient
      *  (in-flight token found). World is frozen during the call. */
     std::function<void(double now)> onTransientStall;
-    /** Genuine deadlock at stall frontier @p now (ns): called once,
-     *  world frozen, before the engine returns deadlocked = true. */
+    /** Genuine deadlock at watchdog edge @p now (ns), the earliest
+     *  edge at which a partition became suspect: called once, world
+     *  frozen, before the engine returns deadlocked = true. */
     std::function<void(double now)> onDeadlock;
 };
 
@@ -173,12 +246,21 @@ class ParallelEngine
 
     void workerMain(unsigned w);
     bool tryTick(int p);
+    /** Walk sleeping partition @p p's idle edges; @p moved tells
+     *  whether it walked any. Returns whether p may tick now. */
+    bool skipIdle(int p, bool &moved);
+    /** First host time at which an input can change what sleeping
+     *  partition @p p's next tick sees. */
+    double inputBound(int p) const;
+    /** Sleeping partition @p p's deadlines, watchdog included. */
+    Deadlines dueSet(int p) const;
     bool inGatesOpen(int p, double T) const;
-    bool outGatesOpen(int p, double T) const;
+    /** @p saw_full: some output channel is full at @p T. */
+    bool outGatesOpen(int p, double T, bool &saw_full) const;
     void publish(int p, double next_tick);
     void parkUntil(uint64_t gen);
     void pausePark(std::unique_lock<std::mutex> &lk);
-    void markSuspect(int p);
+    void markSuspect(int p, double edge);
     void clearSuspect(int p);
     void quiesceAndInspect();
     void finish(std::unique_lock<std::mutex> &lk);
@@ -187,6 +269,8 @@ class ParallelEngine
     EngineHooks hooks_;
     std::vector<ChannelDesc> channels_;
     std::vector<PartChannels> parts_;
+    /** Partitions per worker (static round-robin). */
+    std::vector<std::vector<int>> mine_;
     unsigned workers_ = 1;
     int nparts_ = 0;
 
@@ -208,12 +292,23 @@ class ParallelEngine
     std::atomic<bool> stopped_{false};
     double stopTimeNs_ = 0.0; ///< written under mtx_
     uint64_t transientStalls_ = 0; ///< quiesced initiator only
+    double deadlockNs_ = 0.0;      ///< quiesced initiator only
 
     // --- per-partition state owned by the partition's worker ------
     // (inspected by the quiesce initiator under full pause, which
     // the engine mutex orders).
     std::vector<double> nextTick_;
     std::vector<double> lastProgress_;
+    /** Edge at which the partition last became suspect. */
+    std::vector<double> suspectEdge_;
+    /** Host time of the partition's last tick (-inf before any). */
+    std::vector<double> lastTick_;
+    /** Sleep state after a tick without progress (see file comment):
+     *  the step to the next edge, and when the partition must tick
+     *  again regardless of its channels. */
+    std::vector<char> asleep_;
+    std::vector<double> idleStep_;
+    std::vector<Deadlines> idle_;
     std::vector<double> doneTime_;
     std::vector<char> reached_;
 };

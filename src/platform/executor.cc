@@ -466,6 +466,25 @@ MultiFpgaSim::creditIdleTicks(size_t p, uint64_t n, double first_edge)
         pt.waitStartNs = first_edge;
 }
 
+par::Deadlines
+MultiFpgaSim::idleDeadlines(size_t p, double wake_ns, bool reports) const
+{
+    par::Deadlines d;
+    d.wakeNs = wake_ns;
+    if (!telemetry_)
+        return d;
+    const obs::TelemetryConfig &cfg = telemetry_->config();
+    if (telemetry_->registry() && cfg.fmrSampleIntervalNs > 0.0) {
+        d.sampleFromNs = partTel_[p].lastFmrSampleNs;
+        d.sampleEveryNs = cfg.fmrSampleIntervalNs;
+    }
+    if (reports && cfg.progressIntervalNs > 0.0) {
+        d.reportFromNs = lastReportNs_;
+        d.reportEveryNs = cfg.progressIntervalNs;
+    }
+    return d;
+}
+
 void
 MultiFpgaSim::sampleFmr(size_t p, double now)
 {
@@ -904,31 +923,14 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
 
     const obs::TelemetryConfig *tcfg =
         telemetry_ ? &telemetry_->config() : nullptr;
-    bool sample_fmr = tcfg && telemetry_->registry() &&
-                      tcfg->fmrSampleIntervalNs > 0.0;
     bool report = tcfg && tcfg->progressIntervalNs > 0.0;
-    // A sleeping partition q ticks at edge e once its channels can
-    // change or one of the loop's deadlines falls due, each in
-    // exactly the form the checks below evaluate it.
-    auto due = [&](size_t q, double e) {
-        return e >= wake_ns[q] || e - last_progress > deadlock_window ||
-               (sample_fmr && e - partTel_[q].lastFmrSampleNs >=
-                                  tcfg->fmrSampleIntervalNs) ||
-               (report && e - lastReportNs_ >= tcfg->progressIntervalNs);
-    };
-    // A host time no later than the first edge at which due(q, .)
-    // holds. The margin covers rounding in the deadline forms.
-    auto dueFloor = [&](size_t q) {
-        auto below = [](double t) { return t - 1e-9 * std::abs(t); };
-        double t = std::min(wake_ns[q],
-                            below(last_progress + deadlock_window));
-        if (sample_fmr)
-            t = std::min(t, below(partTel_[q].lastFmrSampleNs +
-                                  tcfg->fmrSampleIntervalNs));
-        if (report)
-            t = std::min(t, below(lastReportNs_ +
-                                  tcfg->progressIntervalNs));
-        return std::max(t, next_tick[q]);
+    // A sleeping partition q ticks at the first edge at which its
+    // channels can change or one of the loop's deadlines falls due.
+    auto deadlines = [&](size_t q) {
+        par::Deadlines d = idleDeadlines(q, wake_ns[q], true);
+        d.watchdogFromNs = last_progress;
+        d.watchdogNs = deadlock_window;
+        return d;
     };
     // Skip sleeping partition p's idle edges up to the first that is
     // due or that another partition may tick before.
@@ -938,16 +940,19 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
         for (size_t q = 0; q < num_parts; ++q) {
             if (q == p)
                 continue;
-            double t = awake[q] ? next_tick[q] : dueFloor(q);
+            double t = awake[q] ? next_tick[q]
+                                : std::max(deadlines(q).floorNs(),
+                                           next_tick[q]);
             if (t < bound) {
                 bound = t;
                 bound_part = q;
             }
         }
+        par::Deadlines d = deadlines(p);
         double e = next_tick[p];
         uint64_t n = 0;
         bool woke;
-        while (!(woke = due(p, e)) &&
+        while (!(woke = d.due(e)) &&
                (e < bound || (e == bound && p < bound_part))) {
             e += period[p];
             ++n;
@@ -1164,12 +1169,16 @@ MultiFpgaSim::runParallel(uint64_t target_cycles)
                 }
             }
         }
-        if (faults_.enabled())
-            checkFailover(p, now);
+        // A failover drops the channel's batching and its
+        // stop-and-wait stall, which the producer may be sleeping on.
+        bool failed_over = faults_.enabled() && checkFailover(p, now);
 
         par::TickResult r;
         r.nextDeltaNs = step;
         r.progressed = progress;
+        if (!progress && !failed_over)
+            r.idle = idleDeadlines(size_t(p),
+                                   models_[p]->wakeTimeNs(now), p == 0);
         r.reachedTarget = after >= target_cycles;
         // Graceful shutdown: checked on every tick (not just target
         // advances) so a stalled partition still drains promptly.
@@ -1183,6 +1192,11 @@ MultiFpgaSim::runParallel(uint64_t target_cycles)
         }
         return r;
     };
+    if (telemetry_) {
+        hooks.onIdle = [&](int p, uint64_t edges, double first_edge) {
+            creditIdleTicks(size_t(p), edges, first_edge);
+        };
+    }
     hooks.onTransientStall = [&](double now) {
         ++transientStallEvents_;
         if (telemetry_ && telemetry_->tracer())

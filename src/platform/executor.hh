@@ -38,6 +38,7 @@
 #include "libdn/model.hh"
 #include "libdn/reliable.hh"
 #include "obs/telemetry.hh"
+#include "par/engine.hh"
 #include "platform/fpga.hh"
 #include "recovery/recovery.hh"
 #include "ripper/partition.hh"
@@ -597,9 +598,14 @@ class MultiFpgaSim
     /** Charge @p n host edges on which partition @p p made no
      *  progress, the first at @p first_edge: host cycles, wait ticks
      *  and the wait-for-tokens span they open. Used for each tick
-     *  without progress and for the edges the sequential loop
-     *  skips. */
+     *  without progress and for the edges either loop skips. */
     void creditIdleTicks(size_t p, uint64_t n, double first_edge);
+    /** When sleeping partition @p p must tick again although its
+     *  channels stay unchanged: its @p wake_ns, and with telemetry its
+     *  next FMR sample and, if it @p reports, the next progress
+     *  report. The watchdog is each loop's own (DESIGN.md §5k). */
+    par::Deadlines idleDeadlines(size_t p, double wake_ns,
+                                 bool reports) const;
     /** Periodic FMR sample for partition @p p plus the sim-rate
      *  gauge; runs on the partition's owning thread. */
     void sampleFmr(size_t p, double now);

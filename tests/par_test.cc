@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "platform/fpga.hh"
 #include "ripper/partition.hh"
 #include "recovery/snapshot.hh"
+#include "svc/targets.hh"
 #include "target/bus_soc.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
@@ -98,6 +100,52 @@ runBackend(const firrtl::Circuit &soc, const ExecConfig &exec,
     sim.setExecConfig(exec);
     ParityRun run;
     sim.setMonitor(0, recorder(run.trace, "status"));
+    run.result = sim.run(cycles);
+    return run;
+}
+
+/** Per-partition hashes of every signal at every target cycle. */
+struct BigCoreRun
+{
+    RunResult result;
+    std::vector<std::vector<uint64_t>> cycleHashes;
+};
+
+/** big-core at batch depth 8 with faults at 1e-3 and telemetry on,
+ *  so sleeping partitions skip across retransmits, FMR samples and
+ *  progress reports. */
+BigCoreRun
+runBigCore(const ExecConfig &base, uint64_t cycles)
+{
+    const svc::TargetInfo *t = svc::findTarget("big-core");
+    firrtl::Circuit circuit = t->build();
+    PartitionPlan plan = partition(circuit, t->spec(circuit));
+    size_t nparts = plan.partitions.size();
+    MultiFpgaSim sim(plan, u250s(nparts, 100.0),
+                     transport::qsfpAurora());
+    sim.setFaultModel(transport::FaultConfig::uniform(1e-3, 1));
+    static std::ostringstream progress_sink;
+    obs::TelemetryConfig tcfg;
+    tcfg.fmrSampleIntervalNs = 20000.0;
+    tcfg.progressIntervalNs = 150000.0;
+    tcfg.progressOut = &progress_sink;
+    sim.setTelemetry(tcfg);
+    ExecConfig exec = base;
+    exec.batchDepth = 8;
+    sim.setExecConfig(exec);
+
+    BigCoreRun run;
+    run.cycleHashes.resize(nparts);
+    for (size_t p = 0; p < nparts; ++p) {
+        sim.setMonitor(int(p), [&run, p](rtlsim::Simulator &s,
+                                         unsigned, uint64_t cycle) {
+            uint64_t h = recovery::fnv1aMix(1469598103934665603ull,
+                                            cycle);
+            for (size_t i = 0; i < s.numSignals(); ++i)
+                h = recovery::fnv1aMix(h, s.peekIdx(int(i)));
+            run.cycleHashes[p].push_back(h);
+        });
+    }
     run.result = sim.run(cycles);
     return run;
 }
@@ -446,6 +494,41 @@ TEST(ParExec, SchedulingJitterDoesNotChangeResults)
         for (size_t i = 0; i < n; ++i)
             ASSERT_EQ(par.trace[i], seq.trace[i])
                 << "divergence at cycle " << i;
+    }
+
+    // Sleeping partitions read their producers' published clocks and
+    // channel heads from other threads; the read order is what keeps
+    // their skips safe, and jitter is what exposes a wrong one.
+    const uint64_t big_cycles = 2000;
+    BigCoreRun big_seq = runBigCore(ExecConfig{}, big_cycles);
+    ASSERT_EQ(big_seq.result.targetCycles, big_cycles);
+    EXPECT_GT(big_seq.result.retransmits, 0u);
+    for (unsigned workers : {1u, 2u, 4u}) {
+        for (uint64_t seed : {1ull, 99ull}) {
+            SCOPED_TRACE("big-core workers=" + std::to_string(workers) +
+                         " stressSeed=" + std::to_string(seed));
+            ExecConfig exec = ExecConfig::parallel(workers);
+            exec.stressSeed = seed;
+            BigCoreRun par = runBigCore(exec, big_cycles);
+            EXPECT_FALSE(par.result.deadlocked);
+            EXPECT_EQ(par.result.targetCycles,
+                      big_seq.result.targetCycles);
+            EXPECT_EQ(std::bit_cast<uint64_t>(par.result.hostTimeNs),
+                      std::bit_cast<uint64_t>(big_seq.result.hostTimeNs));
+            EXPECT_EQ(par.result.retransmits, big_seq.result.retransmits);
+            EXPECT_EQ(par.result.transientStallEvents,
+                      big_seq.result.transientStallEvents);
+            for (size_t p = 0; p < par.cycleHashes.size(); ++p) {
+                SCOPED_TRACE("partition " + std::to_string(p));
+                const auto &ref = big_seq.cycleHashes[p];
+                const auto &got = par.cycleHashes[p];
+                size_t n = std::min(ref.size(), got.size());
+                ASSERT_GE(n, big_cycles);
+                for (size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(got[i], ref[i])
+                        << "divergence at cycle " << i;
+            }
+        }
     }
 }
 
