@@ -1,6 +1,7 @@
 /**
  * @file
- * Latency-insensitive channel queues (Section II-A of the paper).
+ * Latency-insensitive channel queues (Section II-A of the paper) with
+ * link-level reliable delivery.
  *
  * A token is the vector of net values crossing one LI-BDN channel for
  * one target cycle. Channels are bounded FIFOs; each token carries a
@@ -8,15 +9,50 @@
  * (src/platform) can model inter-FPGA link latency and serialization:
  * a consumer only sees a token once host time has passed its stamp.
  *
- * The hot-path accessors are virtual so that transports with
- * link-level reliability machinery (libdn::ReliableTokenChannel) can
- * interpose on delivery without the model or the executor knowing.
+ * ## Reliable delivery (link-level ARQ)
+ *
+ * An LI-BDN simulation is only correct if every channel delivers its
+ * token stream losslessly and in order; a single dropped or corrupted
+ * token desynchronizes the partitions forever. The transports of
+ * src/transport fail in exactly those ways, so every channel carries
+ * the classic reliability machinery, exercised against a
+ * transport::FaultModel (the default model injects nothing):
+ *
+ *  - every token carries a sequence number and a CRC-32 over its
+ *    payload;
+ *  - the producer keeps a retransmit buffer of unacked tokens, the
+ *    source of NAK-driven resends. Every unacked token also holds a
+ *    queue entry, so the buffer never outgrows the queue and the
+ *    queue's capacity bounds both (a full queue is recoverable
+ *    backpressure, not a fatal overflow — the producer's output FSM
+ *    simply retries on a later host cycle);
+ *  - the consumer verifies CRC and sequence on every delivery;
+ *    corruption triggers a NAK and a retransmission from the buffer,
+ *    loss is recovered by the producer's retransmit timeout;
+ *  - repeated failures back off exponentially, and a token that
+ *    exhausts its retry budget marks the link failed so the executor
+ *    can fail it over to a different transport mid-run.
+ *
+ * Faults only ever delay delivery — the consumer-visible stream is
+ * bit-exact and in-order under any injected fault schedule, which is
+ * what keeps a partitioned run bit-matching the monolithic reference
+ * with only the simulation rate degrading.
+ *
+ * ## Threading
  *
  * Storage is a lock-free SPSC ring (par::SpscRing): each channel has
  * exactly one producing and one consuming partition, so when the
  * parallel executor (src/par) runs partitions on worker threads the
  * same queue doubles as the thread-safe token pipe — no locks on the
- * token path.
+ * token path. tryEnqTimed() and failover() run on the producing
+ * partition's worker; poll(), scheduleRetransmit() and deq() on the
+ * consuming partition's. State is partitioned accordingly — the
+ * producer and consumer each own a fault-RNG substream (so the fault
+ * schedule is independent of interleaving; see
+ * transport::FaultModel::channelRng) and a counter set (merged on
+ * demand by stats()); the queue and the retransmit buffer are SPSC
+ * rings; cross-thread flags (link failed, faults active) and the link
+ * timing are atomics.
  *
  * ## Concurrent mode (enableConcurrent)
  *
@@ -33,8 +69,8 @@
  *    logical timestamp precedes `T` (ties broken by partition index,
  *    exactly like the sequential event loop's tie order).
  *
- * The consumer publishes each pop as a (time, counts) record on a
- * small SPSC pop log; the producer drains records up to its own time
+ * The consumer publishes each pop's logical time on a small SPSC pop
+ * log; the producer drains records up to its own time
  * in producerPrepare()/full(). The engine guarantees by its gating
  * rules that whenever the logical view says "full", the producer
  * waits until the consumer's clock passes `T` — at which point every
@@ -49,6 +85,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -56,13 +93,18 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/stats.hh"
 #include "obs/probe.hh"
 #include "par/spsc.hh"
+#include "transport/fault.hh"
 
 namespace fireaxe::libdn {
 
 /** One channel's worth of net values for one target cycle. */
 using Token = std::vector<uint64_t>;
+
+/** CRC-32 (IEEE 802.3 polynomial) over a token payload. */
+uint32_t tokenCrc(const Token &token);
 
 /**
  * Serialization state of one physical link direction. Channels that
@@ -79,36 +121,46 @@ struct LinkSerializer
 };
 
 /**
- * A bounded latency-insensitive channel queue with host-time stamps.
+ * A bounded latency-insensitive channel queue with host-time stamps,
+ * sequence numbers, payload CRC, and NAK/timeout-driven
+ * retransmission.
  */
-class TokenChannel
+class TokenChannel final
 {
   public:
     TokenChannel(std::string name, unsigned width_bits,
-                 size_t capacity = 16)
-        : name_(std::move(name)), widthBits_(width_bits),
-          capacity_(capacity), queue_(capacity + 4)
-    {}
-
-    virtual ~TokenChannel() = default;
+                 size_t capacity = 16,
+                 transport::FaultModel faults = {});
 
     const std::string &name() const { return name_; }
     /** Total payload width of one token, in bits. Determines the
      *  serialization cost on the inter-FPGA link. */
     unsigned widthBits() const { return widthBits_; }
 
-    virtual bool
+    bool
     full() const
     {
         if (concurrent_) {
             drainPopLog(producerNowNs_);
-            return enqCount_ - accQueuePops_ >= capacity_;
+            return qPushes_ - accQueuePops_ >= capacity_;
         }
         return queue_.size() >= capacity_;
     }
 
-    virtual bool empty() const { return queue_.empty(); }
-    virtual size_t size() const { return queue_.size(); }
+    bool
+    empty() const
+    {
+        return replayFrontSize_.load(std::memory_order_acquire) == 0 &&
+               queue_.empty();
+    }
+
+    size_t
+    size() const
+    {
+        return replayFrontSize_.load(std::memory_order_acquire) +
+               queue_.size();
+    }
+
     size_t capacity() const { return capacity_; }
 
     /**
@@ -116,7 +168,8 @@ class TokenChannel
      * @p ser_time models the serialization occupancy of one token on
      * the link (ns; tokens depart back-to-back no faster than this),
      * and @p latency is the flight latency from departure to
-     * visibility at the consumer (ns).
+     * visibility at the consumer (ns). The retransmit timeout is
+     * 4 x (ser_time + latency) and a NAK flies back in latency.
      *
      * A null @p serializer detaches the channel onto a fresh private
      * serializer — it never silently keeps a previously-shared one,
@@ -144,7 +197,8 @@ class TokenChannel
      * shared link and become visible after @p payload_ser_ns only.
      * Every depth'th token is the epoch boundary: the whole frame
      * (@p frame_overhead_ns + depth x payload_ser_ns) departs on the
-     * shared serializer and flies for latency().
+     * shared serializer and flies for latency(). Faults and
+     * retransmissions act at frame granularity.
      *
      * @p pipelined selects overlap of frame flight with the next
      * epoch's compute; when false the channel applies stop-and-wait
@@ -232,9 +286,9 @@ class TokenChannel
 
     /**
      * Attach a telemetry probe (owned by the caller, may be null to
-     * detach). The channel reports token enqueues/retires and — for
-     * reliable subclasses — fault and recovery events through it;
-     * without a probe the instrumentation is a single branch.
+     * detach). The channel reports token enqueues/retires and fault
+     * and recovery events through it; without a probe the
+     * instrumentation is a single branch.
      */
     void setProbe(obs::ChannelProbe *probe) { probe_ = probe; }
     obs::ChannelProbe *probe() const { return probe_; }
@@ -254,17 +308,16 @@ class TokenChannel
      * consumer can run at most `lookahead` ns of host time ahead of
      * the producer, bounding unconsumed pop records).
      */
-    virtual void
+    void
     enableConcurrent(int producer_part, int consumer_part,
                      size_t pop_log_capacity)
     {
         concurrent_ = true;
         consumerTicksFirstOnTie_ = consumer_part < producer_part;
-        popLog_ = std::make_unique<par::SpscRing<PopRecord>>(
+        popLog_ = std::make_unique<par::SpscRing<double>>(
             pop_log_capacity);
         // Re-anchor the logical view to the quiesced physical state.
-        accQueuePops_ = enqCount_ - queue_.size();
-        accRtxPops_ = 0;
+        accQueuePops_ = qPushes_ - queue_.size();
     }
 
     /**
@@ -272,7 +325,7 @@ class TokenChannel
      * outstanding pop record into the accounting so a later
      * sequential run sees consistent physical occupancy.
      */
-    virtual void
+    void
     disableConcurrent()
     {
         if (!concurrent_)
@@ -300,22 +353,14 @@ class TokenChannel
 
     /**
      * Try to enqueue a token that becomes visible at host time
-     * @p ready_time (ns). Returns false (and leaves the token
+     * @p ready_time (ns), bypassing the link model (reset seeding:
+     * no serializer slot, no faults — but the token still enters the
+     * sequence/ack machinery). Returns false (and leaves the token
      * untouched) when the channel is full — recoverable
      * backpressure; the producer simply retries on a later host
      * cycle.
      */
-    virtual bool
-    tryEnq(Token &token, double ready_time)
-    {
-        if (full())
-            return false;
-        queue_.pushBack({std::move(token), ready_time, ready_time});
-        ++enqCount_;
-        if (probe_ && probe_->countsTokens())
-            probe_->onEnqueue(ready_time, producerOccupancy());
-        return true;
-    }
+    bool tryEnq(Token &token, double ready_time);
 
     /** Enqueue a token that becomes visible at host time
      *  @p ready_time (ns). The channel must not be full. */
@@ -328,68 +373,12 @@ class TokenChannel
 
     /**
      * Try to enqueue a token produced at host time @p now, applying
-     * the configured serialization + latency model. Returns false on
-     * backpressure (channel full) without consuming a serializer
-     * slot.
+     * the configured serialization + latency model and the fault
+     * model. Returns false on backpressure (channel full, or a
+     * pending stop-and-wait epoch stall) without consuming a
+     * serializer slot.
      */
-    virtual bool
-    tryEnqTimed(Token &token, double now)
-    {
-        producerNowNs_ = std::max(producerNowNs_, now);
-        if (full())
-            return false;
-        unsigned depth = batchDepth();
-        if (depth > 1) {
-            if (!pipelined_ && batchPos_ == 0 && now < stallUntil_)
-                return false; // stop-and-wait: frame k still flying
-            double depart, ready;
-            if (batchPos_ + 1 < depth) {
-                // Within-epoch token: reproduced at the consumer from
-                // the epoch-boundary image, so it never crosses the
-                // link — payload evaluation cost only, no serializer
-                // contention, no flight.
-                depart = now + payloadSerNs();
-                ready = depart;
-                ++batchPos_;
-            } else {
-                // Epoch boundary: the whole frame departs the link.
-                depart = std::max(now, serializer_->lastDepart) +
-                         frameSerNs();
-                serializer_->lastDepart = depart;
-                ready = depart + latency();
-                batchPos_ = 0;
-                if (!pipelined_)
-                    stallUntil_ = ready;
-            }
-            queue_.pushBack({std::move(token), ready, now});
-            ++enqCount_;
-            if (probe_) {
-                if (probe_->countsTokens())
-                    probe_->onEnqueue(now, producerOccupancy());
-                if (probe_->tokenSampled(enqCount_)) {
-                    probe_->onTokenEnqueue(enqCount_, now, depart,
-                                           ready, ready - depart,
-                                           0.0);
-                }
-            }
-            return true;
-        }
-        double depart = std::max(now, serializer_->lastDepart) +
-                        serTime();
-        serializer_->lastDepart = depart;
-        queue_.pushBack({std::move(token), depart + latency(), now});
-        ++enqCount_;
-        if (probe_) {
-            if (probe_->countsTokens())
-                probe_->onEnqueue(now, producerOccupancy());
-            if (probe_->tokenSampled(enqCount_)) {
-                probe_->onTokenEnqueue(enqCount_, now, depart,
-                                       depart + latency(),
-                                       latency(), 0.0);
-            }
-        }
-        return true;
-    }
+    bool tryEnqTimed(Token &token, double now);
 
     /**
      * Enqueue a token produced at host time @p now, applying the
@@ -403,50 +392,48 @@ class TokenChannel
         FIREAXE_ASSERT(ok, "channel '", name_, "' overflow");
     }
 
-    /** Is a token present and visible at host time @p now? */
-    virtual bool
-    headReady(double now) const
-    {
-        return !queue_.empty() && queue_.front().readyTime <= now;
-    }
+    /** Is a verified, in-order token present and visible at host
+     *  time @p now? Resolves duplicates and CRC failures at the head
+     *  (consumer side). */
+    bool headReady(double now) const;
 
     /** Earliest time the head token becomes visible; +inf if empty. */
-    virtual double
+    double
     headReadyTime() const
     {
+        if (!replayFront_.empty())
+            return replayFront_.front().readyTime;
         if (queue_.empty())
             return std::numeric_limits<double>::infinity();
         return queue_.front().readyTime;
     }
 
-    virtual const Token &
+    const Token &
     head() const
     {
+        if (!replayFront_.empty())
+            return replayFront_.front().payload;
         FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
                        "' head of empty queue");
-        return queue_.front().token;
+        return queue_.front().payload;
     }
 
     /** Host time at which the head token was produced (enqueued by
-     *  the producer); used for enqueue-to-retire latency metrics. */
-    virtual double
+     *  the producer; survives retransmission, so latency includes
+     *  recovery time); used for enqueue-to-retire latency metrics. */
+    double
     headEnqueueTime() const
     {
+        if (!replayFront_.empty())
+            return replayFront_.front().enqTime;
         FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
                        "' headEnqueueTime of empty queue");
         return queue_.front().enqTime;
     }
 
-    virtual void
-    deq()
-    {
-        FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
-                       "' deq of empty queue");
-        queue_.popFront();
-        ++deqCount_;
-        if (concurrent_)
-            logPops(consumerNowNs_, 1, 0);
-    }
+    /** Deliver the head token; delivery is the acknowledgment that
+     *  retires its retransmit-buffer copies. */
+    void deq();
 
     /** "No target cycle" for retire(): the consumer did not report
      *  which fire consumed the token. */
@@ -471,50 +458,152 @@ class TokenChannel
         }
     }
 
-    /** Sequence number (1-based) of the most recently dequeued
-     *  token. The base channel delivers strictly in order, so this
-     *  is the lifetime deq count; reliable subclasses track the
-     *  on-the-wire sequence instead. */
-    virtual uint64_t lastDeliveredSeq() const { return deqCount_; }
+    /** Highest sequence number (1-based) delivered in order
+     *  (consumer side); recorded in recovery cuts for
+     *  single-partition restart. */
+    uint64_t lastDeliveredSeq() const { return lastDelivered_; }
 
     /** Tokens enqueued over the channel's lifetime (statistics). */
-    virtual uint64_t tokensEnqueued() const { return enqCount_; }
+    uint64_t tokensEnqueued() const { return enqCount_; }
     /** Tokens retired (consumed) over the channel's lifetime. */
-    virtual uint64_t tokensRetired() const { return deqCount_; }
+    uint64_t tokensRetired() const { return deqCount_; }
+
+    // --- reliability introspection --------------------------------
+
+    /** Reliability / fault counters (merged producer+consumer view):
+     *  tokens_dropped, tokens_corrupted, tokens_duplicated,
+     *  link_stalls, stall_ns_total, crc_errors, naks,
+     *  duplicates_discarded, retransmits, retransmits_timeout,
+     *  retransmits_nak, retry_budget_exhausted, failovers.
+     *  Returned by value: the two sides' counter sets are owned by
+     *  different worker threads and merged into a snapshot here. */
+    CounterSet stats() const;
+
+    /** A token exhausted its retry budget; the executor should fail
+     *  the channel over to a fallback transport. */
+    bool
+    linkFailed() const
+    {
+        return failed_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Mid-run graceful degradation: retime the channel onto a
+     * fallback transport (fresh private serializer), stop injecting
+     * faults, and clear the failure flag. In-flight and queued
+     * tokens are preserved. Runs on the producing side.
+     */
+    void failover(double ser_time, double latency);
+
+    /** Link-layer duplicates the consumer has dropped from the
+     *  queue (consumer side). Each frees a slot that full() counts
+     *  without delivering a token, so it can unblock the producer. */
+    uint64_t duplicatesDiscarded() const { return dupDiscards_; }
+
+    /** Unacked producer-side copies currently buffered; never more
+     *  than size(). */
+    size_t retransmitBufferSize() const { return rtxBuf_.size(); }
+
+    /**
+     * Consumer-side NAK recovery state: the retransmission currently
+     * in flight, if any. pendingSeq == 0 means no NAK is outstanding.
+     * Owned by the consuming side; snapshotted with the channel so a
+     * restore mid-retransmission completes the recovery exactly.
+     */
+    struct NakRecovery
+    {
+        /** Sequence number being recovered (0 = none). */
+        uint64_t pendingSeq = 0;
+        /** Host time the retransmitted copy becomes visible (ns). */
+        double resendReadyNs = 0.0;
+        /** Resend attempts consumed by this recovery (drives the
+         *  exponential backoff). */
+        unsigned backoffTries = 0;
+        /** Total recovery delay charged (NAK flight + resends +
+         *  backoff), ns. */
+        double backoffNs = 0.0;
+    };
+    const NakRecovery &nakRecovery() const { return nak_; }
 
     // --- checkpointing (src/recovery) -----------------------------
 
     /**
      * Serialize the channel's full state — queued tokens with their
-     * host-time stamps, lifetime counters, link timing and the
-     * shared serializer's departure clock — to a stream. Only legal
-     * at a quiesce point (not in concurrent mode).
+     * host-time stamps, sequence numbers and CRCs, the retransmit
+     * buffer, lifetime counters, link timing, the shared
+     * serializer's departure clock, NAK recovery, fault-RNG
+     * substreams and reliability counters — to one stream. Only
+     * legal at a quiesce point (not in concurrent mode).
      */
-    virtual void saveCkpt(std::ostream &os) const;
+    void saveCkpt(std::ostream &os) const;
 
     /**
-     * Restore a saveCkpt() stream. Validates the whole stream (name,
-     * width, capacity, framing) before mutating anything; on failure
-     * returns false with a diagnostic in @p error and the channel
-     * unchanged. Only legal at a quiesce point.
+     * Restore a saveCkpt() stream. Parses and validates the whole
+     * stream (name, width, capacity, framing) before mutating
+     * anything; on failure returns false with a diagnostic in
+     * @p error and the channel — and the serializer it shares with
+     * its link peers — unchanged. Only legal at a quiesce point.
      */
-    virtual bool tryLoadCkpt(std::istream &is, std::string &error);
+    bool tryLoadCkpt(std::istream &is, std::string &error);
 
-  protected:
+    // --- single-partition restart (src/recovery) ------------------
+
+    /**
+     * Keep the last @p n delivered tokens in a bounded replay log so
+     * a condemned consumer partition can be restarted from a cut and
+     * re-fed its inbound stream (0 disables; shrinking trims the
+     * oldest entries). Consumer-side state.
+     */
+    void setReplayLogCapacity(size_t n);
+    size_t replayLogCapacity() const { return replayCap_; }
+
+    /**
+     * Rewind the consumer side to a recovery point: deliveries past
+     * @p cut_deq_count are re-presented from the replay log (in
+     * order, ahead of the live queue), and the delivery counters
+     * rewind to the cut. Producer-side state — sequence numbers,
+     * retransmit buffer, fault RNG, serializer — stays at its
+     * current (post-cut) position, which is exactly what the
+     * restarted consumer's re-execution converges to. Fails (false,
+     * diagnostic in @p error, channel unchanged) when the log no
+     * longer covers the cut. Only legal at a quiesce point.
+     */
+    bool replayFromLog(uint64_t cut_deq_count,
+                       uint64_t cut_last_delivered,
+                       std::string &error);
+
+    /** Would replayFromLog(@p cut_deq_count, ...) succeed? Lets the
+     *  executor pre-validate every inbound channel of a condemned
+     *  partition before mutating any of them. */
+    bool
+    canReplayFrom(uint64_t cut_deq_count) const
+    {
+        return replayFront_.empty() && cut_deq_count <= deqCount_ &&
+               deqCount_ - cut_deq_count <= replayLog_.size();
+    }
+
+    /**
+     * Suppress the next @p n accepted tokens on the producer side:
+     * tryEnq/tryEnqTimed report success without touching any channel
+     * state. Used when a restarted producer partition re-executes
+     * cycles whose tokens were already transmitted before the crash —
+     * the channel (and its fault schedule) already reflects them.
+     */
+    void suppressProducedTokens(uint64_t n) { suppress_ += n; }
+    uint64_t suppressedTokensLeft() const { return suppress_; }
+
+  private:
     struct Entry
     {
-        Token token;
+        Token payload; ///< as seen on the wire (possibly corrupted)
         double readyTime = 0.0;
+        uint64_t seq = 0;
+        uint32_t crc = 0; ///< computed by the producer pre-transmit
+        /** CRC already checked good (payloads are immutable after
+         *  transmission, so one check per delivery suffices). */
+        bool verified = false;
         /** Host time the producer enqueued the token. */
         double enqTime = 0.0;
-    };
-
-    /** One consumer pop event, published for producer accounting. */
-    struct PopRecord
-    {
-        double timeNs = 0.0;      ///< logical (host) time of the pop
-        uint32_t queuePops = 0;   ///< delivered-queue entries removed
-        uint32_t rtxPops = 0;     ///< retransmit-buffer entries acked
     };
 
     /** Producer side: account every pop that sequentially precedes
@@ -525,23 +614,16 @@ class TokenChannel
     drainPopLog(double now) const
     {
         while (!popLog_->empty()) {
-            const PopRecord &rec = popLog_->front();
-            if (rec.timeNs > now ||
-                (rec.timeNs == now && !consumerTicksFirstOnTie_)) {
+            double t = popLog_->front();
+            if (t > now || (t == now && !consumerTicksFirstOnTie_))
                 break;
-            }
-            accQueuePops_ += rec.queuePops;
-            accRtxPops_ += rec.rtxPops;
+            ++accQueuePops_;
             popLog_->popFront();
         }
     }
 
-    /** Consumer side: publish a pop at logical time @p now. */
-    void
-    logPops(double now, uint32_t queue_pops, uint32_t rtx_pops) const
-    {
-        popLog_->pushBack({now, queue_pops, rtx_pops});
-    }
+    /** Consumer side: publish one queue pop at logical time @p now. */
+    void logPop(double now) const { popLog_->pushBack(now); }
 
     /** Queue depth as deterministically seen by the producer (used
      *  for occupancy telemetry; logical in concurrent mode so the
@@ -550,16 +632,45 @@ class TokenChannel
     producerOccupancy() const
     {
         if (concurrent_)
-            return size_t(enqCount_ - accQueuePops_);
+            return size_t(qPushes_ - accQueuePops_);
         return queue_.size();
     }
+
+    /** Producer retransmit timeout for a lost token (ns). */
+    double
+    timeoutNs() const
+    {
+        return 4.0 * (serTime() + latency());
+    }
+
+    transport::FaultEvent drawFault(Rng &rng) const;
+    /** Resolve dup/stale/corrupt entries at the head so that a
+     *  visible head is always a verified in-order token. */
+    void poll(double now) const;
+    /** NAK path: requeue seq's pristine copy from the retransmit
+     *  buffer, charging recovery latency and backoff. */
+    void scheduleRetransmit(uint64_t seq, double now) const;
+    /** Append one delivered token to the bounded replay log. */
+    void logDelivered(const Entry &e) const;
 
     std::string name_;
     unsigned widthBits_;
     size_t capacity_;
-    par::SpscRing<Entry> queue_;
+    /** In-flight and delivered-but-unconsumed tokens. */
+    mutable par::SpscRing<Entry> queue_;
+    /** Pristine copies of unacked tokens (NAK resend source). */
+    par::SpscRing<Entry> rtxBuf_;
+    /** Accepted tokens (producer side). */
     uint64_t enqCount_ = 0;
+    /** Delivered tokens (consumer side). */
     uint64_t deqCount_ = 0;
+    /** Physical pushes into queue_ (producer side; counts link-layer
+     *  duplicates, unlike enqCount_). */
+    uint64_t qPushes_ = 0;
+    uint64_t nextSeq_ = 1;
+    uint64_t lastDelivered_ = 0;
+    mutable uint64_t dupDiscards_ = 0;
+
     // Atomic because failover() retimes the channel from the
     // producer's worker thread while the consumer reads the values
     // for recovery timing.
@@ -568,6 +679,19 @@ class TokenChannel
     obs::ChannelProbe *probe_ = nullptr;
     std::shared_ptr<LinkSerializer> serializer_ =
         std::make_shared<LinkSerializer>();
+
+    // --- fault model and recovery state ---------------------------
+    transport::FaultModel faults_;
+    /** Producer-side fault stream (transmit attempts). */
+    mutable Rng txRng_;
+    /** Consumer-side fault stream (NAK-driven resends). */
+    mutable Rng rxRng_;
+    mutable std::atomic<bool> faultsActive_;
+    mutable std::atomic<bool> failed_{false};
+    mutable CounterSet txStats_;
+    mutable CounterSet rxStats_;
+    /** Consumer-side NAK recovery in flight (see NakRecovery). */
+    mutable NakRecovery nak_;
 
     // --- depth-N batching state (configureBatching) ---------------
     // Timing fields are atomic for the same reason serTime_ is:
@@ -591,14 +715,28 @@ class TokenChannel
      *  (lower partition index ticks first, like the sequential event
      *  loop). */
     bool consumerTicksFirstOnTie_ = false;
-    std::unique_ptr<par::SpscRing<PopRecord>> popLog_;
+    /** Logical (host) times of consumer pops not yet folded in. */
+    std::unique_ptr<par::SpscRing<double>> popLog_;
     /** Producer's current host time (drain horizon). */
     mutable double producerNowNs_ = 0.0;
     /** Consumer's current host time (pop timestamping). */
     mutable double consumerNowNs_ = 0.0;
-    /** Producer-side cumulative pops folded in from the log. */
+    /** Producer-side cumulative queue pops folded in from the log. */
     mutable uint64_t accQueuePops_ = 0;
-    mutable uint64_t accRtxPops_ = 0;
+
+    // --- single-partition restart state ---------------------------
+    // All consumer-side except suppress_ (producer-side); both are
+    // SPSC-clean under the parallel engine.
+    /** Replayed deliveries served ahead of queue_ (restart). */
+    mutable std::deque<Entry> replayFront_;
+    /** Mirror of replayFront_.size() for cross-thread size()
+     *  queries (the deque itself is consumer-owned). */
+    mutable std::atomic<size_t> replayFrontSize_{0};
+    /** Last replayCap_ delivered tokens, newest at the back. */
+    mutable std::deque<Entry> replayLog_;
+    size_t replayCap_ = 0;
+    /** Producer-side count of enqueues to swallow (restart). */
+    uint64_t suppress_ = 0;
 };
 
 using ChannelPtr = std::shared_ptr<TokenChannel>;

@@ -131,7 +131,7 @@ class LIBDNModel
      * Earliest host time after @p now at which the scheduled
      * thread's channel situation can change on its own: the next
      * input head becoming visible (the raw queue head, so a
-     * reliable channel's NAK and duplicate handling run on the same
+     * channel's NAK and duplicate handling run on the same
      * host edge as they would tick by tick), or the end of a
      * stop-and-wait stall on an output that could fire otherwise.
      * +inf when only another partition can change it. Between

@@ -2,10 +2,10 @@
  * @file
  * Per-channel telemetry probe.
  *
- * The LI-BDN channel layer (libdn::TokenChannel and its reliable
- * subclass) knows nothing about metric names or trace categories; it
- * holds one nullable ChannelProbe pointer and reports three things:
- * token enqueued, token retired, and named reliability/fault events.
+ * The LI-BDN channel layer (libdn::TokenChannel) knows nothing about
+ * metric names or trace categories; it holds one nullable
+ * ChannelProbe pointer and reports three things: token enqueued,
+ * token retired, and named reliability/fault events.
  * The probe translates those into registry metrics under
  * "chan.<name>.*" and tracer instants on the source partition's
  * track. A null probe (the default) costs the channel a single

@@ -9,9 +9,9 @@
  * consumer-side operations on the same FIFO:
  *
  *  - pushFront():   a NAKed token's retransmitted copy re-enters at
- *                   the head (libdn::ReliableTokenChannel::
- *                   scheduleRetransmit pops the corrupted head and
- *                   requeues the pristine copy in its place);
+ *                   the head (libdn::TokenChannel::scheduleRetransmit
+ *                   pops the corrupted head and requeues the pristine
+ *                   copy in its place);
  *  - front() is mutable: the consumer caches the CRC verdict in the
  *                   head entry ("verified" flag);
  *  - at(i):         the consumer scans the retransmit buffer for a

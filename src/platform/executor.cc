@@ -298,9 +298,8 @@ MultiFpgaSim::init()
             capacity = std::max(capacity,
                                 size_t(2) * eff_depth + 2);
 
-        auto chan = std::make_shared<libdn::ReliableTokenChannel>(
-            ch.name, ch.widthBits, faults_,
-            libdn::ReliableTokenChannel::Params{}, capacity);
+        auto chan = std::make_shared<libdn::TokenChannel>(
+            ch.name, ch.widthBits, capacity, faults_);
         auto &ser = serializers[{ch.srcPart, ch.dstPart}];
         if (!ser)
             ser = std::make_shared<libdn::LinkSerializer>();
@@ -897,8 +896,7 @@ MultiFpgaSim::runSequential(uint64_t target_cycles)
     // through a shared channel. A duplicate the consumer discards
     // frees a slot in the producer's full() without progress.
     std::vector<std::vector<size_t>> peers(num_parts);
-    std::vector<std::vector<const libdn::ReliableTokenChannel *>>
-        inbound(num_parts);
+    std::vector<std::vector<const libdn::TokenChannel *>> inbound(num_parts);
     for (const auto &cs : channels_) {
         size_t src = size_t(cs.srcPart), dst = size_t(cs.dstPart);
         if (src != dst) {

@@ -36,7 +36,6 @@
 #include "base/stats.hh"
 #include "libdn/channel.hh"
 #include "libdn/model.hh"
-#include "libdn/reliable.hh"
 #include "obs/telemetry.hh"
 #include "par/engine.hh"
 #include "platform/fpga.hh"
@@ -154,7 +153,7 @@ struct RunResult
     bool stopped = false; ///< stop condition fired before the limit
 
     /** Aggregated reliability counters across all channels (see
-     *  libdn::ReliableTokenChannel::stats for the key set). */
+     *  libdn::TokenChannel::stats for the key set). */
     CounterSet faultStats;
     /** Total retransmissions (timeout- plus NAK-driven). */
     uint64_t retransmits = 0;
@@ -543,7 +542,7 @@ class MultiFpgaSim
   private:
     struct ChannelState
     {
-        std::shared_ptr<libdn::ReliableTokenChannel> chan;
+        std::shared_ptr<libdn::TokenChannel> chan;
         int srcPart = 0;
         int dstPart = 0;
         bool failedOver = false;

@@ -7,8 +7,8 @@
  * signal integrity, PCIe links replay TLPs, and host-managed DMA
  * stalls when the driver is descheduled. The FaultModel injects these
  * failure modes into the modeled token stream so that the reliable
- * delivery layer (libdn::ReliableTokenChannel) and the executor's
- * deadlock watchdog can be exercised deterministically:
+ * delivery layer of libdn::TokenChannel and the executor's deadlock
+ * watchdog can be exercised deterministically:
  *
  *  - token drop         — the token never arrives (lost frame);
  *  - payload corruption — a bit of the token flips in flight,

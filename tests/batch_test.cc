@@ -2,7 +2,7 @@
  * @file
  * Depth-N token batching: legality analysis (PLAN011 exact-code
  * fixtures), auto-clamping on mixed boundaries, the batched
- * ReliableTokenChannel under fault injection (batch-granular
+ * TokenChannel under fault injection (batch-granular
  * retransmit, no duplicate delivery), mid-batch snapshot/resume
  * bit-exactness across worker counts, and the headline FMR
  * improvement on the fig2 exact showcase.
@@ -18,7 +18,7 @@
 
 #include "analyze/batching.hh"
 #include "firrtl/builder.hh"
-#include "libdn/reliable.hh"
+#include "libdn/channel.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "recovery/snapshot.hh"
@@ -346,7 +346,7 @@ TEST(BatchClamp, MixedBoundaryRunsBitExactUnderRequestedDepth)
 }
 
 // ---------------------------------------------------------------
-// Batched ReliableTokenChannel under fault injection
+// Batched TokenChannel under fault injection
 // ---------------------------------------------------------------
 
 namespace {
@@ -354,7 +354,7 @@ namespace {
 /** Push @p count tokens through @p ch, draining as they become
  *  ready; returns the delivered payloads in order. */
 std::vector<uint64_t>
-pump(libdn::ReliableTokenChannel &ch, uint64_t count)
+pump(libdn::TokenChannel &ch, uint64_t count)
 {
     std::vector<uint64_t> delivered;
     double now = 0.0;
@@ -399,16 +399,12 @@ TEST(BatchFault, BatchGranularRetransmitNoDuplicateDelivery)
     fc.duplicateRate = 0.1;
 
     // Unbatched twin: same fault schedule config, per-token draws.
-    libdn::ReliableTokenChannel flat("ch", 64,
-                                     transport::FaultModel(fc), {},
-                                     64);
+    libdn::TokenChannel flat("ch", 64, 64, transport::FaultModel(fc));
     flat.setTiming(10.0, 100.0);
     auto flat_out = pump(flat, count);
     ASSERT_EQ(flat_out.size(), count);
 
-    libdn::ReliableTokenChannel ch("ch", 64,
-                                   transport::FaultModel(fc), {},
-                                   64);
+    libdn::TokenChannel ch("ch", 64, 64, transport::FaultModel(fc));
     ch.setTiming(10.0, 100.0);
     ch.configureBatching(8, /*payload_ser_ns=*/2.0,
                          /*frame_overhead_ns=*/10.0,

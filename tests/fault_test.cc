@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "firrtl/builder.hh"
-#include "libdn/reliable.hh"
+#include "libdn/channel.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "ripper/partition.hh"
@@ -26,7 +26,6 @@
 using namespace fireaxe;
 using namespace fireaxe::platform;
 using namespace fireaxe::ripper;
-using libdn::ReliableTokenChannel;
 using libdn::Token;
 using libdn::TokenChannel;
 
@@ -123,6 +122,34 @@ deadlockPlan()
     return plan;
 }
 
+/** A fault schedule that corrupts half the tokens in flight. */
+transport::FaultModel
+corrupting()
+{
+    transport::FaultConfig fc;
+    fc.seed = 23;
+    fc.corruptRate = 0.5;
+    return transport::FaultModel(fc);
+}
+
+/** Drive @p ch until a CRC error has raised a NAK whose
+ *  retransmission is still in flight; returns the host time. */
+double
+driveToNak(TokenChannel &ch)
+{
+    double now = 0.0;
+    for (uint64_t produced = 0;
+         ch.nakRecovery().pendingSeq == 0 && produced < 100;
+         ++produced) {
+        Token t{produced};
+        EXPECT_TRUE(ch.tryEnqTimed(t, now));
+        now += 150.0; // past serialization + flight time
+        while (ch.headReady(now))
+            ch.deq();
+    }
+    return now;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -179,46 +206,50 @@ TEST(Fault, SetTimingNullSerializerDetaches)
     EXPECT_DOUBLE_EQ(shared->lastDepart, 10.0);
 }
 
-TEST(Fault, ReliableChannelWithoutFaultsMatchesBaseTiming)
+TEST(Fault, RetransmitBufferNeverOutgrowsQueue)
 {
-    TokenChannel base("ch", 128, 8);
-    ReliableTokenChannel rel("ch", 128, transport::FaultModel());
-    base.setTiming(25.0, 540.0);
-    rel.setTiming(25.0, 540.0);
-
-    for (int i = 0; i < 5; ++i) {
-        double now = 7.0 * i;
-        base.enqTimed({uint64_t(i)}, now);
-        rel.enqTimed({uint64_t(i)}, now);
+    // Every unacked sequence number keeps at least one queue entry:
+    // a dropped token stays queued with its timeout penalty, a CRC
+    // failure pops and requeues the same seq, only delivery acks,
+    // and only already-acked seqs are discarded as duplicates. So
+    // the retransmit buffer can never outgrow the queue, and the
+    // queue capacity alone bounds the producer. Check it after every
+    // step of a heavy random fault schedule, batched and unbatched.
+    transport::FaultConfig fc;
+    fc.dropRate = 0.15;
+    fc.corruptRate = 0.2;
+    fc.duplicateRate = 0.2;
+    uint64_t retransmits = 0;
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        for (size_t capacity : {1, 2, 3, 8}) {
+            for (unsigned depth : {1u, 4u}) {
+                fc.seed = seed;
+                TokenChannel ch("rtx", 64, capacity,
+                                transport::FaultModel(fc));
+                ch.setTiming(10.0, 100.0);
+                if (depth > 1)
+                    ch.configureBatching(depth, 2.0, 10.0, true);
+                Rng rng(seed * 31 + capacity * 7 + depth);
+                double now = 0.0;
+                uint64_t next = 0;
+                for (int step = 0; step < 400; ++step) {
+                    now += double(rng.below(80));
+                    if (rng.chance(0.5)) {
+                        Token t{next};
+                        if (ch.tryEnqTimed(t, now))
+                            ++next;
+                    } else if (ch.headReady(now)) {
+                        ch.deq();
+                    }
+                    ASSERT_LE(ch.retransmitBufferSize(), ch.size())
+                        << "seed " << seed << " capacity " << capacity
+                        << " depth " << depth << " step " << step;
+                }
+                retransmits += ch.stats().get("retransmits");
+            }
+        }
     }
-    for (int i = 0; i < 5; ++i) {
-        ASSERT_DOUBLE_EQ(rel.headReadyTime(), base.headReadyTime());
-        ASSERT_EQ(rel.head(), base.head());
-        base.deq();
-        rel.deq();
-    }
-    EXPECT_EQ(rel.stats().total(), 0u);
-    EXPECT_EQ(rel.retransmitBufferSize(), 0u);
-}
-
-TEST(Fault, RetransmitBufferBoundsProducer)
-{
-    ReliableTokenChannel::Params params;
-    params.retransmitWindow = 3;
-    ReliableTokenChannel ch("ch", 64, transport::FaultModel(),
-                            params, 16);
-    ch.setTiming(1.0, 5.0);
-    Token t;
-    for (int i = 0; i < 3; ++i) {
-        t = {uint64_t(i)};
-        EXPECT_TRUE(ch.tryEnqTimed(t, 0.0));
-    }
-    // Window full: backpressure until the consumer acks (deqs).
-    t = {99};
-    EXPECT_FALSE(ch.tryEnqTimed(t, 0.0));
-    EXPECT_TRUE(ch.headReady(100.0));
-    ch.deq();
-    EXPECT_TRUE(ch.tryEnqTimed(t, 100.0));
+    EXPECT_GT(retransmits, 0u) << "fault schedule injected nothing";
 }
 
 TEST(Fault, NakRecoveryCompletesAcrossSnapshotRestore)
@@ -229,23 +260,9 @@ TEST(Fault, NakRecoveryCompletesAcrossSnapshotRestore)
     // channel at exactly that instant, restore it into a twin, and
     // prove the twin completes the recovery identically — same
     // delivery schedule, same token, same counters, NAK cleared.
-    transport::FaultConfig fc;
-    fc.seed = 23;
-    fc.corruptRate = 0.5;
-    ReliableTokenChannel ch("nak", 64, transport::FaultModel(fc),
-                            {}, 16);
+    TokenChannel ch("nak", 64, 16, corrupting());
     ch.setTiming(10.0, 100.0);
-
-    double now = 0.0;
-    uint64_t produced = 0;
-    while (ch.nakRecovery().pendingSeq == 0 && produced < 100) {
-        Token t{produced};
-        ASSERT_TRUE(ch.tryEnqTimed(t, now));
-        ++produced;
-        now += 150.0; // past serialization + flight time
-        while (ch.headReady(now))
-            ch.deq();
-    }
+    double now = driveToNak(ch);
     const auto &nak = ch.nakRecovery();
     ASSERT_NE(nak.pendingSeq, 0u) << "fault schedule raised no NAK";
     ASSERT_GT(nak.resendReadyNs, now);
@@ -254,8 +271,7 @@ TEST(Fault, NakRecoveryCompletesAcrossSnapshotRestore)
     // Snapshot mid-recovery and restore into a twin channel.
     std::ostringstream os;
     ch.saveCkpt(os);
-    ReliableTokenChannel twin("nak", 64, transport::FaultModel(fc),
-                              {}, 16);
+    TokenChannel twin("nak", 64, 16, corrupting());
     twin.setTiming(10.0, 100.0);
     std::istringstream is(os.str());
     std::string error;
@@ -292,6 +308,85 @@ TEST(Fault, NakRecoveryCompletesAcrossSnapshotRestore)
     EXPECT_EQ(ch.stats().all(), twin.stats().all());
     EXPECT_GT(ch.stats().get("crc_errors"), 0u);
     EXPECT_GT(ch.stats().get("retransmits_nak"), 0u);
+}
+
+TEST(Fault, MalformedCheckpointLeavesChannelUnchanged)
+{
+    // A failed restore must not touch the channel or the serializer
+    // it shares with its link peers. The target sits mid-NAK; the
+    // malformed streams derive from a donor with the same name,
+    // width and capacity but different timing, clocks and tokens,
+    // so any partial commit shows in the re-saved state.
+    auto ser = std::make_shared<libdn::LinkSerializer>();
+    TokenChannel ch("nak", 64, 16, corrupting());
+    TokenChannel peer("peer", 64, 16);
+    ch.setTiming(1.0, 2.0, ser);
+    peer.setTiming(1.0, 2.0, ser);
+    driveToNak(ch);
+    ASSERT_NE(ch.nakRecovery().pendingSeq, 0u);
+    peer.enqTimed({7}, 5000.0);
+    double depart = ser->lastDepart;
+    std::ostringstream before;
+    ch.saveCkpt(before);
+
+    TokenChannel donor("nak", 64, 16);
+    donor.setTiming(25.0, 540.0);
+    for (uint64_t i = 0; i < 3; ++i)
+        donor.enqTimed({i, ~i}, 1e6 + 10.0 * double(i));
+    std::ostringstream donor_os;
+    donor.saveCkpt(donor_os);
+    const std::string good = donor_os.str();
+
+    std::vector<std::string> streams;
+    // Every truncation that loses at least one character of content.
+    for (size_t n = 0; n <= good.find_last_not_of('\n'); ++n)
+        streams.push_back(good.substr(0, n));
+    auto replaced = [&](const std::string &from, const std::string &to) {
+        std::string s = good;
+        size_t at = s.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return s.replace(at, from.size(), to);
+    };
+    streams.push_back(replaced("fireaxe-chan", "fireaxe-chin"));
+    streams.push_back(replaced("fireaxe-chan 3", "fireaxe-chan 2"));
+    streams.push_back(replaced("\nnak 64 16\n", "\nnax 64 16\n"));
+    streams.push_back(replaced("\nnak 64 16\n", "\nnak 65 16\n"));
+    streams.push_back(replaced("\nnak 64 16\n", "\nnak 64 17\n"));
+    // Line 9 is the queue depth, line 10 the first queued entry's
+    // payload word count.
+    auto with_line = [&](size_t line, const std::string &first_word) {
+        std::istringstream is(good);
+        std::string out, l;
+        for (size_t i = 0; std::getline(is, l); ++i) {
+            if (i == line)
+                l = first_word + l.substr(std::min(l.find(' '), l.size()));
+            out += l + "\n";
+        }
+        return out;
+    };
+    streams.push_back(with_line(9, "4096"));
+    streams.push_back(with_line(10, "4097"));
+
+    for (const std::string &bad : streams) {
+        std::istringstream is(bad);
+        std::string error;
+        ASSERT_FALSE(ch.tryLoadCkpt(is, error))
+            << "accepted a malformed stream:\n" << bad;
+        EXPECT_NE(error.find("channel 'nak'"), std::string::npos)
+            << error;
+        std::ostringstream after;
+        ch.saveCkpt(after);
+        ASSERT_EQ(after.str(), before.str())
+            << "failed restore mutated the channel (" << error << ")";
+        ASSERT_EQ(ser->lastDepart, depart)
+            << "failed restore moved the shared serializer (" << error
+            << ")";
+    }
+
+    // The well-formed stream still loads.
+    std::istringstream is(good);
+    std::string error;
+    EXPECT_TRUE(ch.tryLoadCkpt(is, error)) << error;
 }
 
 // ---------------------------------------------------------------

@@ -54,6 +54,11 @@ TEST(Channel, TimedEnqueueAppliesSerializationAndLatency)
     EXPECT_DOUBLE_EQ(ch.headReadyTime(), 110.0);
     ch.deq();
     EXPECT_DOUBLE_EQ(ch.headReadyTime(), 120.0);
+    // No fault model: the reliability layer stays silent.
+    EXPECT_EQ(ch.stats().total(), 0u);
+    EXPECT_EQ(ch.retransmitBufferSize(), 1u);
+    ch.deq();
+    EXPECT_EQ(ch.retransmitBufferSize(), 0u);
 }
 
 TEST(Channel, SharedSerializerSerializesAcrossChannels)
