@@ -8,22 +8,6 @@
 
 namespace fireaxe::libdn {
 
-uint32_t
-tokenCrc(const Token &token)
-{
-    // Bitwise CRC-32 (IEEE 802.3, reflected 0xEDB88320) over the
-    // little-endian bytes of each payload word.
-    uint32_t crc = 0xFFFFFFFFu;
-    for (uint64_t word : token) {
-        for (int b = 0; b < 8; ++b) {
-            crc ^= uint32_t((word >> (8 * b)) & 0xFF);
-            for (int k = 0; k < 8; ++k)
-                crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-        }
-    }
-    return ~crc;
-}
-
 TokenChannel::TokenChannel(std::string name, unsigned width_bits,
                            size_t capacity,
                            transport::FaultModel faults)
@@ -48,7 +32,7 @@ TokenChannel::drawFault(Rng &rng) const
 }
 
 bool
-TokenChannel::tryEnq(Token &token, double ready_time)
+TokenChannel::tryEnq(const Token &token, double ready_time)
 {
     if (suppress_ > 0) {
         // Restarted-producer replay: this token was already
@@ -65,9 +49,12 @@ TokenChannel::tryEnq(Token &token, double ready_time)
         return false;
     uint64_t seq = nextSeq_++;
     uint32_t crc = tokenCrc(token);
-    rtxBuf_.pushBack({token, 0.0, seq, crc, false, ready_time});
-    queue_.pushBack(
-        {std::move(token), ready_time, seq, crc, false, ready_time});
+    rtxBuf_.pushBackWith([&](Entry &e) {
+        fillEntry(e, token, 0.0, seq, crc, ready_time);
+    });
+    queue_.pushBackWith([&](Entry &e) {
+        fillEntry(e, token, ready_time, seq, crc, ready_time);
+    });
     ++enqCount_;
     ++qPushes_;
     if (probe_ && probe_->countsTokens())
@@ -76,7 +63,7 @@ TokenChannel::tryEnq(Token &token, double ready_time)
 }
 
 bool
-TokenChannel::tryEnqTimed(Token &token, double now)
+TokenChannel::tryEnqTimed(const Token &token, double now)
 {
     if (suppress_ > 0) {
         // See tryEnq: the channel already reflects this token.
@@ -93,7 +80,8 @@ TokenChannel::tryEnqTimed(Token &token, double now)
 
     uint64_t seq = nextSeq_++;
     uint32_t crc = tokenCrc(token);
-    rtxBuf_.pushBack({token, 0.0, seq, crc, false, now});
+    rtxBuf_.pushBackWith(
+        [&](Entry &e) { fillEntry(e, token, 0.0, seq, crc, now); });
     ++enqCount_;
 
     if (depth > 1 && batchPos_ + 1 < depth) {
@@ -105,8 +93,8 @@ TokenChannel::tryEnqTimed(Token &token, double now)
         // retransmission replays the whole epoch from rtxBuf_.
         ++batchPos_;
         double ready = now + payloadSerNs();
-        queue_.pushBack(
-            {std::move(token), ready, seq, crc, false, now});
+        queue_.pushBackWith(
+            [&](Entry &e) { fillEntry(e, token, ready, seq, crc, now); });
         ++qPushes_;
         if (probe_) {
             if (probe_->countsTokens())
@@ -170,36 +158,40 @@ TokenChannel::tryEnqTimed(Token &token, double now)
         ev = drawFault(txRng_);
     }
 
-    Entry entry{std::move(token), depart + latency() + penalty,
-                seq, crc, false, now};
-    if (ev.corrupt && !entry.payload.empty()) {
+    double ready = depart + latency() + penalty;
+    size_t flip_word = 0;
+    uint64_t flip_mask = 0;
+    if (ev.corrupt && !token.empty()) {
         // Flip one payload bit in flight; the consumer's CRC check
         // will catch it and NAK.
         txStats_.add("tokens_corrupted");
         if (probe_)
             probe_->onEvent("corrupt", now);
-        size_t word = (ev.corruptBit / 64) % entry.payload.size();
-        entry.payload[word] ^= uint64_t(1) << (ev.corruptBit % 64);
+        flip_word = (ev.corruptBit / 64) % token.size();
+        flip_mask = uint64_t(1) << (ev.corruptBit % 64);
     }
     bool duplicate = ev.duplicate;
-    double dup_ready = entry.readyTime + unit_ser;
-    Token dup_payload;
     if (duplicate) {
         txStats_.add("tokens_duplicated");
         if (probe_)
             probe_->onEvent("duplicate", now);
         serializer_->lastDepart += unit_ser;
-        dup_payload = entry.payload;
     }
     if (depth > 1 && !pipelined_)
-        stallUntil_ = entry.readyTime;
-    queue_.pushBack(std::move(entry));
-    ++qPushes_;
-    if (duplicate) {
-        queue_.pushBack({std::move(dup_payload), dup_ready, seq,
-                         crc, false, now});
+        stallUntil_ = ready;
+    // The wire copy (and a link-layer duplicate of it, one unit
+    // later) is written straight into a reused queue slot.
+    auto transmit = [&](double at) {
+        queue_.pushBackWith([&](Entry &e) {
+            fillEntry(e, token, at, seq, crc, now);
+            if (flip_mask)
+                e.payload[flip_word] ^= flip_mask;
+        });
         ++qPushes_;
-    }
+    };
+    transmit(ready);
+    if (duplicate)
+        transmit(ready + unit_ser);
     if (probe_) {
         if (probe_->countsTokens())
             probe_->onEnqueue(now, producerOccupancy());
@@ -218,7 +210,7 @@ TokenChannel::poll(double now) const
     consumerNowNs_ = std::max(consumerNowNs_, now);
     // Replayed deliveries (single-partition restart) sit ahead of
     // the live queue and are already verified in-order tokens.
-    if (!replayFront_.empty())
+    if (replaying())
         return;
     while (!queue_.empty()) {
         Entry &e = queue_.front();
@@ -245,11 +237,10 @@ TokenChannel::poll(double now) const
                     probe_->onEvent("crc_error", now);
                     probe_->onEvent("nak", now);
                 }
-                uint64_t seq = e.seq;
-                queue_.popFront();
-                // Pop + pushFront below net to zero occupancy —
-                // nothing to publish to the producer.
-                scheduleRetransmit(seq, now);
+                // The retransmitted copy takes the corrupted head's
+                // slot: occupancy is unchanged, so there is nothing
+                // to publish to the producer.
+                scheduleRetransmit(e, now);
                 continue;
             }
             e.verified = true;
@@ -259,8 +250,9 @@ TokenChannel::poll(double now) const
 }
 
 void
-TokenChannel::scheduleRetransmit(uint64_t seq, double now) const
+TokenChannel::scheduleRetransmit(Entry &head, double now) const
 {
+    uint64_t seq = head.seq;
     const Entry *pristine = nullptr;
     for (size_t i = 0; i < rtxBuf_.size(); ++i) {
         const Entry &e = rtxBuf_.at(i);
@@ -306,36 +298,37 @@ TokenChannel::scheduleRetransmit(uint64_t seq, double now) const
     nak_ = {seq, now + delay, tries, delay};
     if (probe_ && probe_->tokenSampled(seq))
         probe_->onTokenNak(seq, now, delay);
-    queue_.pushFront({pristine->payload, now + delay, seq,
-                      pristine->crc, false, pristine->enqTime});
+    fillEntry(head, pristine->payload, now + delay, seq, pristine->crc,
+              pristine->enqTime);
 }
 
 bool
 TokenChannel::headReady(double now) const
 {
     poll(now);
-    if (!replayFront_.empty())
-        return replayFront_.front().readyTime <= now;
+    if (replaying())
+        return replayHead().readyTime <= now;
     return !queue_.empty() && queue_.front().readyTime <= now;
 }
 
 void
 TokenChannel::deq()
 {
-    if (!replayFront_.empty()) {
+    if (replaying()) {
         // Re-delivery of a logged token during a single-partition
         // restart: the physical queue and the producer's retransmit
         // buffer already account for it (its seq precedes the
         // rolled-forward acknowledgment horizon), so only the
         // consumer's delivery counters move — and nothing is
-        // published to the producer's pop accounting.
-        Entry e = std::move(replayFront_.front());
-        replayFront_.pop_front();
-        replayFrontSize_.store(replayFront_.size(),
-                               std::memory_order_release);
-        lastDelivered_ = e.seq;
+        // published to the producer's pop accounting. The entry is
+        // already in its log slot: re-logging it is a cursor step.
+        lastDelivered_ = replayHead().seq;
         ++deqCount_;
-        logDelivered(e);
+        ++replayEnd_;
+        replayLen_ = std::min(replayLen_ + 1, replayCap_);
+        replayPending_.store(
+            replayPending_.load(std::memory_order_relaxed) - 1,
+            std::memory_order_release);
         return;
     }
     FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
@@ -356,21 +349,36 @@ TokenChannel::deq()
 }
 
 void
-TokenChannel::logDelivered(const Entry &e) const
+TokenChannel::logDelivered(const Entry &e)
 {
     if (replayCap_ == 0)
         return;
-    replayLog_.push_back(e);
-    if (replayLog_.size() > replayCap_)
-        replayLog_.pop_front();
+    if (replayLog_.size() < replayCap_)
+        replayLog_.push_back(e); // the ring is still filling
+    else
+        replayAt(replayEnd_) = e; // reuses the slot's payload buffer
+    ++replayEnd_;
+    replayLen_ = std::min(replayLen_ + 1, replayCap_);
 }
 
 void
 TokenChannel::setReplayLogCapacity(size_t n)
 {
+    if (n == replayCap_)
+        return;
+    // Lay the ring out afresh from position 0: the newest n logged
+    // deliveries, then any replay still pending.
+    size_t keep = std::min(replayLen_, n);
+    size_t pending = replayPending_.load(std::memory_order_relaxed);
+    std::vector<Entry> slots;
+    slots.reserve(keep + pending);
+    for (uint64_t pos = replayEnd_ - keep; pos < replayEnd_ + pending;
+         ++pos)
+        slots.push_back(std::move(replayAt(pos)));
+    replayLog_ = std::move(slots);
+    replayEnd_ = keep;
+    replayLen_ = keep;
     replayCap_ = n;
-    while (replayLog_.size() > replayCap_)
-        replayLog_.pop_front();
 }
 
 bool
@@ -380,7 +388,7 @@ TokenChannel::replayFromLog(uint64_t cut_deq_count,
 {
     FIREAXE_ASSERT(!concurrent_, "channel '", name_,
                    "' replayFromLog requires a quiesce point");
-    if (!replayFront_.empty()) {
+    if (replaying()) {
         error = "channel '" + name_ +
                 "': a replay is already in progress";
         return false;
@@ -391,23 +399,20 @@ TokenChannel::replayFromLog(uint64_t cut_deq_count,
         return false;
     }
     uint64_t n = deqCount_ - cut_deq_count;
-    if (n > replayLog_.size()) {
+    if (n > replayLen_) {
         error = "channel '" + name_ + "': replay log holds " +
-                std::to_string(replayLog_.size()) + " of the " +
+                std::to_string(replayLen_) + " of the " +
                 std::to_string(n) +
                 " deliveries since the recovery point (raise "
                 "the replay log depth or restore the whole run)";
         return false;
     }
-    // Move the since-the-cut suffix of the log into the replay
-    // front; re-delivery will log them again, converging the log
-    // back to its pre-restart contents.
-    for (uint64_t i = 0; i < n; ++i) {
-        replayFront_.push_front(std::move(replayLog_.back()));
-        replayLog_.pop_back();
-    }
-    replayFrontSize_.store(replayFront_.size(),
-                           std::memory_order_release);
+    // Rewind the log cursor over the since-the-cut suffix: those
+    // entries become the pending replay, and re-delivering them
+    // converges the log back to its pre-restart contents.
+    replayEnd_ -= n;
+    replayLen_ -= n;
+    replayPending_.store(size_t(n), std::memory_order_release);
     deqCount_ = cut_deq_count;
     lastDelivered_ = cut_last_delivered;
     error.clear();
@@ -523,11 +528,17 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
             return std::string(what) + " depth " + std::to_string(n) +
                    " exceeds the ring";
         out.resize(n);
-        for (auto &e : out) {
+        for (size_t i = 0; i < n; ++i) {
+            Entry &e = out[i];
             size_t words = 0;
             is >> words;
             if (!is || words > 4096)
                 return std::string("truncated ") + what;
+            if (tokenWords_ != 0 && words != tokenWords_)
+                return std::string(what) + " entry " +
+                       std::to_string(i) + " has " +
+                       std::to_string(words) + " words, expected " +
+                       std::to_string(tokenWords_);
             e.payload.resize(words);
             for (auto &w : e.payload)
                 is >> w;
@@ -658,11 +669,22 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
         rtxBuf_.pushBack(std::move(e));
     // Restart-replay state is transient and never part of a durable
     // cut: a restore starts with a clean replay pipeline.
-    replayFront_.clear();
-    replayFrontSize_.store(0, std::memory_order_relaxed);
     replayLog_.clear();
+    replayEnd_ = 0;
+    replayLen_ = 0;
+    replayPending_.store(0, std::memory_order_relaxed);
     error.clear();
     return true;
+}
+
+bool
+TokenChannel::checkCkpt(std::istream &is, std::string &error) const
+{
+    // Load into a throwaway twin: the same parse and checks, and this
+    // channel stays untouched.
+    TokenChannel twin(name_, widthBits_, capacity_);
+    twin.tokenWords_ = tokenWords_;
+    return twin.tryLoadCkpt(is, error);
 }
 
 } // namespace fireaxe::libdn

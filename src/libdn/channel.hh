@@ -46,13 +46,17 @@
  * same queue doubles as the thread-safe token pipe — no locks on the
  * token path. tryEnqTimed() and failover() run on the producing
  * partition's worker; poll(), scheduleRetransmit() and deq() on the
- * consuming partition's. State is partitioned accordingly — the
- * producer and consumer each own a fault-RNG substream (so the fault
- * schedule is independent of interleaving; see
- * transport::FaultModel::channelRng) and a counter set (merged on
- * demand by stats()); the queue and the retransmit buffer are SPSC
- * rings; cross-thread flags (link failed, faults active) and the link
- * timing are atomics.
+ * consuming partition's. Token payloads live in the ring slots and
+ * their buffers are reused: the producer copies each token into the
+ * tail slot's buffer, so a buffer passes from consumer back to
+ * producer only through the ring's index publication, and the steady
+ * state allocates nothing per token. State is partitioned
+ * accordingly — the producer and consumer each own a fault-RNG
+ * substream (so the fault schedule is independent of interleaving;
+ * see transport::FaultModel::channelRng) and a counter set (merged
+ * on demand by stats()); the queue and the retransmit buffer are
+ * SPSC rings; cross-thread flags (link failed, faults active) and
+ * the link timing are atomics.
  *
  * ## Concurrent mode (enableConcurrent)
  *
@@ -85,13 +89,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/crc32.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
 #include "obs/probe.hh"
@@ -103,8 +107,13 @@ namespace fireaxe::libdn {
 /** One channel's worth of net values for one target cycle. */
 using Token = std::vector<uint64_t>;
 
-/** CRC-32 (IEEE 802.3 polynomial) over a token payload. */
-uint32_t tokenCrc(const Token &token);
+/** CRC-32 (IEEE 802.3 polynomial) over a token payload's
+ *  little-endian bytes. */
+inline uint32_t
+tokenCrc(const Token &token)
+{
+    return crc32Words(token.data(), token.size());
+}
 
 /**
  * Serialization state of one physical link direction. Channels that
@@ -150,18 +159,33 @@ class TokenChannel final
     bool
     empty() const
     {
-        return replayFrontSize_.load(std::memory_order_acquire) == 0 &&
+        return replayPending_.load(std::memory_order_acquire) == 0 &&
                queue_.empty();
     }
 
     size_t
     size() const
     {
-        return replayFrontSize_.load(std::memory_order_acquire) +
+        return replayPending_.load(std::memory_order_acquire) +
                queue_.size();
     }
 
     size_t capacity() const { return capacity_; }
+
+    /**
+     * Declare the payload length of every token on this channel, in
+     * 64-bit words (LIBDNModel binding: one word per port). A restore
+     * then rejects a checkpoint whose tokens have another length. 0,
+     * the default, leaves the length unchecked.
+     */
+    void
+    setTokenWords(size_t words)
+    {
+        FIREAXE_ASSERT(tokenWords_ == 0 || tokenWords_ == words,
+                       "channel '", name_, "' bound with ", words,
+                       "-word and ", tokenWords_, "-word tokens");
+        tokenWords_ = words;
+    }
 
     /**
      * Configure the link-timing model applied by enqTimed():
@@ -355,17 +379,18 @@ class TokenChannel final
      * Try to enqueue a token that becomes visible at host time
      * @p ready_time (ns), bypassing the link model (reset seeding:
      * no serializer slot, no faults — but the token still enters the
-     * sequence/ack machinery). Returns false (and leaves the token
-     * untouched) when the channel is full — recoverable
-     * backpressure; the producer simply retries on a later host
-     * cycle.
+     * sequence/ack machinery). Returns false when the channel is
+     * full — recoverable backpressure; the producer simply retries
+     * on a later host cycle. The token is copied into reused queue
+     * and retransmit-buffer slots and left intact, so the caller
+     * can build every token in one reused buffer.
      */
-    bool tryEnq(Token &token, double ready_time);
+    bool tryEnq(const Token &token, double ready_time);
 
     /** Enqueue a token that becomes visible at host time
      *  @p ready_time (ns). The channel must not be full. */
     void
-    enq(Token token, double ready_time)
+    enq(const Token &token, double ready_time)
     {
         bool ok = tryEnq(token, ready_time);
         FIREAXE_ASSERT(ok, "channel '", name_, "' overflow");
@@ -376,9 +401,10 @@ class TokenChannel final
      * the configured serialization + latency model and the fault
      * model. Returns false on backpressure (channel full, or a
      * pending stop-and-wait epoch stall) without consuming a
-     * serializer slot.
+     * serializer slot. Like tryEnq(), copies the token and leaves it
+     * intact; duplicates and corruptions are written in place too.
      */
-    bool tryEnqTimed(Token &token, double now);
+    bool tryEnqTimed(const Token &token, double now);
 
     /**
      * Enqueue a token produced at host time @p now, applying the
@@ -386,7 +412,7 @@ class TokenChannel final
      * be full.
      */
     void
-    enqTimed(Token token, double now)
+    enqTimed(const Token &token, double now)
     {
         bool ok = tryEnqTimed(token, now);
         FIREAXE_ASSERT(ok, "channel '", name_, "' overflow");
@@ -401,8 +427,8 @@ class TokenChannel final
     double
     headReadyTime() const
     {
-        if (!replayFront_.empty())
-            return replayFront_.front().readyTime;
+        if (replaying())
+            return replayHead().readyTime;
         if (queue_.empty())
             return std::numeric_limits<double>::infinity();
         return queue_.front().readyTime;
@@ -411,8 +437,8 @@ class TokenChannel final
     const Token &
     head() const
     {
-        if (!replayFront_.empty())
-            return replayFront_.front().payload;
+        if (replaying())
+            return replayHead().payload;
         FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
                        "' head of empty queue");
         return queue_.front().payload;
@@ -424,8 +450,8 @@ class TokenChannel final
     double
     headEnqueueTime() const
     {
-        if (!replayFront_.empty())
-            return replayFront_.front().enqTime;
+        if (replaying())
+            return replayHead().enqTime;
         FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
                        "' headEnqueueTime of empty queue");
         return queue_.front().enqTime;
@@ -539,12 +565,18 @@ class TokenChannel final
 
     /**
      * Restore a saveCkpt() stream. Parses and validates the whole
-     * stream (name, width, capacity, framing) before mutating
-     * anything; on failure returns false with a diagnostic in
-     * @p error and the channel — and the serializer it shares with
-     * its link peers — unchanged. Only legal at a quiesce point.
+     * stream (name, width, capacity, framing, token word counts)
+     * before mutating anything; on failure returns false with a
+     * diagnostic in @p error and the channel — and the serializer it
+     * shares with its link peers — unchanged. Only legal at a
+     * quiesce point.
      */
     bool tryLoadCkpt(std::istream &is, std::string &error);
+
+    /** Parse and validate a saveCkpt() stream exactly as
+     *  tryLoadCkpt() does, without applying it — lets a restore
+     *  check every channel before it commits any state. */
+    bool checkCkpt(std::istream &is, std::string &error) const;
 
     // --- single-partition restart (src/recovery) ------------------
 
@@ -552,7 +584,9 @@ class TokenChannel final
      * Keep the last @p n delivered tokens in a bounded replay log so
      * a condemned consumer partition can be restarted from a cut and
      * re-fed its inbound stream (0 disables; shrinking trims the
-     * oldest entries). Consumer-side state.
+     * oldest entries). The log is a ring of reused entries: once it
+     * has filled, logging a delivery allocates nothing. Consumer-side
+     * state.
      */
     void setReplayLogCapacity(size_t n);
     size_t replayLogCapacity() const { return replayCap_; }
@@ -578,8 +612,8 @@ class TokenChannel final
     bool
     canReplayFrom(uint64_t cut_deq_count) const
     {
-        return replayFront_.empty() && cut_deq_count <= deqCount_ &&
-               deqCount_ - cut_deq_count <= replayLog_.size();
+        return !replaying() && cut_deq_count <= deqCount_ &&
+               deqCount_ - cut_deq_count <= replayLen_;
     }
 
     /**
@@ -599,8 +633,9 @@ class TokenChannel final
         double readyTime = 0.0;
         uint64_t seq = 0;
         uint32_t crc = 0; ///< computed by the producer pre-transmit
-        /** CRC already checked good (payloads are immutable after
-         *  transmission, so one check per delivery suffices). */
+        /** CRC already checked good (a payload changes after
+         *  transmission only when a NAK rewrites the entry, which
+         *  clears this flag, so one check per delivery suffices). */
         bool verified = false;
         /** Host time the producer enqueued the token. */
         double enqTime = 0.0;
@@ -647,15 +682,51 @@ class TokenChannel final
     /** Resolve dup/stale/corrupt entries at the head so that a
      *  visible head is always a verified in-order token. */
     void poll(double now) const;
-    /** NAK path: requeue seq's pristine copy from the retransmit
-     *  buffer, charging recovery latency and backoff. */
-    void scheduleRetransmit(uint64_t seq, double now) const;
+    /** NAK path: rewrite the corrupted @p head in place with its
+     *  pristine copy from the retransmit buffer, charging recovery
+     *  latency and backoff. */
+    void scheduleRetransmit(Entry &head, double now) const;
+    /** Overwrite @p e with a token, copying @p payload into the
+     *  entry's own (reused) buffer. */
+    static void
+    fillEntry(Entry &e, const Token &payload, double ready,
+              uint64_t seq, uint32_t crc, double enq_time)
+    {
+        e.payload = payload;
+        e.readyTime = ready;
+        e.seq = seq;
+        e.crc = crc;
+        e.verified = false;
+        e.enqTime = enq_time;
+    }
     /** Append one delivered token to the bounded replay log. */
-    void logDelivered(const Entry &e) const;
+    void logDelivered(const Entry &e);
+
+    /** The replay log entry at logical position @p pos. */
+    Entry &
+    replayAt(uint64_t pos)
+    {
+        return replayLog_[pos % replayLog_.size()];
+    }
+    const Entry &
+    replayAt(uint64_t pos) const
+    {
+        return replayLog_[pos % replayLog_.size()];
+    }
+    /** Is a restart replay re-presenting logged deliveries? */
+    bool
+    replaying() const
+    {
+        return replayPending_.load(std::memory_order_relaxed) != 0;
+    }
+    /** Next replayed delivery (replaying() must hold). */
+    const Entry &replayHead() const { return replayAt(replayEnd_); }
 
     std::string name_;
     unsigned widthBits_;
     size_t capacity_;
+    /** Payload words per token (0 = unchecked; setTokenWords). */
+    size_t tokenWords_ = 0;
     /** In-flight and delivered-but-unconsumed tokens. */
     mutable par::SpscRing<Entry> queue_;
     /** Pristine copies of unacked tokens (NAK resend source). */
@@ -727,13 +798,20 @@ class TokenChannel final
     // --- single-partition restart state ---------------------------
     // All consumer-side except suppress_ (producer-side); both are
     // SPSC-clean under the parallel engine.
-    /** Replayed deliveries served ahead of queue_ (restart). */
-    mutable std::deque<Entry> replayFront_;
-    /** Mirror of replayFront_.size() for cross-thread size()
-     *  queries (the deque itself is consumer-owned). */
-    mutable std::atomic<size_t> replayFrontSize_{0};
-    /** Last replayCap_ delivered tokens, newest at the back. */
-    mutable std::deque<Entry> replayLog_;
+    //
+    // The replay log is a ring over logical positions: position p
+    // lives in replayLog_[p % replayLog_.size()]. The replayLen_
+    // entries before replayEnd_ are the newest logged deliveries;
+    // the replayPending_ entries from replayEnd_ on are deliveries
+    // being re-presented ahead of queue_ after a restart (re-delivery
+    // advances replayEnd_ over them, so the log converges back to its
+    // pre-restart contents without copying). Until the ring first
+    // fills, replayLog_ grows by one entry per delivery.
+    std::vector<Entry> replayLog_;
+    uint64_t replayEnd_ = 0;
+    size_t replayLen_ = 0;
+    /** Also read by size()/empty() from other threads. */
+    std::atomic<size_t> replayPending_{0};
     size_t replayCap_ = 0;
     /** Producer-side count of enqueues to swallow (restart). */
     uint64_t suppress_ = 0;

@@ -92,6 +92,7 @@ LIBDNModel::bindInput(int slot, unsigned thread, ChannelPtr channel)
 {
     FIREAXE_ASSERT(slot >= 0 && size_t(slot) < inSpecs_.size());
     FIREAXE_ASSERT(thread < numThreads_);
+    channel->setTokenWords(inPortIdx_[slot].size());
     threads_[thread].inChans[slot] = std::move(channel);
 }
 
@@ -100,6 +101,7 @@ LIBDNModel::bindOutput(int slot, unsigned thread, ChannelPtr channel)
 {
     FIREAXE_ASSERT(slot >= 0 && size_t(slot) < outSpecs_.size());
     FIREAXE_ASSERT(thread < numThreads_);
+    channel->setTokenWords(outPortIdx_[slot].size());
     threads_[thread].outChans[slot] = std::move(channel);
 }
 
@@ -182,11 +184,10 @@ LIBDNModel::seedOutputs(double now)
             sim_->loadState(th.seq);
         sim_->evalComb();
         for (size_t c = 0; c < outSpecs_.size(); ++c) {
-            Token token;
-            token.reserve(outPortIdx_[c].size());
+            th.outToken.clear();
             for (int sig : outPortIdx_[c])
-                token.push_back(sim_->peekIdx(sig));
-            th.outChans[c]->enq(std::move(token), now);
+                th.outToken.push_back(sim_->peekIdx(sig));
+            th.outChans[c]->enq(th.outToken, now);
         }
     }
 }
@@ -244,14 +245,13 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         }
         if (!deps_ok)
             continue;
-        Token token;
-        token.reserve(outPortIdx_[c].size());
+        th.outToken.clear();
         for (int sig : outPortIdx_[c])
-            token.push_back(sim_->peekIdx(sig));
+            th.outToken.push_back(sim_->peekIdx(sig));
         // Backpressure (channel or retransmit-buffer full) is
         // recoverable: leave the FSM unfired and retry on a later
         // host cycle.
-        if (!th.outChans[c]->tryEnqTimed(token, now))
+        if (!th.outChans[c]->tryEnqTimed(th.outToken, now))
             continue;
         th.fired[c] = true;
         ++fires_;

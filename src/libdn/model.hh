@@ -83,7 +83,9 @@ class LIBDNModel
     int defineOutputChannel(const ChannelSpec &spec);
 
     /** Attach the concrete queue backing a channel slot for one
-     *  FAME-5 thread. Every slot/thread pair must be bound. */
+     *  FAME-5 thread. Every slot/thread pair must be bound. Binding
+     *  fixes the channel's token word count (one word per port; see
+     *  TokenChannel::setTokenWords). */
     void bindInput(int slot, unsigned thread, ChannelPtr channel);
     void bindOutput(int slot, unsigned thread, ChannelPtr channel);
 
@@ -223,6 +225,9 @@ class LIBDNModel
         std::vector<uint8_t> situation;
         std::vector<uint8_t> lastSituation;
         bool situationValid = false;
+        /** Output token under construction, reused for every fire
+         *  (the channel copies it into its own reused slots). */
+        Token outToken;
     };
 
     unsigned channelWidth(const ChannelSpec &spec) const;

@@ -5,25 +5,29 @@
  * run on worker threads (src/par).
  *
  * The LI-BDN channel layer needs a little more than a textbook SPSC
- * queue, because the reliable-delivery machinery performs unusual
- * consumer-side operations on the same FIFO:
+ * queue, because the reliable-delivery machinery touches queued
+ * entries in place:
  *
- *  - pushFront():   a NAKed token's retransmitted copy re-enters at
- *                   the head (libdn::TokenChannel::scheduleRetransmit
- *                   pops the corrupted head and requeues the pristine
- *                   copy in its place);
  *  - front() is mutable: the consumer caches the CRC verdict in the
- *                   head entry ("verified" flag);
+ *                   head entry ("verified" flag), and a NAKed head is
+ *                   rewritten with its retransmitted copy
+ *                   (libdn::TokenChannel::scheduleRetransmit);
  *  - at(i):         the consumer scans the retransmit buffer for a
  *                   sequence number.
  *
- * All of these stay single-threaded per side: the producer only ever
- * pushBack()s, the consumer owns the head (front/popFront/pushFront/
- * at). Index publication uses release stores matched by acquire loads
- * on the opposite side, so the payload writes of a push are visible
- * before the slot becomes reachable — the classic Lamport queue
- * argument, extended to the head for pushFront (a freed slot below
- * head is never touched by the producer, which only writes at tail).
+ * Popped slots are not cleared: each keeps whatever its last
+ * occupant owned (a token's payload buffer), and pushBackWith() lets
+ * the producer fill the tail slot in place, so a ring of vectors
+ * reaches a steady state with no allocation per entry. A slot changes
+ * hands only through the index publication below — the consumer's
+ * release of head orders its last read of a slot before the
+ * producer's reuse of it.
+ *
+ * Both sides stay single-threaded: the producer only ever fills the
+ * tail, the consumer owns the head (front/popFront/at). Index
+ * publication uses release stores matched by acquire loads on the
+ * opposite side, so the payload writes of a push are visible before
+ * the slot becomes reachable — the classic Lamport queue argument.
  *
  * size()/empty() are safe from any thread and return a snapshot that
  * is exact from the owning sides and conservative-consistent from
@@ -79,16 +83,25 @@ class SpscRing
 
     // --- producer side -------------------------------------------
 
-    /** Append one entry. Asserts on overflow (see file comment). */
+    /** Append one entry by calling @p fill on the free tail slot,
+     *  which still holds its previous occupant's state for reuse.
+     *  Asserts on overflow (see file comment). */
+    template <typename Fill>
     void
-    pushBack(T value)
+    pushBackWith(Fill &&fill)
     {
         size_t t = tail_.load(std::memory_order_relaxed);
         size_t h = head_.load(std::memory_order_acquire);
         FIREAXE_ASSERT(t - h < capacity(), "SpscRing overflow (cap ",
                        capacity(), ")");
-        slots_[t & mask_] = std::move(value);
+        fill(slots_[t & mask_]);
         tail_.store(t + 1, std::memory_order_release);
+    }
+
+    void
+    pushBack(T value)
+    {
+        pushBackWith([&](T &slot) { slot = std::move(value); });
     }
 
     // --- consumer side -------------------------------------------
@@ -129,22 +142,7 @@ class SpscRing
     {
         FIREAXE_ASSERT(!empty(), "SpscRing pop of empty ring");
         size_t h = head_.load(std::memory_order_relaxed);
-        slots_[h & mask_] = T{}; // release payload memory eagerly
         head_.store(h + 1, std::memory_order_release);
-    }
-
-    /** Requeue one entry at the head (consumer-side; the slot below
-     *  head is free as long as the ring is not full). */
-    void
-    pushFront(T value)
-    {
-        size_t h = head_.load(std::memory_order_relaxed);
-        size_t t = tail_.load(std::memory_order_acquire);
-        FIREAXE_ASSERT(t - h < capacity(),
-                       "SpscRing pushFront overflow (cap ",
-                       capacity(), ")");
-        slots_[(h - 1) & mask_] = std::move(value);
-        head_.store(h - 1, std::memory_order_release);
     }
 
   private:

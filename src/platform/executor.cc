@@ -1367,6 +1367,14 @@ MultiFpgaSim::applyRecoveryPoint(const recovery::RecoveryPoint &rp,
         error = "recovery point shape does not match this plan";
         return false;
     }
+    // Check every channel stream before any state changes: a
+    // malformed one (say, a token of the wrong length) must leave
+    // the executor untouched.
+    for (size_t c = 0; c < channels_.size(); ++c) {
+        std::istringstream ch_is(rp.channels[c].ckpt);
+        if (!channels_[c].chan->checkCkpt(ch_is, error))
+            return false;
+    }
     for (size_t p = 0; p < models_.size(); ++p) {
         std::istringstream sim_is(rp.partitions[p].simCkpt);
         if (!models_[p]->sim().tryLoadCheckpoint(sim_is, error))

@@ -5,21 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/crc32.hh"
+
 namespace fireaxe::recovery {
 
 namespace fs = std::filesystem;
-
-uint32_t
-bytesCrc(const std::string &bytes)
-{
-    uint32_t crc = 0xFFFFFFFFu;
-    for (unsigned char c : bytes) {
-        crc ^= c;
-        for (int k = 0; k < 8; ++k)
-            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
-    return ~crc;
-}
 
 uint64_t
 fnv1a(const std::string &bytes)
@@ -142,7 +132,8 @@ SnapshotStore::commit(Manifest &manifest,
                   ".g" + std::to_string(manifest.generation) +
                   ".shard";
         si.bytes = shard_payloads[i].size();
-        si.crc = bytesCrc(shard_payloads[i]);
+        si.crc = crc32Bytes(shard_payloads[i].data(),
+                            shard_payloads[i].size());
         std::ofstream os(shardPath(si.file),
                          std::ios::binary | std::ios::trunc);
         os.write(shard_payloads[i].data(),
@@ -222,7 +213,7 @@ SnapshotStore::readShard(const Manifest &manifest, size_t idx,
                 std::to_string(si.bytes) + " bytes";
         return false;
     }
-    if (bytesCrc(payload) != si.crc) {
+    if (crc32Bytes(payload.data(), payload.size()) != si.crc) {
         error = "snapshot shard " + si.file + " failed its CRC check";
         return false;
     }

@@ -33,10 +33,6 @@
 
 namespace fireaxe::recovery {
 
-/** CRC-32 (IEEE 802.3, reflected 0xEDB88320) over raw bytes — the
- *  same polynomial the token channels use for payloads. */
-uint32_t bytesCrc(const std::string &bytes);
-
 /** FNV-1a over raw bytes (content addressing for design/plan). */
 uint64_t fnv1a(const std::string &bytes);
 /** Fold one more 64-bit value into a running FNV-1a hash. */
@@ -47,7 +43,7 @@ struct ShardInfo
 {
     std::string file; ///< name relative to the snapshot directory
     uint64_t bytes = 0;
-    uint32_t crc = 0;
+    uint32_t crc = 0; ///< CRC-32 (base/crc32.hh) of the shard bytes
 };
 
 /** The committed state of a snapshot directory. */

@@ -120,10 +120,11 @@ SimService::submit(const JobSpec &spec, EventSink sink)
 void
 SimService::waitAll()
 {
+    // Count terminal jobs rather than look at the queue and the
+    // active set: a job a worker has popped but is still preparing
+    // sits in neither.
     std::unique_lock<std::mutex> lock(mtx_);
-    doneCv_.wait(lock, [this] {
-        return queue_.empty() && active_.empty();
-    });
+    doneCv_.wait(lock, [this] { return completed_ == nextId_ - 1; });
 }
 
 bool

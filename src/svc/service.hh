@@ -70,7 +70,8 @@ class SimService
      */
     uint64_t submit(const JobSpec &spec, EventSink sink);
 
-    /** Block until the queue is empty and no job is running. */
+    /** Block until every job submitted so far has emitted its
+     *  terminal line. */
     void waitAll();
 
     /** Block until job @p id has emitted its terminal line. False if

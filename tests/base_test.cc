@@ -1,19 +1,23 @@
 /**
  * @file
  * Tests for the base utilities: bit manipulation, the deterministic
- * PRNG, statistics containers, table rendering, and the
- * logging/error primitives.
+ * PRNG, statistics containers, table rendering, the CRC-32 kernel,
+ * and the logging/error primitives.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "base/bits.hh"
+#include "base/crc32.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "base/stats.hh"
 #include "base/table.hh"
+#include "libdn/channel.hh"
 
 using namespace fireaxe;
 
@@ -209,4 +213,64 @@ TEST(Logging, AssertMacroFiresOnlyWhenFalse)
 {
     EXPECT_NO_THROW(FIREAXE_ASSERT(1 + 1 == 2, "fine"));
     EXPECT_THROW(FIREAXE_ASSERT(false, "nope ", 3), PanicError);
+}
+
+namespace {
+
+/** Reference CRC-32: the bitwise reflected-0xEDB88320 loop, one bit
+ *  per step, over the little-endian bytes of each word. */
+uint32_t
+bitwiseCrc(const std::vector<uint64_t> &words)
+{
+    uint32_t crc = 0xFFFFFFFFu;
+    for (uint64_t word : words) {
+        for (int b = 0; b < 8; ++b) {
+            crc ^= uint32_t((word >> (8 * b)) & 0xFF);
+            for (int k = 0; k < 8; ++k)
+                crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+        }
+    }
+    return ~crc;
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswers)
+{
+    const std::string nine = "123456789";
+    EXPECT_EQ(crc32Bytes(nine.data(), nine.size()), 0xCBF43926u);
+    const std::string eight = "12345678";
+    EXPECT_EQ(crc32Bytes(eight.data(), eight.size()), 0x9AE0DAAFu);
+    EXPECT_EQ(crc32Bytes(nullptr, 0), 0u);
+    // The same eight bytes as one little-endian payload word.
+    EXPECT_EQ(libdn::tokenCrc({0x3837363534333231ull}), 0x9AE0DAAFu);
+}
+
+TEST(Crc32, MatchesBitwiseReference)
+{
+    Rng rng(0xC4C32);
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::vector<uint64_t> words(trial % 131);
+        for (auto &w : words)
+            w = rng.next();
+        ASSERT_EQ(libdn::tokenCrc(words), bitwiseCrc(words))
+            << words.size() << " words, trial " << trial;
+        // The byte entry point agrees on every length, including the
+        // tails that are not a whole word.
+        std::string bytes;
+        for (uint64_t w : words)
+            for (int b = 0; b < 8; ++b)
+                bytes.push_back(char((w >> (8 * b)) & 0xFF));
+        ASSERT_EQ(crc32Bytes(bytes.data(), bytes.size()),
+                  bitwiseCrc(words));
+        size_t cut = bytes.empty() ? 0 : rng.below(bytes.size());
+        uint32_t ref = 0xFFFFFFFFu;
+        for (size_t i = 0; i < cut; ++i) {
+            ref ^= uint8_t(bytes[i]);
+            for (int k = 0; k < 8; ++k)
+                ref = (ref >> 1) ^ (0xEDB88320u & (0u - (ref & 1u)));
+        }
+        ASSERT_EQ(crc32Bytes(bytes.data(), cut), ~ref)
+            << cut << " bytes, trial " << trial;
+    }
 }

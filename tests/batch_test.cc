@@ -4,14 +4,19 @@
  * fixtures), auto-clamping on mixed boundaries, the batched
  * TokenChannel under fault injection (batch-granular
  * retransmit, no duplicate delivery), mid-batch snapshot/resume
- * bit-exactness across worker counts, and the headline FMR
- * improvement on the fig2 exact showcase.
+ * bit-exactness across worker counts, the headline FMR
+ * improvement on the fig2 exact showcase, and the token path's
+ * steady state allocating nothing, batched or not.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,7 +40,63 @@ using namespace fireaxe::platform;
 
 namespace fs = std::filesystem;
 
+// Count heap allocations inside a window: this binary replaces the
+// plain global operator new, which every token payload and queue
+// node goes through. The replacements stay out of line so that GCC
+// does not pair an inlined free() with a new-expression and warn.
 namespace {
+std::atomic<bool> countAllocs{false};
+std::atomic<uint64_t> allocs{0};
+} // namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    if (countAllocs.load(std::memory_order_relaxed))
+        allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+[[gnu::noinline]] void *
+operator new[](std::size_t n)
+{
+    return operator new(n);
+}
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
+/** Heap allocations made by @p body. */
+template <typename Body>
+uint64_t
+allocationsIn(Body &&body)
+{
+    allocs.store(0);
+    countAllocs.store(true);
+    body();
+    countAllocs.store(false);
+    return allocs.load();
+}
 
 std::vector<FpgaSpec>
 u250s(size_t n, double mhz)
@@ -558,4 +619,64 @@ TEST(BatchFmr, Fig2ShowcaseFmrCollapsesAtDepth32)
 
     // The speedup is free: final state is bit-identical.
     EXPECT_EQ(sig1, sig32);
+}
+
+// ---------------------------------------------------------------
+// Token path: no allocation per token in steady state
+// ---------------------------------------------------------------
+
+TEST(TokenPath, SteadyStateTokensAllocateNothing)
+{
+    for (size_t capacity : {1, 4, 16}) {
+        for (unsigned depth : {1u, 8u}) {
+            for (size_t replay : {0, 1024}) {
+                SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                             " depth " + std::to_string(depth) +
+                             " replay " + std::to_string(replay));
+                libdn::TokenChannel ch("steady", 256, capacity);
+                ch.setTiming(10.0, 100.0);
+                if (depth > 1)
+                    ch.configureBatching(depth, 2.5, 40.0, true);
+                ch.setReplayLogCapacity(replay);
+                libdn::Token token(4);
+                double now = 0.0;
+                uint64_t wrong = 0;
+                auto rounds = [&](uint64_t first, uint64_t n) {
+                    for (uint64_t i = first; i < first + n; ++i) {
+                        token[i % 4] = i;
+                        ch.enqTimed(token, now);
+                        now = std::max(now, ch.headReadyTime());
+                        if (!ch.headReady(now) || ch.head() != token)
+                            ++wrong;
+                        ch.deq();
+                    }
+                };
+                // Warm-up: every ring slot and replay-log entry gets
+                // its payload buffer.
+                rounds(0, 2 * replay + 64);
+                uint64_t n = allocationsIn(
+                    [&] { rounds(2 * replay + 64, 10000); });
+                EXPECT_EQ(wrong, 0u);
+                EXPECT_EQ(n, 0u);
+            }
+        }
+    }
+}
+
+TEST(TokenPath, LongerRunAllocatesNoMoreThanShorterRun)
+{
+    firrtl::Circuit circuit;
+    auto plan = fig2Plan(circuit);
+    auto runAllocations = [&](uint64_t cycles) {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        RunResult r;
+        uint64_t n = allocationsIn([&] { r = sim.run(cycles); });
+        EXPECT_FALSE(r.deadlocked);
+        EXPECT_EQ(r.targetCycles, cycles);
+        return n;
+    };
+    uint64_t short_run = runAllocations(2000);
+    uint64_t long_run = runAllocations(4000);
+    EXPECT_LE(long_run, short_run);
 }

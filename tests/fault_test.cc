@@ -325,6 +325,9 @@ TEST(Fault, MalformedCheckpointLeavesChannelUnchanged)
     driveToNak(ch);
     ASSERT_NE(ch.nakRecovery().pendingSeq, 0u);
     peer.enqTimed({7}, 5000.0);
+    // A model binding fixes the token length; the donor below carries
+    // two-word tokens, so a restore must find exactly two.
+    ch.setTokenWords(2);
     double depart = ser->lastDepart;
     std::ostringstream before;
     ch.saveCkpt(before);
@@ -366,10 +369,44 @@ TEST(Fault, MalformedCheckpointLeavesChannelUnchanged)
     };
     streams.push_back(with_line(9, "4096"));
     streams.push_back(with_line(10, "4097"));
+    // A well-framed stream whose first queued token (line 10) and its
+    // retransmit copy (line 14, after the retransmit depth on line
+    // 13) lost a payload word, with the token CRC recomputed so only
+    // the length is wrong.
+    {
+        auto cut_word = [](const std::string &line) {
+            std::istringstream is(line);
+            size_t words = 0;
+            is >> words;
+            Token payload(words);
+            for (auto &w : payload)
+                is >> w;
+            uint64_t ready = 0, seq = 0, crc = 0, verified = 0, enq = 0;
+            is >> ready >> seq >> crc >> verified >> enq;
+            payload.pop_back();
+            std::ostringstream os;
+            os << payload.size();
+            for (uint64_t w : payload)
+                os << " " << w;
+            os << " " << ready << " " << seq << " "
+               << libdn::tokenCrc(payload) << " " << verified << " "
+               << enq;
+            return os.str();
+        };
+        std::istringstream is(good);
+        std::string out, l;
+        for (size_t i = 0; std::getline(is, l); ++i)
+            out += (i == 10 || i == 14 ? cut_word(l) : l) + "\n";
+        streams.push_back(out);
+    }
 
     for (const std::string &bad : streams) {
         std::istringstream is(bad);
         std::string error;
+        ASSERT_FALSE(ch.checkCkpt(is, error))
+            << "passed a malformed stream:\n" << bad;
+        is.clear();
+        is.seekg(0);
         ASSERT_FALSE(ch.tryLoadCkpt(is, error))
             << "accepted a malformed stream:\n" << bad;
         EXPECT_NE(error.find("channel 'nak'"), std::string::npos)
@@ -381,6 +418,17 @@ TEST(Fault, MalformedCheckpointLeavesChannelUnchanged)
         ASSERT_EQ(ser->lastDepart, depart)
             << "failed restore moved the shared serializer (" << error
             << ")";
+    }
+
+    // The length diagnostic names the entry and both word counts.
+    {
+        std::istringstream is(streams.back());
+        std::string error;
+        EXPECT_FALSE(ch.tryLoadCkpt(is, error));
+        EXPECT_NE(error.find("checkpoint queue entry 0 has 1 words, "
+                             "expected 2"),
+                  std::string::npos)
+            << error;
     }
 
     // The well-formed stream still loads.

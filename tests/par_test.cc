@@ -243,16 +243,23 @@ TEST(Spsc, SingleThreadFifoOrder)
     EXPECT_TRUE(ring.empty());
 }
 
-TEST(Spsc, PushFrontRestoresHead)
+TEST(Spsc, PoppedSlotsKeepTheirBuffersForReuse)
 {
-    par::SpscRing<int> ring(8);
-    ring.pushBack(1);
-    ring.pushBack(2);
-    int head = ring.front();
+    // A 2-slot ring: the third push lands in the first push's slot,
+    // which still owns the vector buffer its first occupant left.
+    par::SpscRing<std::vector<uint64_t>> ring(2);
+    ring.pushBack(std::vector<uint64_t>(16, 7));
+    const uint64_t *buffer = ring.front().data();
     ring.popFront();
-    ring.pushFront(head);
-    EXPECT_EQ(ring.front(), 1);
-    EXPECT_EQ(ring.size(), 2u);
+    ring.pushBack({1});
+    ring.popFront();
+    ring.pushBackWith([](std::vector<uint64_t> &slot) {
+        EXPECT_GE(slot.capacity(), 16u);
+        slot.assign({4, 5});
+    });
+    ASSERT_EQ(ring.size(), 1u);
+    EXPECT_EQ(ring.front(), (std::vector<uint64_t>{4, 5}));
+    EXPECT_EQ(ring.front().data(), buffer);
 }
 
 TEST(Spsc, TwoThreadStreamIsLossless)

@@ -21,9 +21,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "libdn/channel.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "recovery/recovery.hh"
@@ -494,6 +496,159 @@ TEST(Restore, CorruptedCommittedShardFailsStructured)
     // still runs from scratch.
     auto r = sim.run(100);
     EXPECT_FALSE(r.deadlocked);
+    fs::remove_all(dir);
+}
+
+namespace {
+
+/**
+ * Rewrite the committed snapshot in @p dir so that one queued token
+ * of the first channel holding a multi-word token, and its
+ * retransmit copy, lose their last payload word. The token CRC, the
+ * channel block length and the shard CRC are all recomputed, so only
+ * the token length is wrong. Returns the channel and the token's
+ * original word count (an empty name when no channel had such a
+ * token).
+ */
+struct CutToken
+{
+    std::string channel;
+    size_t words = 0;
+};
+
+CutToken
+cutQueuedTokenWord(const std::string &dir)
+{
+    recovery::SnapshotStore store(dir);
+    recovery::Manifest m;
+    std::string error;
+    EXPECT_TRUE(store.loadManifest(m, error)) << error;
+    std::vector<std::string> shards(m.shards.size());
+    for (size_t i = 0; i < shards.size(); ++i)
+        EXPECT_TRUE(store.readShard(m, i, shards[i], error)) << error;
+    std::string &exec = shards.back();
+
+    // One checkpoint entry line: words, payload, ready, seq, crc,
+    // verified, enqueue time.
+    struct Line
+    {
+        libdn::Token payload;
+        uint64_t ready = 0, seq = 0, crc = 0, verified = 0, enq = 0;
+    };
+    auto parse = [](const std::string &text) {
+        std::istringstream is(text);
+        Line l;
+        size_t words = 0;
+        is >> words;
+        l.payload.resize(words);
+        for (auto &w : l.payload)
+            is >> w;
+        is >> l.ready >> l.seq >> l.crc >> l.verified >> l.enq;
+        return l;
+    };
+    auto print = [](const Line &l) {
+        std::ostringstream os;
+        os << l.payload.size();
+        for (uint64_t w : l.payload)
+            os << " " << w;
+        os << " " << l.ready << " " << l.seq << " "
+           << libdn::tokenCrc(l.payload) << " " << l.verified << " "
+           << l.enq;
+        return os.str();
+    };
+
+    for (size_t at = exec.find("fireaxe-chan 3\n"); at != std::string::npos;
+         at = exec.find("fireaxe-chan 3\n", at + 1)) {
+        // The block's byte length is on the line before it.
+        size_t len_start = exec.rfind('\n', at - 2) + 1;
+        size_t len = std::stoul(exec.substr(len_start, at - len_start));
+        std::vector<std::string> lines;
+        std::istringstream bs(exec.substr(at, len));
+        for (std::string l; std::getline(bs, l);)
+            lines.push_back(l);
+        // Line 9 is the queue depth, then its entries, then the
+        // retransmit depth and entries.
+        size_t depth = std::stoul(lines[9]);
+        if (depth == 0 || parse(lines[10]).payload.size() < 2)
+            continue;
+        Line head = parse(lines[10]);
+        CutToken cut{lines[1].substr(0, lines[1].find(' ')),
+                     head.payload.size()};
+        for (size_t i = 10; i < lines.size(); ++i) {
+            if (i == 10 + depth || lines[i] == "end")
+                continue;
+            Line l = parse(lines[i]);
+            if (l.seq == head.seq && l.payload == head.payload) {
+                l.payload.pop_back();
+                lines[i] = print(l);
+            }
+        }
+        std::string block;
+        for (const auto &l : lines)
+            block += l + "\n";
+        exec.replace(len_start, at + len - len_start,
+                     std::to_string(block.size()) + "\n" + block);
+        uint64_t bytes = 0;
+        EXPECT_TRUE(store.commit(m, shards, bytes, error)) << error;
+        return cut;
+    }
+    return {};
+}
+
+} // namespace
+
+TEST(Restore, WrongTokenLengthIsRejectedBeforeAnyStateCommits)
+{
+    // A snapshot whose framing and CRCs are all valid but whose
+    // queued token has one word too few must be refused at restore,
+    // naming the channel, the entry and both word counts — under
+    // either backend — rather than failing later inside the run.
+    auto soc = fourTileSoc();
+    auto plan = threeWayPlan(soc);
+    std::string dir = tempDir();
+    std::string error;
+    {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.run(200);
+        ASSERT_TRUE(sim.snapshot(dir, error)) << error;
+    }
+    CutToken cut = cutQueuedTokenWord(dir);
+    ASSERT_FALSE(cut.channel.empty())
+        << "no queued multi-word token at the cut";
+
+    uint64_t fresh_sig = 0;
+    {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.run(100);
+        fresh_sig = stateSignature(sim, plan.partitions.size());
+    }
+    for (ExecConfig exec : {ExecConfig{}, ExecConfig::parallel(2)}) {
+        SCOPED_TRACE(exec.backend == ExecBackend::Sequential
+                         ? "sequential"
+                         : "parallel");
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.setExecConfig(exec);
+        ASSERT_FALSE(sim.restore(dir, error))
+            << "accepted a snapshot with a short token on "
+            << cut.channel;
+        EXPECT_NE(error.find("channel '" + cut.channel + "'"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find("checkpoint queue entry 0 has " +
+                             std::to_string(cut.words - 1) +
+                             " words, expected " +
+                             std::to_string(cut.words)),
+                  std::string::npos)
+            << error;
+        // Nothing was committed: the executor runs as a fresh one.
+        settle(sim, 100);
+        EXPECT_EQ(sim.restoreCount(), 0u);
+        EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
+                  fresh_sig);
+    }
     fs::remove_all(dir);
 }
 
