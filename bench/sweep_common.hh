@@ -18,6 +18,7 @@
 
 #include "base/logging.hh"
 #include "obs/json.hh"
+#include "obs/runid.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "ripper/partition.hh"
@@ -106,6 +107,9 @@ class JsonRow
         return *this;
     }
 
+    /** The writer, inside the row's open object. */
+    obs::JsonWriter &writer() { return w_; }
+
     /** Finish the object and return its JSON text. */
     std::string
     str()
@@ -120,28 +124,8 @@ class JsonRow
 };
 
 /**
- * Stamp the uniform run-identity prefix onto a result row. Every
- * machine-readable row the tools and benches emit (fireaxe-run
- * --json, bench --json) starts with the same fields so sweep
- * tooling can join rows across producers:
- *   schema        — row schema tag ("fireaxe.run.v1" /
- *                   "fireaxe.bench.v1")
- *   target        — design or bench-case label
- *   plan_hash     — MultiFpgaSim::planHash() (0 when no plan exists,
- *                   e.g. monolithic engine benches)
- *   artifact_hash — platform::contentHash() of the design+plan (0
- *                   when no plan exists); the same 64-bit identity
- *                   telemetry stream headers carry and the service
- *                   artifact cache keys on, so rows, streams, and
- *                   cache entries for one submitted design join on
- *                   one name
- *   backend       — "sequential" / "parallel"
- *   engine        — evaluation engine name
- *   workers       — parallel worker count (0 = auto / n.a.)
- *   exec          — the same execution config as one nested object
- *                   {backend, engine, workers, batch_depth}; the
- *                   one uniform place sweep tooling reads the config
- *                   from (the flat fields stay for back-compat)
+ * Stamp the uniform run-identity prefix (obs::addRunIdentity) onto a
+ * result row.
  */
 inline JsonRow &
 addRunIdentity(JsonRow &row, std::string_view schema,
@@ -154,19 +138,9 @@ addRunIdentity(JsonRow &row, std::string_view schema,
                // FIREAXE_BATCH_DEPTH without touching every caller.
                unsigned batch_depth = platform::defaultBatchDepth())
 {
-    row.field("schema", schema)
-        .field("target", target)
-        .field("plan_hash", plan_hash)
-        .field("artifact_hash", artifact_hash)
-        .field("backend", backend)
-        .field("engine", engine)
-        .field("workers", workers);
-    row.beginObjectField("exec")
-        .field("backend", backend)
-        .field("engine", engine)
-        .field("workers", workers)
-        .field("batch_depth", batch_depth)
-        .endObjectField();
+    obs::addRunIdentity(row.writer(), schema, target, plan_hash,
+                        artifact_hash, backend, engine, workers,
+                        batch_depth);
     return row;
 }
 

@@ -220,7 +220,6 @@ TokenChannel::poll(double now) const
             // Sequence-number check: a link-layer replay of an
             // already-delivered token.
             rxStats_.add("duplicates_discarded");
-            ++dupDiscards_;
             if (probe_)
                 probe_->onEvent("duplicate_discarded", now);
             queue_.popFront();
@@ -642,7 +641,6 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
     qPushes_ = pushes;
     nextSeq_ = next_seq;
     lastDelivered_ = last_delivered;
-    dupDiscards_ = rx_stats.get("duplicates_discarded");
     suppress_ = suppress;
     replayCap_ = replay_cap;
     failed_.store(failed != 0, std::memory_order_relaxed);

@@ -61,8 +61,8 @@
  * ## Concurrent mode (enableConcurrent)
  *
  * Determinism under threads needs more than a safe queue: the
- * *producer-visible occupancy* must match what the sequential
- * executor would have seen at the same host time, or backpressure
+ * *producer-visible occupancy* must match what a one-worker run
+ * would have seen at the same host time, or backpressure
  * (and with it serializer timing and the whole token schedule) would
  * depend on how far ahead the consumer thread happens to run. The
  * channel therefore keeps two views:
@@ -71,7 +71,7 @@
  *  - a logical occupancy at the producer's host time `T`:
  *    producer-side push counts minus only those consumer pops whose
  *    logical timestamp precedes `T` (ties broken by partition index,
- *    exactly like the sequential event loop's tie order).
+ *    exactly like the engine's (time, index) tie order).
  *
  * The consumer publishes each pop's logical time on a small SPSC pop
  * log; the producer drains records up to its own time
@@ -317,16 +317,17 @@ class TokenChannel final
     void setProbe(obs::ChannelProbe *probe) { probe_ = probe; }
     obs::ChannelProbe *probe() const { return probe_; }
 
-    // --- concurrent (parallel-executor) mode ----------------------
+    // --- concurrent (cross-worker) mode ---------------------------
 
     /**
-     * Switch the channel into concurrent mode for the parallel
-     * executor: producer-side occupancy becomes the logical
-     * (pop-log-accounted) view described in the file comment. Must be
-     * called while no worker threads touch the channel.
+     * Switch the channel into concurrent mode while its two sides
+     * run on different engine workers: producer-side occupancy
+     * becomes the logical (pop-log-accounted) view described in the
+     * file comment. Must be called while no worker threads touch the
+     * channel.
      *
      * @p producer_part / @p consumer_part give the partition indices
-     * of the two sides, fixing the sequential tie order for pops at
+     * of the two sides, fixing the (time, index) tie order for pops at
      * equal host times. @p pop_log_capacity bounds the pop log; the
      * caller derives it from the channel's lookahead window (the
      * consumer can run at most `lookahead` ns of host time ahead of
@@ -346,8 +347,8 @@ class TokenChannel final
 
     /**
      * Leave concurrent mode (after the workers joined): fold every
-     * outstanding pop record into the accounting so a later
-     * sequential run sees consistent physical occupancy.
+     * outstanding pop record into the accounting so a later run
+     * sees consistent physical occupancy.
      */
     void
     disableConcurrent()
@@ -359,14 +360,12 @@ class TokenChannel final
         popLog_.reset();
     }
 
-    bool concurrent() const { return concurrent_; }
-
     /**
-     * Producer-side synchronization point, called by the parallel
-     * engine before the producing partition evaluates a host tick at
-     * time @p now: folds all sequentially-preceding consumer pops
-     * into the occupancy accounting. Returns full() so the engine can
-     * gate on logical backpressure.
+     * Producer-side synchronization point, called by the engine
+     * before the producing partition evaluates a host tick at time
+     * @p now: folds every consumer pop that precedes it in (time,
+     * index) order into the occupancy accounting. Returns full() so
+     * the engine can gate on logical backpressure.
      */
     bool
     producerPrepare(double now)
@@ -521,11 +520,6 @@ class TokenChannel final
      */
     void failover(double ser_time, double latency);
 
-    /** Link-layer duplicates the consumer has dropped from the
-     *  queue (consumer side). Each frees a slot that full() counts
-     *  without delivering a token, so it can unblock the producer. */
-    uint64_t duplicatesDiscarded() const { return dupDiscards_; }
-
     /** Unacked producer-side copies currently buffered; never more
      *  than size(). */
     size_t retransmitBufferSize() const { return rtxBuf_.size(); }
@@ -641,8 +635,8 @@ class TokenChannel final
         double enqTime = 0.0;
     };
 
-    /** Producer side: account every pop that sequentially precedes
-     *  host time @p now (ties by the partition-index order fixed at
+    /** Producer side: account every pop that precedes host time
+     *  @p now (ties by the partition-index order fixed at
      *  enableConcurrent). Records are time-monotone, so this is a
      *  prefix drain. */
     void
@@ -740,7 +734,6 @@ class TokenChannel final
     uint64_t qPushes_ = 0;
     uint64_t nextSeq_ = 1;
     uint64_t lastDelivered_ = 0;
-    mutable uint64_t dupDiscards_ = 0;
 
     // Atomic because failover() retimes the channel from the
     // producer's worker thread while the consumer reads the values
@@ -783,8 +776,8 @@ class TokenChannel final
     // --- concurrent-mode state ------------------------------------
     bool concurrent_ = false;
     /** Consumer's tick precedes the producer's at equal host time
-     *  (lower partition index ticks first, like the sequential event
-     *  loop). */
+     *  (lower partition index ticks first, like the engine's
+     *  (time, index) order). */
     bool consumerTicksFirstOnTie_ = false;
     /** Logical (host) times of consumer pops not yet folded in. */
     std::unique_ptr<par::SpscRing<double>> popLog_;

@@ -110,6 +110,15 @@ class JsonWriter
         pendingKey_ = true;
     }
 
+    /** key(@p k), then value(@p v). */
+    template <typename T>
+    void
+    field(std::string_view k, T v)
+    {
+        key(k);
+        value(v);
+    }
+
     void
     value(double v)
     {

@@ -17,6 +17,16 @@ ParallelEngine::ParallelEngine(EngineConfig cfg, EngineHooks hooks,
     nparts_ = int(cfg_.startTickNs.size());
     FIREAXE_ASSERT(nparts_ > 0, "parallel engine with no partitions");
     FIREAXE_ASSERT(hooks_.onTick, "parallel engine needs a tick hook");
+
+    // hardware_concurrency() may be 0 (unknown).
+    workers_ = std::clamp(cfg_.workers ? cfg_.workers
+                                       : std::thread::hardware_concurrency(),
+                          1u, unsigned(nparts_));
+
+    mine_.resize(workers_);
+    for (int p = 0; p < nparts_; ++p)
+        mine_[workerOf(p)].push_back(p);
+
     parts_.resize(size_t(nparts_));
     for (const ChannelDesc &cd : channels_) {
         FIREAXE_ASSERT(cd.chan, "null channel in engine descs");
@@ -24,45 +34,38 @@ ParallelEngine::ParallelEngine(EngineConfig cfg, EngineHooks hooks,
                            cd.dstPart >= 0 && cd.dstPart < nparts_,
                        "channel '", cd.chan->name(),
                        "' references an unknown partition");
-        parts_[size_t(cd.dstPart)].in.push_back(&cd);
-        parts_[size_t(cd.srcPart)].out.push_back(&cd);
+        Part &src = parts_[size_t(cd.srcPart)];
+        Part &dst = parts_[size_t(cd.dstPart)];
+        if (workerOf(cd.srcPart) == workerOf(cd.dstPart)) {
+            dst.localIn.push_back(&cd);
+            src.localOut.push_back(&cd);
+        } else {
+            dst.crossIn.push_back(&cd);
+            src.crossOut.push_back(&cd);
+            crossChans_.push_back(&cd);
+        }
     }
-
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    workers_ = cfg_.workers ? cfg_.workers : hw;
-    workers_ = std::min(workers_, unsigned(nparts_));
-    if (workers_ == 0)
-        workers_ = 1;
-
-    mine_.resize(workers_);
-    for (int p = 0; p < nparts_; ++p)
-        mine_[size_t(p) % workers_].push_back(p);
 
     clock_ = std::make_unique<std::atomic<double>[]>(size_t(nparts_));
     suspect_ =
         std::make_unique<std::atomic<bool>[]>(size_t(nparts_));
     for (int p = 0; p < nparts_; ++p) {
-        clock_[size_t(p)].store(cfg_.startTickNs[size_t(p)],
-                                std::memory_order_relaxed);
+        double start = cfg_.startTickNs[size_t(p)];
+        clock_[size_t(p)].store(start, std::memory_order_relaxed);
         suspect_[size_t(p)].store(false, std::memory_order_relaxed);
+        parts_[size_t(p)].nextTick = start;
+        parts_[size_t(p)].lastProgress = start;
     }
-    nextTick_ = cfg_.startTickNs;
-    lastProgress_ = cfg_.startTickNs;
-    suspectEdge_.assign(size_t(nparts_), 0.0);
-    asleep_.assign(size_t(nparts_), 0);
-    lastTick_.assign(size_t(nparts_), -Deadlines::kInf);
-    idleStep_.assign(size_t(nparts_), 0.0);
-    idle_.assign(size_t(nparts_), Deadlines{});
-    doneTime_.assign(size_t(nparts_), 0.0);
-    reached_.assign(size_t(nparts_), 0);
 }
 
 bool
-ParallelEngine::inGatesOpen(int p, double T) const
+ParallelEngine::gatesOpen(int p, double T, bool &saw_full) const
 {
-    for (const ChannelDesc *cd : parts_[size_t(p)].in) {
+    // The other side of a same-worker channel has ticked every
+    // earlier edge, so only cross-worker channels are gated.
+    const Part &me = parts_[size_t(p)];
+    saw_full = false;
+    for (const ChannelDesc *cd : me.crossIn) {
         // A visible token pins the head: nothing the producer does
         // later can change what this tick sees on the channel.
         if (cd->chan->headReady(T))
@@ -78,19 +81,12 @@ ParallelEngine::inGatesOpen(int p, double T) const
         } else if (src_clock > T ||
                    (src_clock == T && cd->srcPart > p)) {
             // Degenerate zero-lookahead link: wait out the producer's
-            // T tick unless the sequential tie order puts it after us.
+            // T tick unless the (time, index) order puts it after us.
             continue;
         }
         return false;
     }
-    return true;
-}
-
-bool
-ParallelEngine::outGatesOpen(int p, double T, bool &saw_full) const
-{
-    saw_full = false;
-    for (const ChannelDesc *cd : parts_[size_t(p)].out) {
+    for (const ChannelDesc *cd : me.crossOut) {
         // Folds consumer pops up to T into the occupancy accounting.
         // A not-full verdict is already exact (missing pop records
         // can only overstate occupancy).
@@ -100,11 +96,11 @@ ParallelEngine::outGatesOpen(int p, double T, bool &saw_full) const
         double dst_clock =
             clock_[size_t(cd->dstPart)].load(std::memory_order_acquire);
         if (dst_clock > T || (dst_clock == T && cd->dstPart > p)) {
-            // Consumer's clock passed our tick in the sequential
+            // Consumer's clock passed our tick in (time, index)
             // order, so every pop that could precede it is published:
             // the full verdict is exact, and the model's own full()
-            // check will (correctly, just like the sequential run)
-            // skip firing into this channel.
+            // check will (correctly, just like a one-worker run) skip
+            // firing into this channel.
             continue;
         }
         return false; // wait for the consumer to catch up
@@ -116,6 +112,9 @@ void
 ParallelEngine::publish(int p, double next_tick)
 {
     clock_[size_t(p)].store(next_tick, std::memory_order_release);
+    // A lone worker has no one to wake.
+    if (workers_ == 1)
+        return;
     wakeGen_.fetch_add(1, std::memory_order_release);
     if (parked_.load(std::memory_order_relaxed) > 0) {
         // Lock-step with parkUntil: waiters re-check the generation
@@ -137,21 +136,28 @@ double
 ParallelEngine::inputBound(int p) const
 {
     // An input can change what the next tick sees only through a
-    // head the last tick did not see. Load the producer's clock
-    // before reading the head: a push that lands between the two
-    // reads is then at or after that clock, so clock + lookahead
-    // bounds it.
-    size_t i = size_t(p);
+    // head the last tick did not see. For a cross-worker producer,
+    // load its clock before reading the head: a push that lands
+    // between the two reads is then at or after that clock, so
+    // clock + lookahead bounds it. A same-worker producer pushes only
+    // at a tick the walk floor already stops before.
+    const Part &me = parts_[size_t(p)];
     double bound = Deadlines::kInf;
-    for (const ChannelDesc *cd : parts_[i].in) {
+    auto unseen = [&](double ready) {
+        if (ready > me.lastTick)
+            bound = std::min(bound, ready);
+    };
+    for (const ChannelDesc *cd : me.localIn)
+        unseen(cd->chan->headReadyTime());
+    for (const ChannelDesc *cd : me.crossIn) {
         double src_clock =
             clock_[size_t(cd->srcPart)].load(std::memory_order_acquire);
         double ready = cd->chan->headReadyTime();
         if (std::isinf(ready))
             bound = std::min(bound,
                              src_clock + std::max(cd->lookaheadNs, 0.0));
-        else if (ready > lastTick_[i])
-            bound = std::min(bound, ready);
+        else
+            unseen(ready);
     }
     return bound;
 }
@@ -159,115 +165,132 @@ ParallelEngine::inputBound(int p) const
 Deadlines
 ParallelEngine::dueSet(int p) const
 {
-    size_t i = size_t(p);
-    Deadlines due = idle_[i];
+    const Part &me = parts_[size_t(p)];
+    Deadlines due = me.idle;
     if (cfg_.deadlockWindowNs > 0.0 &&
-        !suspect_[i].load(std::memory_order_relaxed)) {
-        due.watchdogFromNs = lastProgress_[i];
+        !suspect_[size_t(p)].load(std::memory_order_relaxed)) {
+        due.watchdogFromNs = me.lastProgress;
         due.watchdogNs = cfg_.deadlockWindowNs;
     }
     return due;
 }
 
 bool
-ParallelEngine::skipIdle(int p, bool &moved)
+ParallelEngine::skipIdle(int p)
 {
-    size_t i = size_t(p);
-    double bound = inputBound(p);
+    Part &me = parts_[size_t(p)];
+    double first = me.nextTick;
     Deadlines due = dueSet(p);
-
-    // Walk no further than, in the sequential loop's (time, index)
-    // order, the earliest tick another partition of this worker may
-    // take, and tick only when first in that order. With one worker
-    // that covers every partition, so the run leaves each one exactly
-    // where the sequential loop does.
-    auto before = [](double t, int q, double u, int r) {
-        return t < u || (t == u && q < r);
+    double bound = Deadlines::kInf;
+    // Whether an input may change at edge e; a cross-worker producer
+    // may have published a later clock since the bound was read.
+    auto inputAt = [&](double e) {
+        return e >= bound &&
+               (me.crossIn.empty() || e >= (bound = inputBound(p)));
     };
-    double floor_t = Deadlines::kInf, pos_t = Deadlines::kInf;
-    int floor_q = nparts_, pos_q = nparts_;
-    for (int q : mine_[i % workers_]) {
+    // p is its worker's earliest partition, so it walks its first
+    // edge unless that edge is due, an output drained or an input may
+    // change there.
+    if (due.due(first) || me.drained())
+        return true;
+    bound = inputBound(p);
+    if (inputAt(first))
+        return true;
+
+    // Walk no further than, in (time, index) order, the earliest tick
+    // another partition of this worker may take, and tick only when
+    // first in that order. With one worker that covers every
+    // partition, so the run leaves each one exactly where a loop that
+    // ticks every edge in that order does.
+    const std::vector<int> &mine = mine_[workerOf(p)];
+    double floor_t = Deadlines::kInf;
+    int floor_q = nparts_;
+    for (int q : mine) {
         if (q == p)
             continue;
-        double t = nextTick_[size_t(q)];
-        if (before(t, q, pos_t, pos_q)) {
-            pos_t = t;
-            pos_q = q;
+        double t = parts_[size_t(q)].nextTick;
+        if (parts_[size_t(q)].asleep && !parts_[size_t(q)].drained()) {
+            double due_floor = dueSet(q).floorNs();
+            if (due_floor > t)
+                t = std::min(std::max(t, inputBound(q)), due_floor);
         }
-        if (asleep_[size_t(q)])
-            t = std::max(t, std::min(inputBound(q), dueSet(q).floorNs()));
         if (before(t, q, floor_t, floor_q)) {
             floor_t = t;
             floor_q = q;
         }
     }
 
-    double first = nextTick_[i];
+    double step = me.idleStep;
     double e = first;
     uint64_t n = 0;
-    while (before(e, p, floor_t, floor_q) && !due.due(e)) {
-        // A producer may have published a later clock since the
-        // bound was read.
-        if (e >= bound && e >= (bound = inputBound(p)))
-            break;
-        e += idleStep_[i];
+    // Every edge below all three bounds is certain to be walked, so
+    // step over those without the per-edge tests; the repeated `+=`
+    // keeps each edge bit-identical to a tick-by-tick loop.
+    double sure = std::min(std::min(floor_t, bound), due.floorNs());
+    while (e < sure) {
+        e += step;
         ++n;
     }
-    moved = n > 0;
-    if (!moved)
-        return before(e, p, pos_t, pos_q);
-
+    while (before(e, p, floor_t, floor_q) && !due.due(e)) {
+        if (inputAt(e))
+            break;
+        e += step;
+        ++n;
+    }
     if (hooks_.onIdle)
         hooks_.onIdle(p, n, first);
-    nextTick_[i] = e;
+    me.nextTick = e;
     // The skipped tick before e is the one that would have found the
     // watchdog window exceeded.
     if (e - due.watchdogFromNs > due.watchdogNs)
         markSuspect(p, e);
     publish(p, e);
-    return before(e, p, pos_t, pos_q);
+    // mine is sorted with p in front: the runner-up decides.
+    return mine.size() == 1 ||
+           before(e, p, parts_[size_t(mine[1])].nextTick, mine[1]);
 }
 
 bool
 ParallelEngine::tryTick(int p)
 {
-    size_t i = size_t(p);
-    bool moved = false;
-    if (asleep_[i] && !skipIdle(p, moved))
-        return moved;
-    // A walk that reached the watchdog edge may have ended the run.
-    if (done_.load(std::memory_order_acquire))
-        return moved;
-    double T = nextTick_[i];
+    Part &me = parts_[size_t(p)];
+    double from = me.nextTick;
     bool saw_full = false;
-    if (!inGatesOpen(p, T) || !outGatesOpen(p, T, saw_full))
-        return moved;
+    // A walk that reached the watchdog edge may have ended the run.
+    if ((me.asleep && !skipIdle(p)) ||
+        done_.load(std::memory_order_acquire) ||
+        !gatesOpen(p, me.nextTick, saw_full))
+        return me.nextTick != from;
+    double T = me.nextTick;
 
     TickResult r = hooks_.onTick(p, T);
     FIREAXE_ASSERT(r.nextDeltaNs > 0.0, "partition ", p,
                    " tick did not advance host time");
     double next = T + r.nextDeltaNs;
-    nextTick_[i] = next;
+    me.nextTick = next;
 
-    // A full output can drain at any consumer pop, so a partition
-    // that saw one keeps ticking edge by edge.
-    lastTick_[i] = T;
-    asleep_[i] = !r.progressed && !saw_full;
-    if (asleep_[i]) {
-        idleStep_[i] = r.nextDeltaNs;
-        idle_[i] = r.idle;
+    // A cross-worker consumer may pop on any edge, so a partition
+    // that saw such an output full keeps ticking edge by edge; a
+    // same-worker one pops only at a tick, which no walk passes (see
+    // Part::drained). A tick without progress pushed nothing.
+    me.fullLocal = r.progressed ? 0 : me.fullNow();
+    me.lastTick = T;
+    me.asleep = !r.progressed && !saw_full;
+    if (me.asleep) {
+        me.idleStep = r.nextDeltaNs;
+        me.idle = r.idle;
     }
     if (r.progressed) {
-        lastProgress_[i] = next;
+        me.lastProgress = next;
         clearSuspect(p);
     } else if (cfg_.deadlockWindowNs > 0.0 &&
-               next - lastProgress_[i] > cfg_.deadlockWindowNs) {
+               next - me.lastProgress > cfg_.deadlockWindowNs) {
         markSuspect(p, next);
     }
 
-    if (r.reachedTarget && !reached_[i]) {
-        reached_[i] = 1;
-        doneTime_[i] = T;
+    if (r.reachedTarget && !me.reached) {
+        me.reached = true;
+        me.doneTime = T;
         if (doneCount_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             nparts_) {
             std::unique_lock<std::mutex> lk(mtx_);
@@ -317,7 +340,7 @@ ParallelEngine::markSuspect(int p, double edge)
                                      std::memory_order_relaxed)) {
         return;
     }
-    suspectEdge_[size_t(p)] = edge;
+    parts_[size_t(p)].suspectEdge = edge;
     if (suspectCount_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         nparts_) {
         quiesceAndInspect();
@@ -327,7 +350,10 @@ ParallelEngine::markSuspect(int p, double edge)
 void
 ParallelEngine::clearSuspect(int p)
 {
-    if (suspect_[size_t(p)].exchange(false,
+    // Only p's worker sets the flag, so a plain load spares the
+    // common case a read-modify-write.
+    if (suspect_[size_t(p)].load(std::memory_order_relaxed) &&
+        suspect_[size_t(p)].exchange(false,
                                      std::memory_order_relaxed)) {
         suspectCount_.fetch_sub(1, std::memory_order_acq_rel);
     }
@@ -367,7 +393,7 @@ ParallelEngine::quiesceAndInspect()
         for (const ChannelDesc &cd : channels_) {
             double ready = cd.chan->headReadyTime();
             if (std::isfinite(ready) &&
-                ready > lastTick_[size_t(cd.dstPart)]) {
+                ready > parts_[size_t(cd.dstPart)].lastTick) {
                 inflight = true;
                 break;
             }
@@ -375,24 +401,23 @@ ParallelEngine::quiesceAndInspect()
         if (inflight &&
             transientStalls_ < cfg_.maxTransientStalls) {
             ++transientStalls_;
+            double frontier = Deadlines::kInf;
             for (int p = 0; p < nparts_; ++p) {
-                lastProgress_[size_t(p)] = nextTick_[size_t(p)];
+                Part &part = parts_[size_t(p)];
+                part.lastProgress = part.nextTick;
+                frontier = std::min(frontier, part.nextTick);
                 suspect_[size_t(p)].store(
                     false, std::memory_order_relaxed);
             }
             suspectCount_.store(0, std::memory_order_relaxed);
-            if (hooks_.onTransientStall) {
-                double frontier = nextTick_[0];
-                for (int p = 1; p < nparts_; ++p)
-                    frontier =
-                        std::min(frontier, nextTick_[size_t(p)]);
+            if (hooks_.onTransientStall)
                 hooks_.onTransientStall(frontier);
-            }
         } else {
-            // The watchdog edge: where the sequential loop, which
-            // checks after every tick in time order, would fire.
-            deadlockNs_ = *std::min_element(suspectEdge_.begin(),
-                                            suspectEdge_.end());
+            // The watchdog edge: where a loop that checks after every
+            // tick in time order would fire.
+            deadlockNs_ = Deadlines::kInf;
+            for (const Part &part : parts_)
+                deadlockNs_ = std::min(deadlockNs_, part.suspectEdge);
             deadlocked_.store(true, std::memory_order_relaxed);
             if (hooks_.onDeadlock)
                 hooks_.onDeadlock(deadlockNs_);
@@ -407,7 +432,13 @@ ParallelEngine::quiesceAndInspect()
 void
 ParallelEngine::workerMain(unsigned w)
 {
-    std::vector<int> mine = mine_[w];
+    // Earliest partition first, in (time, index) order.
+    auto earlier = [&](int a, int b) {
+        return before(parts_[size_t(a)].nextTick, a,
+                      parts_[size_t(b)].nextTick, b);
+    };
+    std::vector<int> &mine = mine_[w];
+    std::sort(mine.begin(), mine.end(), earlier);
 
     Rng jitter(cfg_.stressSeed ^
                (0x9E3779B97F4A7C15ULL * (uint64_t(w) + 1)));
@@ -423,37 +454,33 @@ ParallelEngine::workerMain(unsigned w)
         }
 
         // Capture the wake generation BEFORE evaluating any gate: a
-        // publication racing with the scan bumps the generation and
-        // turns the park below into a no-op instead of a lost wakeup.
+        // publication racing with the attempt bumps the generation
+        // and turns the park below into a no-op instead of a lost
+        // wakeup.
         uint64_t gen = wakeGen_.load(std::memory_order_acquire);
-        // Earliest partition first, in the sequential loop's (time,
-        // index) order; after any move the order is taken afresh.
-        std::sort(mine.begin(), mine.end(), [&](int a, int b) {
-            double ta = nextTick_[size_t(a)], tb = nextTick_[size_t(b)];
-            return ta < tb || (ta == tb && a < b);
-        });
-        bool any = false;
-        for (int p : mine) {
-            if (done_.load(std::memory_order_relaxed) ||
-                pauseReq_.load(std::memory_order_relaxed)) {
-                break;
+        // Only the worker's earliest partition may tick, so the other
+        // side of a same-worker channel has ticked every earlier edge.
+        int p = mine.front();
+        bool moved = tryTick(p);
+        if (cfg_.stressSeed != 0 && jitter.below(8) == 0) {
+            // Wall-clock-only scheduling perturbation: must not
+            // change any simulation result.
+            if (jitter.below(4) == 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(jitter.below(50)));
+            } else {
+                std::this_thread::yield();
             }
-            any = tryTick(p);
-            if (cfg_.stressSeed != 0 && jitter.below(8) == 0) {
-                // Wall-clock-only scheduling perturbation: must not
-                // change any simulation result.
-                if (jitter.below(4) == 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(jitter.below(50)));
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-            if (any)
-                break;
         }
-        if (!any && !done_.load(std::memory_order_acquire) &&
-            !pauseReq_.load(std::memory_order_acquire)) {
+        if (moved) {
+            // Only p's clock moved, and only forward: slide it back
+            // into order.
+            size_t k = 0;
+            for (; k + 1 < mine.size() && earlier(mine[k + 1], p); ++k)
+                mine[k] = mine[k + 1];
+            mine[k] = p;
+        } else if (!done_.load(std::memory_order_acquire) &&
+                   !pauseReq_.load(std::memory_order_acquire)) {
             parkUntil(gen);
         }
     }
@@ -462,28 +489,41 @@ ParallelEngine::workerMain(unsigned w)
 EngineResult
 ParallelEngine::run()
 {
-    std::vector<std::thread> pool;
-    pool.reserve(workers_);
-    for (unsigned w = 0; w < workers_; ++w)
-        pool.emplace_back(&ParallelEngine::workerMain, this, w);
-    for (std::thread &t : pool)
-        t.join();
+    // Pop-log sizing: undrained pop records are bounded by the tokens
+    // physically present at the producer's last drain plus what it
+    // pushed since — at most the channel capacity plus a small
+    // duplicate margin (see libdn/channel.hh).
+    for (const ChannelDesc *cd : crossChans_)
+        cd->chan->enableConcurrent(cd->srcPart, cd->dstPart,
+                                   2 * cd->chan->capacity() + 32);
+    if (workers_ == 1) {
+        workerMain(0);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers_);
+        for (unsigned w = 0; w < workers_; ++w)
+            pool.emplace_back(&ParallelEngine::workerMain, this, w);
+        for (std::thread &t : pool)
+            t.join();
+    }
+    for (const ChannelDesc *cd : crossChans_)
+        cd->chan->disableConcurrent();
 
     EngineResult res;
-    res.nextTickNs = nextTick_;
+    for (const Part &part : parts_)
+        res.nextTickNs.push_back(part.nextTick);
     res.deadlocked = deadlocked_.load(std::memory_order_relaxed);
     res.stopped = stopped_.load(std::memory_order_relaxed);
-    res.transientStalls = transientStalls_;
 
     // Host time of the run: the tick at which the last partition
-    // reached the cycle target — identical to the sequential
-    // executor's final event time, because events execute in
+    // reached the cycle target — identical to the final event time
+    // of the reference (time, index) order, because events execute in
     // nondecreasing host time there and the target-reaching tick of
     // the laggard partition is its last event.
     double ht = cfg_.startTimeNs;
-    for (int p = 0; p < nparts_; ++p) {
-        if (reached_[size_t(p)])
-            ht = std::max(ht, doneTime_[size_t(p)]);
+    for (const Part &part : parts_) {
+        if (part.reached)
+            ht = std::max(ht, part.doneTime);
     }
     if (res.stopped)
         ht = std::max(ht, stopTimeNs_);

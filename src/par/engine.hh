@@ -1,16 +1,16 @@
 /**
  * @file
- * Multi-threaded partition execution engine.
+ * The partition execution engine: the one run loop of
+ * platform::MultiFpgaSim, on one or more worker threads.
  *
- * The sequential executor (src/platform) steps every partition on one
- * host thread with a discrete-event loop: always tick the partition
- * with the lexicographically smallest (next event time, partition
- * index). This engine runs the same per-partition tick function on a
- * pool of worker threads instead — each partition's simulator on its
- * own worker (static round-robin when partitions outnumber workers) —
- * and reproduces the sequential schedule's *observable effects*
- * exactly, using conservative parallel discrete-event synchronization
- * on the token channels:
+ * Each partition's tick function runs on one worker (static
+ * round-robin when partitions outnumber workers). A one-worker run
+ * executes on the calling thread. The schedule's *observable
+ * effects* are those of the reference discrete-event order — always
+ * tick the partition with the lexicographically smallest (next event
+ * time, partition index) — whatever the worker count, by
+ * conservative parallel discrete-event synchronization on the token
+ * channels that cross workers:
  *
  *  - Every channel has a lookahead: a token produced at host time t
  *    is never visible before t + serialization + latency. A consumer
@@ -19,10 +19,15 @@
  *    T - lookahead — no later production can affect the tick.
  *  - Producer-side backpressure uses the channel's logical occupancy
  *    (pop-log accounting, see libdn::TokenChannel): a producer at
- *    time T sees exactly the pops a sequential run would have
+ *    time T sees exactly the pops the reference order would have
  *    executed before its tick, so full()/not-full decisions — and
  *    with them serializer timing and the entire token schedule — are
  *    independent of worker interleaving.
+ *  - A channel whose two sides share a worker needs neither: a worker
+ *    ticks only its earliest partition in (time, index) order, so the
+ *    other side has ticked every earlier edge. Only cross-worker
+ *    channels enter concurrent mode, so a one-worker run has no pop
+ *    log, gate or published-clock bound at all.
  *  - Workers self-pace dataflow-style, each taking its partitions
  *    earliest first: a partition whose gates fail parks on a
  *    condition variable and is woken by a generation counter that
@@ -31,18 +36,19 @@
  *    smallest (clock, index) can always proceed, so the pool never
  *    parks entirely before completion.
  *  - Next-event time advance: a partition whose last tick made no
- *    progress (and found no output full) is asleep. Its following
- *    ticks are certain to change nothing until an input head it has
- *    not seen becomes visible or one of its Deadlines falls due, so
+ *    progress (and found no cross-worker output full) is asleep. Its
+ *    following ticks are certain to change nothing until an input
+ *    head it has not seen becomes visible, a same-worker output it
+ *    saw full drains, or one of its Deadlines falls due, so
  *    its worker walks those idle edges by repeated `+= step`,
  *    credits them in one onIdle call and publishes its clock once
  *    for the whole run of edges. Input bounds are re-read on every
- *    attempt: for an empty channel, the producer's published clock
- *    (loaded before the head is read) plus the lookahead; for a head
- *    the last tick did not see, its ready time. A walk also stops
- *    before the earliest tick another partition of the same worker
- *    may take, so a one-worker run leaves every partition where the
- *    sequential executor does.
+ *    attempt: for an empty cross-worker channel, the producer's
+ *    published clock (loaded before the head is read) plus the
+ *    lookahead; for a head the last tick did not see, its ready
+ *    time. A walk also stops before the earliest tick another
+ *    partition of the same worker may take, so a one-worker run
+ *    leaves every partition where the tick-every-edge order does.
  *
  * Genuine LI-BDN deadlock (a circular token dependency) manifests as
  * livelock — host clocks keep advancing while no fireFSM makes
@@ -97,9 +103,9 @@ struct ChannelDesc
 /**
  * When a sleeping partition must tick again although none of its
  * channels changes: at the first host edge e at which any of these
- * falls due. Each is kept in exactly the form the run loop's own
- * check evaluates, so both executor loops find the same edge bit for
- * bit. The default is due on every edge.
+ * falls due. Each is kept in exactly the form the check after a tick
+ * evaluates, so a walk stops on the edge a tick-every-edge loop would
+ * act on, bit for bit. The default is due on every edge.
  */
 struct Deadlines
 {
@@ -133,9 +139,11 @@ struct Deadlines
         auto below = [](double t) {
             return std::isfinite(t) ? t - 1e-9 * std::abs(t) : t;
         };
-        return std::min({wakeNs, below(watchdogFromNs + watchdogNs),
-                         below(sampleFromNs + sampleEveryNs),
-                         below(reportFromNs + reportEveryNs)});
+        double watchdog = below(watchdogFromNs + watchdogNs);
+        double sample = below(sampleFromNs + sampleEveryNs);
+        double report = below(reportFromNs + reportEveryNs);
+        return std::min(std::min(wakeNs, watchdog),
+                        std::min(sample, report));
     }
 };
 
@@ -182,7 +190,8 @@ struct EngineConfig
 {
     /** Worker threads; 0 = min(partitions, hardware_concurrency).
      *  Explicit values are honored beyond the core count (workers
-     *  park when idle, so oversubscription is benign). */
+     *  park when idle, so oversubscription is benign). One worker
+     *  runs on the calling thread. */
     unsigned workers = 0;
     /** Per-partition logical no-progress window before the partition
      *  is suspected of deadlock (ns); <= 0 disables the watchdog. */
@@ -213,7 +222,6 @@ struct EngineResult
     double hostTimeNs = 0.0;
     bool deadlocked = false;
     bool stopped = false;
-    uint64_t transientStalls = 0;
 };
 
 class ParallelEngine
@@ -223,40 +231,80 @@ class ParallelEngine
                    std::vector<ChannelDesc> channels);
 
     /** Run to completion (all partitions reach target, a stop
-     *  condition fires, or deadlock). Blocking; spawns and joins the
-     *  worker pool internally. */
+     *  condition fires, or deadlock). Blocking; with more than one
+     *  worker, spawns and joins the pool internally. Cross-worker
+     *  channels are in concurrent mode for the duration of the call. */
     EngineResult run();
 
     /** Worker threads the pool will use (after clamping). */
     unsigned workerCount() const { return workers_; }
 
-    /** Partition p's published host clock (ns); any thread. */
-    double
-    clockNs(int p) const
-    {
-        return clock_[size_t(p)].load(std::memory_order_acquire);
-    }
+    /** The worker partition @p p runs on. */
+    unsigned workerOf(int p) const { return unsigned(p) % workers_; }
 
   private:
-    struct PartChannels
+    /** One partition: its channels, split by whether the other side
+     *  runs on the same worker, and its state, owned by its worker and
+     *  read by the quiesce initiator under full pause (which the
+     *  engine mutex orders). Aligned so workers never share a line. */
+    struct alignas(64) Part
     {
-        std::vector<const ChannelDesc *> in;
-        std::vector<const ChannelDesc *> out;
+        std::vector<const ChannelDesc *> localIn;
+        std::vector<const ChannelDesc *> crossIn;
+        std::vector<const ChannelDesc *> localOut;
+        std::vector<const ChannelDesc *> crossOut;
+        double nextTick = 0.0;
+        double lastProgress = 0.0;
+        /** Edge at which the partition last became suspect. */
+        double suspectEdge = 0.0;
+        /** Host time of the partition's last tick (-inf before any). */
+        double lastTick = -Deadlines::kInf;
+        /** Sleep state after a tick without progress (see file
+         *  comment): the step to the next edge, and when the partition
+         *  must tick again regardless of its channels. */
+        bool asleep = false;
+        double idleStep = 0.0;
+        Deadlines idle;
+        /** Same-worker outputs full when the partition fell asleep. */
+        unsigned fullLocal = 0;
+        bool reached = false;
+        double doneTime = 0.0;
+
+        unsigned
+        fullNow() const
+        {
+            return unsigned(std::count_if(
+                localOut.begin(), localOut.end(),
+                [](const ChannelDesc *cd) { return cd->chan->full(); }));
+        }
+
+        /** A same-worker output full at the last tick has drained.
+         *  Nothing fills one while its producer sleeps, and its
+         *  consumer pops only at a tick, which no walk passes. */
+        bool drained() const { return fullLocal && fullNow() < fullLocal; }
     };
 
+    /** Edge (t, q) comes before edge (u, r) in (time, index) order. */
+    static bool before(double t, int q, double u, int r)
+    {
+        return t < u || (t == u && q < r);
+    }
+
     void workerMain(unsigned w);
+    /** Walk or tick @p p, its worker's earliest partition; returns
+     *  whether p's clock moved. */
     bool tryTick(int p);
-    /** Walk sleeping partition @p p's idle edges; @p moved tells
-     *  whether it walked any. Returns whether p may tick now. */
-    bool skipIdle(int p, bool &moved);
+    /** Walk sleeping partition @p p's idle edges; returns whether p
+     *  may tick now. */
+    bool skipIdle(int p);
     /** First host time at which an input can change what sleeping
      *  partition @p p's next tick sees. */
     double inputBound(int p) const;
     /** Sleeping partition @p p's deadlines, watchdog included. */
     Deadlines dueSet(int p) const;
-    bool inGatesOpen(int p, double T) const;
-    /** @p saw_full: some output channel is full at @p T. */
-    bool outGatesOpen(int p, double T, bool &saw_full) const;
+    /** Whether @p p may tick at @p T; @p saw_full: some cross-worker
+     *  output is full at @p T. */
+    bool gatesOpen(int p, double T, bool &saw_full) const;
     void publish(int p, double next_tick);
     void parkUntil(uint64_t gen);
     void pausePark(std::unique_lock<std::mutex> &lk);
@@ -268,9 +316,12 @@ class ParallelEngine
     EngineConfig cfg_;
     EngineHooks hooks_;
     std::vector<ChannelDesc> channels_;
-    std::vector<PartChannels> parts_;
-    /** Partitions per worker (static round-robin). */
+    std::vector<Part> parts_;
+    /** Partitions per worker (static round-robin), each kept sorted
+     *  in (time, index) order by its worker. */
     std::vector<std::vector<int>> mine_;
+    /** Channels whose two sides run on different workers. */
+    std::vector<const ChannelDesc *> crossChans_;
     unsigned workers_ = 1;
     int nparts_ = 0;
 
@@ -293,24 +344,6 @@ class ParallelEngine
     double stopTimeNs_ = 0.0; ///< written under mtx_
     uint64_t transientStalls_ = 0; ///< quiesced initiator only
     double deadlockNs_ = 0.0;      ///< quiesced initiator only
-
-    // --- per-partition state owned by the partition's worker ------
-    // (inspected by the quiesce initiator under full pause, which
-    // the engine mutex orders).
-    std::vector<double> nextTick_;
-    std::vector<double> lastProgress_;
-    /** Edge at which the partition last became suspect. */
-    std::vector<double> suspectEdge_;
-    /** Host time of the partition's last tick (-inf before any). */
-    std::vector<double> lastTick_;
-    /** Sleep state after a tick without progress (see file comment):
-     *  the step to the next edge, and when the partition must tick
-     *  again regardless of its channels. */
-    std::vector<char> asleep_;
-    std::vector<double> idleStep_;
-    std::vector<Deadlines> idle_;
-    std::vector<double> doneTime_;
-    std::vector<char> reached_;
 };
 
 } // namespace fireaxe::par

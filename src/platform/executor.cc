@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <set>
@@ -337,6 +335,7 @@ MultiFpgaSim::init()
         for (auto &model : models_)
             model->seedOutputs(0.0);
     }
+    nextTick_.assign(models_.size(), 0.0);
     initialized_ = true;
 }
 
@@ -505,26 +504,24 @@ MultiFpgaSim::sampleFmr(size_t p, double now)
         // other partitions' models may be mid-tick on their own
         // workers. The gauge is a running estimate; the exact final
         // value is set by finalizeTelemetry.
-        uint64_t min_cycles =
-            partTel_[0].targetCycles.load(std::memory_order_relaxed);
-        for (const auto &tel : partTel_)
-            min_cycles = std::min(
-                min_cycles,
-                tel.targetCycles.load(std::memory_order_relaxed));
         reg->gauge("sim.sim_rate_mhz")
-            .set(double(min_cycles) / now * 1000.0);
+            .set(double(publishedMinCycle()) / now * 1000.0);
     }
+}
+
+uint64_t
+MultiFpgaSim::publishedMinCycle() const
+{
+    uint64_t m = partTel_[0].targetCycles.load(std::memory_order_relaxed);
+    for (const auto &tel : partTel_)
+        m = std::min(m, tel.targetCycles.load(std::memory_order_relaxed));
+    return m;
 }
 
 void
 MultiFpgaSim::reportProgress(double now, uint64_t target_cycles)
 {
-    uint64_t min_cycles =
-        partTel_[0].targetCycles.load(std::memory_order_relaxed);
-    for (const auto &tel : partTel_)
-        min_cycles = std::min(
-            min_cycles,
-            tel.targetCycles.load(std::memory_order_relaxed));
+    uint64_t min_cycles = publishedMinCycle();
     double pct = target_cycles
                      ? 100.0 * double(min_cycles) / double(target_cycles)
                      : 0.0;
@@ -669,14 +666,7 @@ MultiFpgaSim::streamFlush(double now)
 {
     if (!stream_)
         return;
-    uint64_t cycle = 0;
-    if (!partTel_.empty()) {
-        cycle = partTel_[0].targetCycles.load(
-            std::memory_order_relaxed);
-        for (const auto &pt : partTel_)
-            cycle = std::min(cycle, pt.targetCycles.load(
-                                        std::memory_order_relaxed));
-    }
+    uint64_t cycle = partTel_.empty() ? 0 : publishedMinCycle();
     if (obs::TokenTraceCollector *tt = telemetry_->tokenTrace()) {
         std::vector<obs::TokenRecord> records = tt->drainFired();
         streamedTokenRecords_ += records.size();
@@ -691,11 +681,7 @@ MultiFpgaSim::maybeStreamFlush(double now)
 {
     if (!stream_ || streamEveryCycles_ == 0 || partTel_.empty())
         return;
-    uint64_t cycle =
-        partTel_[0].targetCycles.load(std::memory_order_relaxed);
-    for (const auto &pt : partTel_)
-        cycle = std::min(
-            cycle, pt.targetCycles.load(std::memory_order_relaxed));
+    uint64_t cycle = publishedMinCycle();
     if (cycle < nextStreamCycle_)
         return;
     while (nextStreamCycle_ <= cycle)
@@ -730,14 +716,6 @@ MultiFpgaSim::writeTrace(std::ostream &os) const
 }
 
 RunResult
-MultiFpgaSim::runOnce(uint64_t target_cycles)
-{
-    if (execConfig_.backend == ExecBackend::Parallel)
-        return runParallel(target_cycles);
-    return runSequential(target_cycles);
-}
-
-RunResult
 MultiFpgaSim::run(uint64_t target_cycles)
 {
     if (!initialized_)
@@ -748,15 +726,9 @@ MultiFpgaSim::run(uint64_t target_cycles)
         wallStartValid_ = true;
     }
 
-    if (nextTick_.size() != models_.size()) {
-        nextTick_.assign(models_.size(), 0.0);
-        lastProgress_ = 0.0;
-        now_ = 0.0;
-    }
-
     // Autosnapshot: chunk the run at snapshot boundaries. Each chunk
-    // ends at a quiesce point (the event loop returned, parallel
-    // workers joined, channels out of concurrent mode), which is
+    // ends at a quiesce point (the engine returned, its workers
+    // joined, channels out of concurrent mode), which is
     // exactly a consistent cut — so snapshotting between chunks
     // cannot perturb the token schedule or any result.
     uint64_t every = execConfig_.snapshotEveryCycles;
@@ -802,11 +774,11 @@ MultiFpgaSim::checkFailover(int p, double now)
     bool any = false;
     // Graceful degradation: a channel that exhausted its retry
     // budget fails over to host-managed PCIe (the transport that
-    // works anywhere) and keeps the run alive, just slower. Under
-    // the parallel backend each producer handles only its own
-    // out-channels (p >= 0), so failedOver stays single-writer.
+    // works anywhere) and keeps the run alive, just slower. Each
+    // producer handles only its own out-channels, so failedOver stays
+    // single-writer.
     for (auto &cs : channels_) {
-        if (p >= 0 && cs.srcPart != p)
+        if (cs.srcPart != p)
             continue;
         if (!cs.failedOver && cs.chan->linkFailed()) {
             auto host = transport::hostManagedPcie();
@@ -829,10 +801,7 @@ MultiFpgaSim::checkFailover(int p, double now)
 void
 MultiFpgaSim::finishRun(RunResult &result, double now)
 {
-    uint64_t min_cycles = models_[0]->minTargetCycle();
-    for (const auto &model : models_)
-        min_cycles = std::min(min_cycles, model->minTargetCycle());
-    result.targetCycles = min_cycles;
+    result.targetCycles = minCycleAll();
     result.hostTimeNs = now;
 
     for (const auto &cs : channels_) {
@@ -852,265 +821,37 @@ MultiFpgaSim::finishRun(RunResult &result, double now)
 }
 
 RunResult
-MultiFpgaSim::runSequential(uint64_t target_cycles)
-{
-    size_t num_parts = models_.size();
-    std::vector<double> &next_tick = nextTick_;
-    std::vector<double> period(num_parts);
-    double max_period = 0.0;
-    for (size_t p = 0; p < num_parts; ++p) {
-        period[p] = fpgas_[p].hostPeriodNs();
-        max_period = std::max(max_period, period[p]);
-    }
-
-    unsigned max_width = std::max(plan_.feedback.maxChannelWidth, 1u);
-    double deadlock_window =
-        10.0 * (transport::tokenLatencyNs(link_) +
-                transport::tokenSerNs(link_, max_width)) +
-        1000.0 * max_period + 1000.0;
-
-    RunResult result;
-    double &now = now_;
-    double &last_progress = lastProgress_;
-    last_progress = now;
-
-    auto allDone = [&]() {
-        for (const auto &model : models_)
-            if (model->minTargetCycle() < target_cycles)
-                return false;
-        return true;
-    };
-
-    // Next-event time advance (DESIGN.md §5k). A partition whose
-    // tick made no progress sleeps: until host time wake_ns[p] its
-    // channels cannot change on their own, so its tick is certain to
-    // return false. Its idle edges are skipped lazily, and only while
-    // they precede in (time, index) order the earliest tick any other
-    // partition may take. So next_tick[p] is, at every tick, exactly
-    // where the tick-by-tick loop has it, and every exit leaves it
-    // there.
-    std::vector<char> awake(num_parts, 1);
-    std::vector<double> wake_ns(num_parts, 0.0);
-
-    // What one partition does can change what another sees only
-    // through a shared channel. A duplicate the consumer discards
-    // frees a slot in the producer's full() without progress.
-    std::vector<std::vector<size_t>> peers(num_parts);
-    std::vector<std::vector<const libdn::TokenChannel *>> inbound(num_parts);
-    for (const auto &cs : channels_) {
-        size_t src = size_t(cs.srcPart), dst = size_t(cs.dstPart);
-        if (src != dst) {
-            peers[src].push_back(dst);
-            peers[dst].push_back(src);
-        }
-        inbound[dst].push_back(cs.chan.get());
-    }
-    for (auto &list : peers) {
-        std::sort(list.begin(), list.end());
-        list.erase(std::unique(list.begin(), list.end()), list.end());
-    }
-    auto discarded = [&](size_t p) {
-        uint64_t n = 0;
-        for (const auto *chan : inbound[p])
-            n += chan->duplicatesDiscarded();
-        return n;
-    };
-    std::vector<uint64_t> discards(num_parts);
-    for (size_t p = 0; p < num_parts; ++p)
-        discards[p] = discarded(p);
-
-    const obs::TelemetryConfig *tcfg =
-        telemetry_ ? &telemetry_->config() : nullptr;
-    bool report = tcfg && tcfg->progressIntervalNs > 0.0;
-    // A sleeping partition q ticks at the first edge at which its
-    // channels can change or one of the loop's deadlines falls due.
-    auto deadlines = [&](size_t q) {
-        par::Deadlines d = idleDeadlines(q, wake_ns[q], true);
-        d.watchdogFromNs = last_progress;
-        d.watchdogNs = deadlock_window;
-        return d;
-    };
-    // Skip sleeping partition p's idle edges up to the first that is
-    // due or that another partition may tick before.
-    auto skipIdle = [&](size_t p) {
-        double bound = std::numeric_limits<double>::infinity();
-        size_t bound_part = num_parts;
-        for (size_t q = 0; q < num_parts; ++q) {
-            if (q == p)
-                continue;
-            double t = awake[q] ? next_tick[q]
-                                : std::max(deadlines(q).floorNs(),
-                                           next_tick[q]);
-            if (t < bound) {
-                bound = t;
-                bound_part = q;
-            }
-        }
-        par::Deadlines d = deadlines(p);
-        double e = next_tick[p];
-        uint64_t n = 0;
-        bool woke;
-        while (!(woke = d.due(e)) &&
-               (e < bound || (e == bound && p < bound_part))) {
-            e += period[p];
-            ++n;
-        }
-        if (telemetry_)
-            creditIdleTicks(p, n, next_tick[p]);
-        next_tick[p] = e;
-        awake[p] = woke;
-    };
-
-    while (true) {
-        if (allDone())
-            break;
-
-        // Graceful shutdown: between events is a quiesce point, so
-        // breaking here leaves snapshot-able state (run() returning
-        // IS the run()-boundary the recovery contract names).
-        if (stopRequested_.load(std::memory_order_relaxed)) {
-            result.stopped = true;
-            break;
-        }
-
-        // Next partition tick in host time; a sleeping partition at
-        // the front skips ahead first.
-        size_t p;
-        while (true) {
-            p = 0;
-            for (size_t i = 1; i < num_parts; ++i)
-                if (next_tick[i] < next_tick[p])
-                    p = i;
-            if (awake[p])
-                break;
-            skipIdle(p);
-        }
-        now = next_tick[p];
-
-        uint64_t before = models_[p]->minTargetCycle();
-        bool progress = models_[p]->tick(now);
-        bool advanced = models_[p]->minTargetCycle() != before;
-
-        // FAME-5: a multi-threaded partition consumes N host cycles
-        // to simulate one target cycle across its threads.
-        double step = advanced ? period[p] * plan_.fame5Threads[p]
-                               : period[p];
-        next_tick[p] = now + step;
-
-        if (progress)
-            last_progress = now;
-        uint64_t seen = discarded(p);
-        if (progress || seen != discards[p]) {
-            discards[p] = seen;
-            for (size_t q : peers[p])
-                awake[q] = 1;
-        }
-
-        if (telemetry_) {
-            telemetryTick(p, now, step, progress, advanced);
-            maybeStreamFlush(now);
-            if (report &&
-                now - lastReportNs_ >= tcfg->progressIntervalNs) {
-                lastReportNs_ = now;
-                reportProgress(now, target_cycles);
-            }
-        }
-
-        if (faults_.enabled() && checkFailover(-1, now)) {
-            // A failover drops the channel's batching and its
-            // stop-and-wait stall, which the producer may be
-            // sleeping on.
-            std::fill(awake.begin(), awake.end(), 1);
-        }
-
-        if (now - last_progress > deadlock_window) {
-            // Watchdog: before declaring deadlock, check whether any
-            // channel holds a token that merely has not become
-            // visible yet (transient link stall, retransmission
-            // backoff in flight). A genuine LI-BDN deadlock has no
-            // such token anywhere — every partition waits on a
-            // channel nobody can fill.
-            bool in_flight = false;
-            for (const auto &cs : channels_) {
-                double t = cs.chan->headReadyTime();
-                if (t > now &&
-                    t < std::numeric_limits<double>::infinity()) {
-                    in_flight = true;
-                    break;
-                }
-            }
-            if (in_flight &&
-                transientStallEvents_ < 1000000) {
-                ++transientStallEvents_;
-                if (telemetry_ && telemetry_->tracer())
-                    telemetry_->tracer()->instant("transient-stall",
-                                                  "executor", now);
-                last_progress = now; // extend the watchdog window
-            } else {
-                result.deadlocked = true;
-                if (telemetry_ && telemetry_->tracer())
-                    telemetry_->tracer()->instant("deadlock",
-                                                  "executor", now);
-                result.diagnosis = buildDiagnosis(now);
-                warn("multi-FPGA simulation deadlocked at host "
-                     "time ", now, " ns (no token progress for ",
-                     deadlock_window, " ns)\n",
-                     result.diagnosis.summary);
-                break;
-            }
-        }
-        if (advanced && stopCondition_ && stopCondition_()) {
-            result.stopped = true;
-            break;
-        }
-
-        if (!progress) {
-            // Sleep until the channels can change on their own or a
-            // deadline falls due; a peer's progress wakes it sooner.
-            awake[p] = 0;
-            wake_ns[p] = models_[p]->wakeTimeNs(now);
-        }
-    }
-
-    finishRun(result, now);
-    return result;
-}
-
-RunResult
-MultiFpgaSim::runParallel(uint64_t target_cycles)
+MultiFpgaSim::runOnce(uint64_t target_cycles)
 {
     size_t num_parts = models_.size();
     RunResult result;
 
-    std::vector<double> period(num_parts);
-    double max_period = 0.0;
-    for (size_t p = 0; p < num_parts; ++p) {
-        period[p] = fpgas_[p].hostPeriodNs();
-        max_period = std::max(max_period, period[p]);
-    }
-
-    unsigned max_width = std::max(plan_.feedback.maxChannelWidth, 1u);
-    double deadlock_window =
-        10.0 * (transport::tokenLatencyNs(link_) +
-                transport::tokenSerNs(link_, max_width)) +
-        1000.0 * max_period + 1000.0;
-
-    bool all_done = true;
-    for (const auto &model : models_)
-        if (model->minTargetCycle() < target_cycles)
-            all_done = false;
-    if (all_done) {
-        // Mirror the sequential loop's immediate break: nothing
-        // ticks and host time stays where the previous run left it.
+    // Nothing ticks when every partition is at the target or a stop
+    // is pending; host time stays where the previous run left it.
+    if (minCycleAll() >= target_cycles ||
+        stopRequested_.load(std::memory_order_relaxed)) {
+        result.stopped = minCycleAll() < target_cycles;
         finishRun(result, now_);
         return result;
     }
 
-    // Switch every channel into concurrent mode and describe it to
-    // the engine. The lookahead must be the smallest delivery delay
-    // the channel can ever exhibit; a mid-run failover switches the
-    // timing to the host-managed-PCIe parameters, so take the min of
-    // the current and failover bounds.
+    std::vector<double> period(num_parts);
+    double max_period = 0.0;
+    for (size_t p = 0; p < num_parts; ++p) {
+        period[p] = fpgas_[p].hostPeriodNs();
+        max_period = std::max(max_period, period[p]);
+    }
+
+    unsigned max_width = std::max(plan_.feedback.maxChannelWidth, 1u);
+    double deadlock_window =
+        10.0 * (transport::tokenLatencyNs(link_) +
+                transport::tokenSerNs(link_, max_width)) +
+        1000.0 * max_period + 1000.0;
+
+    // Describe every channel to the engine. The lookahead must be the
+    // smallest delivery delay the channel can ever exhibit; a mid-run
+    // failover switches the timing to the host-managed-PCIe
+    // parameters, so take the min of the current and failover bounds.
     auto host = transport::hostManagedPcie();
     std::vector<par::ChannelDesc> descs;
     descs.reserve(channels_.size());
@@ -1125,23 +866,21 @@ MultiFpgaSim::runParallel(uint64_t target_cycles)
             transport::tokenSerNs(host, cs.chan->widthBits()) +
             transport::tokenLatencyNs(host);
         double lookahead = std::min(cur, fail) * (1.0 - 1e-9);
-        // Pop-log sizing: undrained pop records are bounded by the
-        // tokens physically present at the producer's last drain
-        // plus what it pushed since — at most the channel capacity
-        // plus a small duplicate margin (see libdn/channel.hh).
-        size_t log_cap = 2 * cs.chan->capacity() + 32;
-        cs.chan->enableConcurrent(cs.srcPart, cs.dstPart, log_cap);
         descs.push_back(
             {cs.chan.get(), cs.srcPart, cs.dstPart, lookahead});
     }
 
     par::EngineConfig ecfg;
-    ecfg.workers = execConfig_.workers;
+    ecfg.workers = execConfig_.backend == ExecBackend::Sequential
+                       ? 1
+                       : execConfig_.workers;
     ecfg.deadlockWindowNs = deadlock_window;
     ecfg.stressSeed = execConfig_.stressSeed;
     ecfg.startTickNs = nextTick_;
     ecfg.startTimeNs = now_;
 
+    // Partitions of worker 0; set once the engine exists.
+    std::vector<char> lead(num_parts);
     par::EngineHooks hooks;
     hooks.onTick = [&](int p, double now) -> par::TickResult {
         uint64_t before = models_[p]->minTargetCycle();
@@ -1151,12 +890,12 @@ MultiFpgaSim::runParallel(uint64_t target_cycles)
         double step = advanced ? period[p] * plan_.fame5Threads[p]
                                : period[p];
 
+        // Progress reports and stream flushes ride on the partitions
+        // of worker 0, so lastReportNs_ and the stream cursor stay
+        // single-writer. With one worker that is every partition.
         if (telemetry_) {
             telemetryTick(size_t(p), now, step, progress, advanced);
-            // Progress reporting and stream flushing ride on
-            // partition 0's worker so lastReportNs_ and the stream
-            // cursor stay single-writer.
-            if (p == 0) {
+            if (lead[size_t(p)]) {
                 maybeStreamFlush(now);
                 const obs::TelemetryConfig &tcfg =
                     telemetry_->config();
@@ -1176,7 +915,8 @@ MultiFpgaSim::runParallel(uint64_t target_cycles)
         r.progressed = progress;
         if (!progress && !failed_over)
             r.idle = idleDeadlines(size_t(p),
-                                   models_[p]->wakeTimeNs(now), p == 0);
+                                   models_[p]->wakeTimeNs(now),
+                                   lead[size_t(p)]);
         r.reachedTarget = after >= target_cycles;
         // Graceful shutdown: checked on every tick (not just target
         // advances) so a stalled partition still drains promptly.
@@ -1212,16 +952,14 @@ MultiFpgaSim::runParallel(uint64_t target_cycles)
              " ns)\n", result.diagnosis.summary);
     };
 
-    par::ParallelEngine engine(std::move(ecfg), std::move(hooks),
-                               std::move(descs));
-    par::EngineResult er = engine.run();
-
-    for (auto &cs : channels_)
-        cs.chan->disableConcurrent();
+    par::ParallelEngine eng(std::move(ecfg), std::move(hooks),
+                            std::move(descs));
+    for (size_t p = 0; p < num_parts; ++p)
+        lead[p] = eng.workerOf(int(p)) == 0;
+    par::EngineResult er = eng.run();
 
     nextTick_ = er.nextTickNs;
     now_ = er.hostTimeNs;
-    lastProgress_ = now_;
     result.stopped = er.stopped;
     finishRun(result, er.hostTimeNs);
     return result;
@@ -1285,16 +1023,10 @@ MultiFpgaSim::acquireRecoveryPoint()
 {
     if (!initialized_)
         init();
-    if (nextTick_.size() != models_.size()) {
-        nextTick_.assign(models_.size(), 0.0);
-        lastProgress_ = 0.0;
-        now_ = 0.0;
-    }
 
     recovery::RecoveryPoint rp;
     rp.valid = true;
     rp.nowNs = now_;
-    rp.lastProgressNs = lastProgress_;
     rp.nextTickNs = nextTick_;
     rp.transientStallEvents = transientStallEvents_;
     rp.linkFailovers = linkFailovers_.load(std::memory_order_relaxed);
@@ -1391,7 +1123,6 @@ MultiFpgaSim::applyRecoveryPoint(const recovery::RecoveryPoint &rp,
         channels_[c].failedOver = rp.channels[c].failedOver;
     }
     now_ = rp.nowNs;
-    lastProgress_ = rp.lastProgressNs;
     nextTick_ = rp.nextTickNs;
     transientStallEvents_ = rp.transientStallEvents;
     linkFailovers_.store(rp.linkFailovers,
@@ -1520,8 +1251,9 @@ MultiFpgaSim::snapshot(const std::string &dir, std::string &error)
     {
         std::ostringstream os;
         os << "fireaxe-exec 1\n";
-        os << doubleBits(rp.nowNs) << " "
-           << doubleBits(rp.lastProgressNs) << " "
+        // The second slot once held the retired run loop's
+        // last-progress time; it stays so older snapshots load.
+        os << doubleBits(rp.nowNs) << " " << doubleBits(rp.nowNs) << " "
            << rp.transientStallEvents << " " << rp.linkFailovers
            << "\n";
         os << rp.nextTickNs.size();
@@ -1563,11 +1295,6 @@ MultiFpgaSim::restore(const std::string &dir, std::string &error)
 {
     if (!initialized_)
         init();
-    if (nextTick_.size() != models_.size()) {
-        nextTick_.assign(models_.size(), 0.0);
-        lastProgress_ = 0.0;
-        now_ = 0.0;
-    }
 
     recovery::SnapshotStore store(dir);
     recovery::Manifest manifest;
@@ -1619,9 +1346,9 @@ MultiFpgaSim::restore(const std::string &dir, std::string &error)
         std::string magic;
         unsigned version = 0;
         is >> magic >> version;
-        uint64_t now_b = 0, progress_b = 0;
+        uint64_t now_b = 0, unused_b = 0;
         size_t nticks = 0;
-        is >> now_b >> progress_b >> rp.transientStallEvents >>
+        is >> now_b >> unused_b >> rp.transientStallEvents >>
             rp.linkFailovers >> nticks;
         if (magic != "fireaxe-exec" || version != 1 || !is ||
             nticks != models_.size()) {
@@ -1629,7 +1356,6 @@ MultiFpgaSim::restore(const std::string &dir, std::string &error)
             return false;
         }
         rp.nowNs = bitsToDouble(now_b);
-        rp.lastProgressNs = bitsToDouble(progress_b);
         rp.nextTickNs.resize(nticks);
         for (auto &t : rp.nextTickNs) {
             uint64_t b = 0;

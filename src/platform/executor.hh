@@ -6,7 +6,7 @@
  * partition on its own simulated host FPGA (with its own bitstream
  * clock), wires the planned channels through a transport's
  * serialization/latency model, and executes everything in host time
- * with a discrete-event loop.
+ * on the conservative discrete-event engine in src/par.
  *
  * Two things fall out of the same execution:
  *  - functional results — the partitions exchange real tokens, so
@@ -193,17 +193,14 @@ unsigned defaultBatchDepth();
  *  FIREAXE_PIPELINED_EPOCHS is set to 0/false/off. */
 bool defaultPipelinedEpochs();
 
-/** How MultiFpgaSim::run() executes the partitions. */
+/** How many workers of the src/par engine MultiFpgaSim::run() uses;
+ *  every observable result is bit-identical either way. */
 enum class ExecBackend
 {
-    /** One host thread, global discrete-event loop (the reference
-     *  schedule). */
+    /** One worker, on the calling thread. */
     Sequential,
-    /** One worker thread per partition (pool capped at the hardware
-     *  concurrency) over the conservative parallel engine in
-     *  src/par. Observable results — token streams, monitor
-     *  callbacks, target cycle counts, RunResult::hostTimeNs — are
-     *  bit-identical to the sequential backend. */
+    /** ExecConfig::workers worker threads (0 = one per partition,
+     *  capped at the hardware concurrency). */
     Parallel,
 };
 
@@ -211,7 +208,7 @@ enum class ExecBackend
 struct ExecConfig
 {
     ExecBackend backend = ExecBackend::Sequential;
-    /** Parallel worker threads; 0 = min(partitions,
+    /** Parallel-backend worker threads; 0 = min(partitions,
      *  hardware_concurrency). */
     unsigned workers = 0;
     /**
@@ -555,10 +552,9 @@ class MultiFpgaSim
     };
 
     /** Per-partition telemetry state (only used when telemetry_).
-     *  All fields are written by the partition's owning thread (the
-     *  main thread sequentially, the partition's worker in
-     *  parallel); the two atomics are additionally *read*
-     *  cross-thread by sim-rate sampling and progress reporting. */
+     *  All fields are written by the partition's worker; the two
+     *  atomics are additionally *read* cross-thread by sim-rate
+     *  sampling and progress reporting. */
     struct PartTelemetry
     {
         /** Host cycles charged to this partition so far. */
@@ -597,43 +593,38 @@ class MultiFpgaSim
     /** Charge @p n host edges on which partition @p p made no
      *  progress, the first at @p first_edge: host cycles, wait ticks
      *  and the wait-for-tokens span they open. Used for each tick
-     *  without progress and for the edges either loop skips. */
+     *  without progress and for the edges the engine skips. */
     void creditIdleTicks(size_t p, uint64_t n, double first_edge);
     /** When sleeping partition @p p must tick again although its
      *  channels stay unchanged: its @p wake_ns, and with telemetry its
-     *  next FMR sample and, if it @p reports, the next progress
-     *  report. The watchdog is each loop's own (DESIGN.md §5k). */
+     *  next FMR sample and, if it @p reports (runs on worker 0), the
+     *  next progress report. The engine adds the watchdog. */
     par::Deadlines idleDeadlines(size_t p, double wake_ns,
                                  bool reports) const;
     /** Periodic FMR sample for partition @p p plus the sim-rate
      *  gauge; runs on the partition's owning thread. */
     void sampleFmr(size_t p, double now);
+    /** Minimum published target cycle across partitions (any thread). */
+    uint64_t publishedMinCycle() const;
     /** One progress-report line to the configured sink. */
     void reportProgress(double now, uint64_t target_cycles);
     /** Final gauges + snapshot into @p result. */
     void finalizeTelemetry(RunResult &result, double now);
     /** Streaming telemetry: emit a tokens + metrics chunk when the
      *  slowest partition crossed the next stream boundary. Called
-     *  from the single-writer seam of each backend (the main loop
-     *  sequentially, partition 0's worker in parallel). */
+     *  only after ticks of worker 0's partitions (single writer). */
     void maybeStreamFlush(double now);
     /** Unconditional stream chunk (drain + tokens + metrics line). */
     void streamFlush(double now);
-    /** The single-threaded discrete-event loop, with next-event
-     *  time advance over idle host edges (DESIGN.md §5k). */
-    RunResult runSequential(uint64_t target_cycles);
-    /** The same schedule on the src/par worker-thread engine. */
-    RunResult runParallel(uint64_t target_cycles);
     /** Shared result tail: fault-stat aggregation, degradation
      *  flags, telemetry finalization. */
     void finishRun(RunResult &result, double now);
     /** Fail partition @p p's retry-exhausted output channels over to
-     *  host-managed PCIe; p < 0 scans every channel. Runs on the
-     *  producing partition's owning thread. Returns whether any
-     *  channel failed over. */
+     *  host-managed PCIe, on p's worker. Returns whether any channel
+     *  failed over. */
     bool checkFailover(int p, double now);
-    /** One event-loop execution to @p target_cycles on the selected
-     *  backend (no autosnapshot chunking). */
+    /** One engine run to @p target_cycles with the selected worker
+     *  count (no autosnapshot chunking). */
     RunResult runOnce(uint64_t target_cycles);
     /** FNV-1a over the printed partition circuits. */
     uint64_t designHash() const;
@@ -696,7 +687,6 @@ class MultiFpgaSim
     // Host-time state persists across run() calls, so simulations
     // can be resumed with a larger target-cycle goal.
     std::vector<double> nextTick_;
-    double lastProgress_ = 0.0;
     double now_ = 0.0;
     // Recovery bookkeeping (see the recovery section above).
     uint64_t snapshotCount_ = 0;

@@ -4,9 +4,8 @@
  *
  * A RecoveryPoint is an in-memory consistent cut of a whole
  * multi-FPGA run, captured at a quiesce point (between
- * MultiFpgaSim::run() calls both backends are fully quiesced: the
- * sequential loop is between events, the parallel engine has joined
- * its workers and left concurrent channel mode). It holds, per
+ * MultiFpgaSim::run() calls the engine has returned, its workers have
+ * joined and every channel has left concurrent mode). It holds, per
  * partition, the simulator checkpoint and LI-BDN FSM state, and per
  * channel the full in-flight/retransmit/fault-RNG state — everything
  * needed to rewind the world, durably persist it (recovery::
@@ -61,7 +60,6 @@ struct RecoveryPoint
 {
     bool valid = false;
     double nowNs = 0.0;
-    double lastProgressNs = 0.0;
     std::vector<double> nextTickNs;
     uint64_t transientStallEvents = 0;
     unsigned linkFailovers = 0;

@@ -118,8 +118,7 @@ class FaultModel
      * would make the draw order — and hence the entire fault
      * schedule — depend on thread interleaving. Substreams are
      * derived from (seed, channel, stream) only, so a given side
-     * sees the same schedule at any worker count, including the
-     * sequential executor.
+     * sees the same schedule at any worker count, one included.
      */
     Rng channelRng(const std::string &channel_name,
                    const std::string &stream) const;

@@ -22,10 +22,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 
+#include "obs/json.hh"
 #include "obs/jsonparse.hh"
-#include "sweep_common.hh"
+#include "obs/runid.hh"
+#include "platform/executor.hh"
 #include "svc/jobrunner.hh"
 #include "svc/jobspec.hh"
 #include "svc/protocol.hh"
@@ -151,28 +155,30 @@ appendJsonRow(const std::string &json_path, const svc::JobSpec &spec,
 {
     // One JSON object per line, appended — sweep tooling treats the
     // file as JSONL. The identity prefix is the uniform one from
-    // bench/sweep_common.hh.
+    // obs/runid.hh.
     std::string engine = spec.engine.empty()
                              ? rtlsim::toString(
                                    rtlsim::defaultEvalEngine())
                              : spec.engine;
-    unsigned batch_depth = effectiveBatchDepth(spec);
-    bench::JsonRow row;
-    bench::addRunIdentity(row, "fireaxe.run.v1", spec.target,
-                          o.planHash, o.artifactHash, spec.backend,
-                          engine, spec.workers, batch_depth);
-    row.field("mode", spec.mode)
-        .field("cycles", o.result.targetCycles)
-        .field("resume_cycle", o.resumeCycle)
-        .field("trace_hash", o.traceHash)
-        .field("final_sig", o.finalSig)
-        .field("snapshots", o.snapshots)
-        .field("snapshot_bytes", o.snapshotBytes)
-        .field("snapshot_wall_ms", o.snapshotWallMs)
-        .field("host_time_ns", o.result.hostTimeNs)
-        .field("sim_rate_mhz", o.result.simRateMhz())
-        .field("retransmits", o.result.retransmits)
-        .field("deadlocked", o.result.deadlocked);
+    std::ostringstream row;
+    obs::JsonWriter w(row);
+    w.beginObject();
+    obs::addRunIdentity(w, "fireaxe.run.v1", spec.target, o.planHash,
+                        o.artifactHash, spec.backend, engine,
+                        spec.workers, effectiveBatchDepth(spec));
+    w.field("mode", std::string_view(spec.mode));
+    w.field("cycles", o.result.targetCycles);
+    w.field("resume_cycle", o.resumeCycle);
+    w.field("trace_hash", o.traceHash);
+    w.field("final_sig", o.finalSig);
+    w.field("snapshots", o.snapshots);
+    w.field("snapshot_bytes", o.snapshotBytes);
+    w.field("snapshot_wall_ms", o.snapshotWallMs);
+    w.field("host_time_ns", o.result.hostTimeNs);
+    w.field("sim_rate_mhz", o.result.simRateMhz());
+    w.field("retransmits", o.result.retransmits);
+    w.field("deadlocked", o.result.deadlocked);
+    w.endObject();
     std::ofstream js(json_path, std::ios::app);
     js << row.str() << "\n";
 }
