@@ -652,6 +652,77 @@ TEST(Restore, WrongTokenLengthIsRejectedBeforeAnyStateCommits)
     fs::remove_all(dir);
 }
 
+TEST(Restore, ExecShardSecondSlotIsIgnored)
+{
+    // The executor shard's second field once held the last-progress
+    // time of a retired run loop, which older snapshots still carry.
+    // Whatever it holds, here a value no run writes, a resume must
+    // equal the uninterrupted run.
+    auto soc = fourTileSoc();
+    auto plan = threeWayPlan(soc);
+    auto faults = transport::FaultConfig::uniform(2e-3, 42);
+    GoldenRun golden = goldenRun(soc, ExecConfig{}, 400, &faults);
+    ASSERT_FALSE(golden.result.deadlocked);
+    EXPECT_GT(golden.result.retransmits, 0u);
+    std::string dir = tempDir();
+    std::string error;
+    {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.setFaultModel(faults);
+        sim.run(200);
+        ASSERT_TRUE(sim.snapshot(dir, error)) << error;
+    }
+    {
+        recovery::SnapshotStore store(dir);
+        recovery::Manifest m;
+        ASSERT_TRUE(store.loadManifest(m, error)) << error;
+        std::vector<std::string> shards(m.shards.size());
+        for (size_t i = 0; i < shards.size(); ++i)
+            ASSERT_TRUE(store.readShard(m, i, shards[i], error)) << error;
+        // "fireaxe-exec 1\n<now> <second slot> ..."
+        std::string &exec = shards.back();
+        size_t first = exec.find('\n') + 1;
+        size_t second = exec.find(' ', first) + 1;
+        size_t end = exec.find(' ', second);
+        ASSERT_EQ(exec.substr(0, first), "fireaxe-exec 1\n");
+        // Written as a copy of the first slot, the host time.
+        ASSERT_EQ(exec.substr(second, end - second),
+                  exec.substr(first, second - 1 - first));
+        exec.replace(second, end - second,
+                     std::to_string(std::bit_cast<uint64_t>(-1e300)));
+        uint64_t bytes = 0;
+        ASSERT_TRUE(store.commit(m, shards, bytes, error)) << error;
+    }
+
+    for (ExecConfig exec : {ExecConfig{}, ExecConfig::parallel(2)}) {
+        SCOPED_TRACE(exec.backend == ExecBackend::Sequential
+                         ? "sequential"
+                         : "parallel");
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.setFaultModel(faults);
+        sim.setExecConfig(exec);
+        CycleTrace trace0, trace1;
+        sim.setMonitor(0, recorder(trace0));
+        sim.setMonitor(1, recorder(trace1));
+        ASSERT_TRUE(sim.restore(dir, error)) << error;
+        auto r = sim.run(400);
+        ASSERT_FALSE(r.deadlocked);
+        EXPECT_EQ(r.targetCycles, golden.result.targetCycles);
+        EXPECT_EQ(std::bit_cast<uint64_t>(r.hostTimeNs),
+                  std::bit_cast<uint64_t>(golden.result.hostTimeNs));
+        EXPECT_EQ(r.retransmits, golden.result.retransmits);
+        EXPECT_GT(trace0.size(), 0u);
+        expectTraceSubset(golden.trace0, trace0);
+        expectTraceSubset(golden.trace1, trace1);
+        settle(sim, 425);
+        EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
+                  golden.signature);
+    }
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------
 // Autosnapshot: chunked run() with unchanged results
 // ---------------------------------------------------------------
