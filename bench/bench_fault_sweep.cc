@@ -62,7 +62,6 @@ runPoint(const firrtl::Circuit &soc,
          uint64_t cycles,
          const obs::TelemetryConfig *telemetry = nullptr,
          std::ostream *metrics_os = nullptr,
-         std::ostream *trace_os = nullptr,
          const platform::ExecConfig *exec = nullptr)
 {
     ripper::PartitionSpec spec;
@@ -90,8 +89,6 @@ runPoint(const firrtl::Circuit &soc,
     auto result = sim.run(cycles);
     if (metrics_os)
         sim.writeMetricsJson(*metrics_os);
-    if (trace_os)
-        sim.writeTrace(*trace_os);
 
     FaultPoint point;
     point.planHash = sim.planHash();
@@ -149,8 +146,7 @@ main(int argc, char **argv)
         std::vector<FaultPoint> points;
         for (const auto &link : links)
             points.push_back(runPoint(soc, mono, link, rate, cycles,
-                                      nullptr, nullptr, nullptr,
-                                      exec));
+                                      nullptr, nullptr, exec));
         for (size_t i = 0; i < points.size(); ++i) {
             double rate_val = points[i].simRateMhz;
             if (i == 2)
@@ -183,23 +179,14 @@ main(int argc, char **argv)
     std::cout << "\nEvery row must report bit-exact = yes: injected"
                  " faults only cost simulation rate.\n";
 
-    // Telemetry showcase: re-run the qsfp @ 1e-3 point with the full
-    // telemetry bundle and export the metrics snapshot and Chrome
-    // trace for offline inspection (CI validates both parse).
-    if (!args.metricsJsonPath.empty() || !args.tracePath.empty()) {
-        obs::TelemetryConfig tcfg = obs::TelemetryConfig::full();
-        std::ofstream metrics_os, trace_os;
-        std::ostream *mp = nullptr, *tp = nullptr;
-        if (!args.metricsJsonPath.empty()) {
-            metrics_os.open(args.metricsJsonPath);
-            mp = &metrics_os;
-        }
-        if (!args.tracePath.empty()) {
-            trace_os.open(args.tracePath);
-            tp = &trace_os;
-        }
+    // Telemetry showcase: re-run the qsfp @ 1e-3 point with metrics
+    // on and export the snapshot for offline inspection (CI
+    // validates it parses).
+    if (!args.metricsJsonPath.empty()) {
+        obs::TelemetryConfig tcfg;
+        std::ofstream metrics_os(args.metricsJsonPath);
         auto pt = runPoint(soc, mono, transport::qsfpAurora(), 1e-3,
-                           cycles, &tcfg, mp, tp, exec);
+                           cycles, &tcfg, &metrics_os, exec);
         std::cout << "\ntelemetry showcase (qsfp @ 1e-3/token): "
                   << TextTable::num(pt.simRateMhz, 3) << " MHz, "
                   << pt.retransmits << " retransmits, bit-exact "

@@ -196,7 +196,6 @@ class JsonRows
  *   --json PATH          per-row results as a JSON array
  *   --metrics-json PATH  telemetry metrics snapshot (benches that
  *                        run a telemetry showcase)
- *   --trace PATH         Chrome trace_event JSON of the same run
  *   --cycles N           override the bench's target-cycle count
  *   --snapshot-every N   autosnapshot the bench run every N target
  *                        cycles (crash-consistent; see src/recovery)
@@ -209,7 +208,6 @@ struct BenchArgs
 {
     std::string jsonPath;
     std::string metricsJsonPath;
-    std::string tracePath;
     uint64_t cycles = 0; ///< 0 = keep the bench default
     uint64_t snapshotEvery = 0;
     std::string snapshotDir;
@@ -229,8 +227,6 @@ struct BenchArgs
                 args.jsonPath = need(i++);
             else if (!std::strcmp(argv[i], "--metrics-json"))
                 args.metricsJsonPath = need(i++);
-            else if (!std::strcmp(argv[i], "--trace"))
-                args.tracePath = need(i++);
             else if (!std::strcmp(argv[i], "--cycles"))
                 args.cycles = std::strtoull(need(i++), nullptr, 10);
             else if (!std::strcmp(argv[i], "--snapshot-every"))
@@ -242,7 +238,7 @@ struct BenchArgs
                 args.resumeFrom = need(i++);
             else
                 fatal("unknown argument '", argv[i],
-                      "' (expected --json/--metrics-json/--trace/"
+                      "' (expected --json/--metrics-json/"
                       "--cycles/--snapshot-every/--snapshot-dir/"
                       "--resume-from)");
         }

@@ -124,7 +124,7 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
         txStats_.add("link_stalls");
         txStats_.add("stall_ns_total", uint64_t(stall));
         if (probe_)
-            probe_->onEvent("stall", now);
+            probe_->onEvent("stall");
     }
 
     double depart = std::max(now, serializer_->lastDepart) + stall +
@@ -139,11 +139,11 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
     while (ev.drop) {
         txStats_.add("tokens_dropped");
         if (probe_)
-            probe_->onEvent("drop", now);
+            probe_->onEvent("drop");
         if (tries >= faults_.config().maxRetries) {
             txStats_.add("retry_budget_exhausted");
             if (probe_)
-                probe_->onEvent("retry_exhausted", now);
+                probe_->onEvent("retry_exhausted");
             failed_.store(true, std::memory_order_relaxed);
             break;
         }
@@ -153,7 +153,7 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
         txStats_.add("retransmits");
         txStats_.add("retransmits_timeout");
         if (probe_)
-            probe_->onEvent("retransmit_timeout", now);
+            probe_->onEvent("retransmit_timeout");
         serializer_->lastDepart += unit_ser;
         ev = drawFault(txRng_);
     }
@@ -166,7 +166,7 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
         // will catch it and NAK.
         txStats_.add("tokens_corrupted");
         if (probe_)
-            probe_->onEvent("corrupt", now);
+            probe_->onEvent("corrupt");
         flip_word = (ev.corruptBit / 64) % token.size();
         flip_mask = uint64_t(1) << (ev.corruptBit % 64);
     }
@@ -174,7 +174,7 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
     if (duplicate) {
         txStats_.add("tokens_duplicated");
         if (probe_)
-            probe_->onEvent("duplicate", now);
+            probe_->onEvent("duplicate");
         serializer_->lastDepart += unit_ser;
     }
     if (depth > 1 && !pipelined_)
@@ -221,7 +221,7 @@ TokenChannel::poll(double now) const
             // already-delivered token.
             rxStats_.add("duplicates_discarded");
             if (probe_)
-                probe_->onEvent("duplicate_discarded", now);
+                probe_->onEvent("duplicate_discarded");
             queue_.popFront();
             if (concurrent_)
                 logPop(now);
@@ -233,8 +233,8 @@ TokenChannel::poll(double now) const
                 rxStats_.add("crc_errors");
                 rxStats_.add("naks");
                 if (probe_) {
-                    probe_->onEvent("crc_error", now);
-                    probe_->onEvent("nak", now);
+                    probe_->onEvent("crc_error");
+                    probe_->onEvent("nak");
                 }
                 // The retransmitted copy takes the corrupted head's
                 // slot: occupancy is unchanged, so there is nothing
@@ -273,7 +273,7 @@ TokenChannel::scheduleRetransmit(Entry &head, double now) const
         rxStats_.add("retransmits");
         rxStats_.add("retransmits_nak");
         if (probe_)
-            probe_->onEvent("retransmit_nak", now);
+            probe_->onEvent("retransmit_nak");
         // Batched channels retransmit at frame granularity: a NAKed
         // boundary token resends the whole epoch's frame.
         delay += frameSerNs() + latency();
@@ -283,11 +283,11 @@ TokenChannel::scheduleRetransmit(Entry &head, double now) const
         rxStats_.add(ev.drop ? "tokens_dropped"
                              : "tokens_corrupted");
         if (probe_)
-            probe_->onEvent(ev.drop ? "drop" : "corrupt", now);
+            probe_->onEvent(ev.drop ? "drop" : "corrupt");
         if (tries >= faults_.config().maxRetries) {
             rxStats_.add("retry_budget_exhausted");
             if (probe_)
-                probe_->onEvent("retry_exhausted", now);
+                probe_->onEvent("retry_exhausted");
             failed_.store(true, std::memory_order_relaxed);
             break;
         }

@@ -389,8 +389,12 @@ LIBDNModel::tryLoadFsm(std::istream &is, std::string &error)
         std::vector<bool> fired;
         rtlsim::SeqState seq;
     };
+    // Every length must match this partition's own state shape before
+    // it sizes a buffer.
     std::vector<ThreadCkpt> loaded(threads);
-    for (auto &tc : loaded) {
+    for (unsigned t = 0; t < threads; ++t) {
+        ThreadCkpt &tc = loaded[t];
+        const rtlsim::SeqState &own = threads_[t].seq;
         size_t nfired = 0;
         is >> tc.cycle >> nfired;
         if (!is || nfired != outSpecs_.size())
@@ -403,23 +407,23 @@ LIBDNModel::tryLoadFsm(std::istream &is, std::string &error)
         }
         size_t nregs = 0;
         is >> nregs;
-        if (!is || nregs > (1u << 26))
-            return fail("truncated FSM checkpoint thread state");
+        if (!is || nregs != own.regValues.size())
+            return fail("FSM checkpoint register shape mismatch");
         tc.seq.regValues.resize(nregs);
         for (auto &v : tc.seq.regValues)
             is >> v;
         size_t nmems = 0;
         is >> nmems;
-        if (!is || nmems > (1u << 20))
-            return fail("truncated FSM checkpoint thread state");
+        if (!is || nmems != own.memContents.size())
+            return fail("FSM checkpoint memory shape mismatch");
         tc.seq.memContents.resize(nmems);
-        for (auto &mem : tc.seq.memContents) {
+        for (size_t m = 0; m < nmems; ++m) {
             size_t depth = 0;
             is >> depth;
-            if (!is || depth > (1u << 26))
-                return fail("truncated FSM checkpoint memory");
-            mem.resize(depth);
-            for (auto &v : mem)
+            if (!is || depth != own.memContents[m].size())
+                return fail("FSM checkpoint memory shape mismatch");
+            tc.seq.memContents[m].resize(depth);
+            for (auto &v : tc.seq.memContents[m])
                 is >> v;
         }
         if (!is)

@@ -4,27 +4,10 @@
 
 namespace fireaxe::obs {
 
-namespace {
-
-/** Fault injections vs recovery machinery: categorize for the trace
- *  so Perfetto can filter them independently. */
-const char *
-eventCategory(const std::string &kind)
-{
-    if (kind == "drop" || kind == "corrupt" || kind == "duplicate" ||
-        kind == "stall") {
-        return "fault";
-    }
-    return "reliability";
-}
-
-} // namespace
-
 ChannelProbe::ChannelProbe(std::string channel_name, int src_part,
-                           int dst_part, MetricsRegistry *registry,
-                           Tracer *tracer)
+                           int dst_part, MetricsRegistry *registry)
     : name_(std::move(channel_name)), srcPart_(src_part),
-      dstPart_(dst_part), registry_(registry), tracer_(tracer)
+      dstPart_(dst_part), registry_(registry)
 {
     if (registry_) {
         const std::string base = "chan." + name_ + ".";
@@ -51,25 +34,20 @@ ChannelProbe::onRetire(double now, double enq_time)
 }
 
 void
-ChannelProbe::onEvent(const char *kind, double now)
+ChannelProbe::onEvent(const char *kind)
 {
-    if (registry_) {
-        Counter *c;
-        {
-            std::lock_guard<std::mutex> lock(eventMtx_);
-            Counter *&slot = eventCounters_[kind];
-            if (!slot) {
-                slot = &registry_->counter("chan." + name_ +
-                                           ".events." + kind);
-            }
-            c = slot;
-        }
-        c->add();
+    if (!registry_)
+        return;
+    Counter *c;
+    {
+        std::lock_guard<std::mutex> lock(eventMtx_);
+        Counter *&slot = eventCounters_[kind];
+        if (!slot)
+            slot = &registry_->counter("chan." + name_ + ".events." +
+                                       kind);
+        c = slot;
     }
-    if (tracer_) {
-        tracer_->instant(std::string(name_) + ":" + kind,
-                         eventCategory(kind), now, srcPart_);
-    }
+    c->add();
 }
 
 void

@@ -7,9 +7,9 @@
  * ChannelProbe pointer and reports three things: token enqueued,
  * token retired, and named reliability/fault events.
  * The probe translates those into registry metrics under
- * "chan.<name>.*" and tracer instants on the source partition's
- * track. A null probe (the default) costs the channel a single
- * branch per operation.
+ * "chan.<name>.*" and, when a token-trace collector is bound, causal
+ * token records. A null probe (the default) costs the channel a
+ * single branch per operation.
  */
 
 #ifndef FIREAXE_OBS_PROBE_HH
@@ -21,26 +21,24 @@
 
 #include "obs/metrics.hh"
 #include "obs/tokentrace.hh"
-#include "obs/trace.hh"
 
 namespace fireaxe::obs {
 
 class ChannelProbe
 {
   public:
-    /** Either sink may be null; the probe degrades gracefully to
-     *  counting only, tracing only, or nothing. */
+    /** A null registry leaves the probe feeding only a token-trace
+     *  collector bound later, or nothing. */
     ChannelProbe(std::string channel_name, int src_part,
-                 int dst_part, MetricsRegistry *registry,
-                 Tracer *tracer);
+                 int dst_part, MetricsRegistry *registry);
 
     const std::string &channelName() const { return name_; }
 
     /** Does this probe feed token counters/histograms? False without
      *  a metrics registry; callers use this to skip the occupancy /
      *  enqueue-time bookkeeping the metrics hooks would consume, so
-     *  a trace-only or token-trace-only probe stays off the enqueue
-     *  and retire fast paths. */
+     *  a token-trace-only probe stays off the enqueue and retire
+     *  fast paths. */
     bool countsTokens() const { return registry_ != nullptr; }
 
     /** A token entered the channel at host time @p now;
@@ -56,10 +54,9 @@ class ChannelProbe
      * A named reliability or fault event ("drop", "corrupt",
      * "duplicate", "stall", "crc_error", "nak", "retransmit_timeout",
      * "retransmit_nak", "duplicate_discarded", "retry_exhausted",
-     * "failover"). Counted under chan.<name>.events.<kind> and
-     * emitted as a tracer instant.
+     * "failover"). Counted under chan.<name>.events.<kind>.
      */
-    void onEvent(const char *kind, double now);
+    void onEvent(const char *kind);
 
     /**
      * Attach the channel to a token-trace collector: registers it in
@@ -107,7 +104,6 @@ class ChannelProbe
     int srcPart_;
     int dstPart_;
     MetricsRegistry *registry_;
-    Tracer *tracer_;
     TokenTraceCollector *tokenTrace_ = nullptr;
     int tokenChanId_ = -1;
 

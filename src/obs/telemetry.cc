@@ -24,8 +24,6 @@ Telemetry::Telemetry(const TelemetryConfig &cfg) : cfg_(cfg)
         registry_ = std::make_unique<MetricsRegistry>(
             cfg_.histogramReservoirCap);
     }
-    if (cfg_.tracing)
-        tracer_ = std::make_unique<Tracer>(cfg_.traceCapacity);
     if (cfg_.tokenTrace) {
         tokenTrace_ = std::make_unique<TokenTraceCollector>(
             cfg_.tokenSampleEvery, cfg_.tokenTraceCapacity);
@@ -37,7 +35,7 @@ Telemetry::makeChannelProbe(const std::string &name, int src_part,
                             int dst_part)
 {
     probes_.push_back(std::make_unique<ChannelProbe>(
-        name, src_part, dst_part, registry_.get(), tracer_.get()));
+        name, src_part, dst_part, registry_.get()));
     if (tokenTrace_)
         probes_.back()->bindTokenTrace(tokenTrace_.get());
     return probes_.back().get();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Telemetry bundle: one object owning the metrics registry, the
- * event tracer, and the per-channel probes of a simulation, plus the
- * configuration every bench and test uses to opt in uniformly
- * (platform::MultiFpgaSim::setTelemetry).
+ * token-trace collector, and the per-channel probes of a simulation,
+ * plus the configuration every bench and test uses to opt in
+ * uniformly (platform::MultiFpgaSim::setTelemetry).
  *
  * Everything defaults to off: a MultiFpgaSim without telemetry pays
  * only null-pointer checks on the hot paths.
@@ -20,7 +20,6 @@
 #include "obs/metrics.hh"
 #include "obs/probe.hh"
 #include "obs/tokentrace.hh"
-#include "obs/trace.hh"
 
 namespace fireaxe::obs {
 
@@ -28,10 +27,6 @@ struct TelemetryConfig
 {
     /** Collect registry metrics (counters/gauges/histograms). */
     bool metrics = true;
-    /** Collect trace events (ring buffer, Chrome JSON export). */
-    bool tracing = false;
-    /** Trace ring-buffer capacity (events); oldest overwritten. */
-    size_t traceCapacity = Tracer::kDefaultCapacity;
     /** Default histogram reservoir cap (samples). */
     size_t histogramReservoirCap = Histogram::kDefaultCap;
 
@@ -76,17 +71,6 @@ struct TelemetryConfig
     std::ostream *streamSink = nullptr;
     /** Run label recorded in the stream header (target name). */
     std::string runLabel;
-
-    /** Everything on, for tests and one-liners. */
-    static TelemetryConfig
-    full(double progress_interval_ns = 0.0)
-    {
-        TelemetryConfig cfg;
-        cfg.metrics = true;
-        cfg.tracing = true;
-        cfg.progressIntervalNs = progress_interval_ns;
-        return cfg;
-    }
 };
 
 class Telemetry
@@ -99,10 +83,6 @@ class Telemetry
     /** nullptr when metrics collection is disabled. */
     MetricsRegistry *registry() { return registry_.get(); }
     const MetricsRegistry *registry() const { return registry_.get(); }
-
-    /** nullptr when tracing is disabled. */
-    Tracer *tracer() { return tracer_.get(); }
-    const Tracer *tracer() const { return tracer_.get(); }
 
     /** nullptr when token-level causal tracing is disabled. */
     TokenTraceCollector *tokenTrace() { return tokenTrace_.get(); }
@@ -125,7 +105,6 @@ class Telemetry
   private:
     TelemetryConfig cfg_;
     std::unique_ptr<MetricsRegistry> registry_;
-    std::unique_ptr<Tracer> tracer_;
     std::unique_ptr<TokenTraceCollector> tokenTrace_;
     std::vector<std::unique_ptr<ChannelProbe>> probes_;
 };

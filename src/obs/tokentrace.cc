@@ -240,8 +240,6 @@ StreamWriter::writeSummary(const StreamSummary &summary)
     w.value(summary.tokenRecords);
     w.key("token_records_dropped");
     w.value(summary.tokenRecordsDropped);
-    w.key("trace_events_dropped");
-    w.value(summary.traceEventsDropped);
     w.key("deadlocked");
     w.value(summary.deadlocked);
     w.endObject();

@@ -217,7 +217,6 @@ struct StreamSummary
     uint64_t targetCycle = 0;
     uint64_t tokenRecords = 0;        ///< streamed so far
     uint64_t tokenRecordsDropped = 0; ///< collector buffer overflows
-    uint64_t traceEventsDropped = 0;  ///< Tracer ring wraparound
     bool deadlocked = false;
 };
 

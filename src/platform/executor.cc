@@ -346,11 +346,8 @@ MultiFpgaSim::setupTelemetry()
     // rather than copy-assigning from a prototype.
     partTel_ = std::vector<PartTelemetry>(models_.size());
     obs::MetricsRegistry *reg = telemetry_->registry();
-    obs::Tracer *tr = telemetry_->tracer();
 
     for (size_t p = 0; p < models_.size(); ++p) {
-        if (tr)
-            tr->setProcessName(int(p), plan_.partitionNames[p]);
         if (reg) {
             const std::string base =
                 "part." + plan_.partitionNames[p] + ".";
@@ -396,10 +393,8 @@ MultiFpgaSim::setupTelemetry()
             info.runLabel = cfg.runLabel;
             info.planHash = planHash();
             info.artifactHash = contentHash();
-            info.backend =
-                execConfig_.backend == ExecBackend::Parallel
-                    ? "parallel"
-                    : "sequential";
+            info.backend = execConfig_.workers == 1 ? "sequential"
+                                                    : "parallel";
             info.engine = rtlsim::toString(execConfig_.evalEngine);
             info.workers = execConfig_.workers;
             info.batchDepth = execConfig_.batchDepth;
@@ -413,14 +408,13 @@ MultiFpgaSim::setupTelemetry()
 }
 
 void
-MultiFpgaSim::telemetryTick(size_t p, double now, double step,
-                            bool progress, bool advanced)
+MultiFpgaSim::telemetryTick(size_t p, double now, bool progress,
+                            bool advanced)
 {
     PartTelemetry &pt = partTel_[p];
     pt.targetCycles.store(models_[p]->minTargetCycle(),
                           std::memory_order_relaxed);
 
-    obs::Tracer *tr = telemetry_->tracer();
     if (!progress) {
         creditIdleTicks(p, 1, now);
     } else {
@@ -429,19 +423,12 @@ MultiFpgaSim::telemetryTick(size_t p, double now, double step,
         // one.
         pt.hostCycles.fetch_add(advanced ? plan_.fame5Threads[p] : 1,
                                 std::memory_order_relaxed);
-        // Close a pending wait-for-tokens span (consecutive
-        // no-progress ticks merge into one span).
+        // Close a pending wait (consecutive no-progress ticks
+        // merge into one).
         if (pt.waitStartNs >= 0.0) {
             pt.waitNs += now - pt.waitStartNs;
-            if (tr && now > pt.waitStartNs)
-                tr->complete("wait-for-tokens", "fsm",
-                             pt.waitStartNs, now - pt.waitStartNs,
-                             int(p));
             pt.waitStartNs = -1.0;
         }
-        if (tr)
-            tr->complete(advanced ? "advance" : "fire", "fsm", now,
-                         step, int(p));
     }
 
     const obs::TelemetryConfig &cfg = telemetry_->config();
@@ -571,15 +558,9 @@ MultiFpgaSim::reportProgress(double now, uint64_t target_cycles)
 void
 MultiFpgaSim::finalizeTelemetry(RunResult &result, double now)
 {
-    obs::Tracer *tr = telemetry_->tracer();
-    for (size_t p = 0; p < partTel_.size(); ++p) {
-        PartTelemetry &pt = partTel_[p];
-        if (pt.waitStartNs >= 0.0) { // close any open wait span
+    for (PartTelemetry &pt : partTel_) {
+        if (pt.waitStartNs >= 0.0) { // close any open wait
             pt.waitNs += now - pt.waitStartNs;
-            if (tr && now > pt.waitStartNs)
-                tr->complete("wait-for-tokens", "fsm",
-                             pt.waitStartNs, now - pt.waitStartNs,
-                             int(p));
             pt.waitStartNs = -1.0;
         }
     }
@@ -621,16 +602,10 @@ MultiFpgaSim::finalizeTelemetry(RunResult &result, double now)
         .set(double(linkFailovers_.load(std::memory_order_relaxed)));
     reg->gauge("sim.deadlocked").set(result.deadlocked ? 1.0 : 0.0);
 
-    // Dropped-record accounting: publish the lifetime drop totals as
-    // counters (delta-tracked, so repeated finalizes of a chunked run
-    // never double-count) — silently truncated traces become visible
+    // Dropped-record accounting: publish the lifetime drop total as a
+    // counter (delta-tracked, so repeated finalizes of a chunked run
+    // never double-count) — a truncated token trace becomes visible
     // in every export.
-    if (obs::Tracer *tracer = telemetry_->tracer()) {
-        obs::Counter &c = reg->counter("trace.dropped_events");
-        uint64_t total = tracer->dropped();
-        if (total > c.value())
-            c.add(total - c.value());
-    }
     if (obs::TokenTraceCollector *tt = telemetry_->tokenTrace()) {
         obs::Counter &c = reg->counter("trace.token_records_dropped");
         uint64_t total = tt->recordsDropped();
@@ -653,8 +628,6 @@ MultiFpgaSim::finalizeTelemetry(RunResult &result, double now)
         if (const obs::TokenTraceCollector *tt =
                 telemetry_->tokenTrace())
             summary.tokenRecordsDropped = tt->recordsDropped();
-        if (const obs::Tracer *tracer = telemetry_->tracer())
-            summary.traceEventsDropped = tracer->dropped();
         summary.deadlocked = result.deadlocked;
         stream_->writeSummary(summary);
         streamSink_->flush();
@@ -704,15 +677,6 @@ MultiFpgaSim::writeMetricsJson(std::ostream &os) const
                    "writeMetricsJson requires telemetry with metrics "
                    "enabled");
     telemetry_->registry()->writeJson(os);
-}
-
-void
-MultiFpgaSim::writeTrace(std::ostream &os) const
-{
-    FIREAXE_ASSERT(telemetry_ && telemetry_->tracer(),
-                   "writeTrace requires telemetry with tracing "
-                   "enabled");
-    telemetry_->tracer()->writeChromeJson(os);
 }
 
 RunResult
@@ -769,7 +733,7 @@ MultiFpgaSim::run(uint64_t target_cycles)
 }
 
 bool
-MultiFpgaSim::checkFailover(int p, double now)
+MultiFpgaSim::checkFailover(int p)
 {
     bool any = false;
     // Graceful degradation: a channel that exhausted its retry
@@ -788,7 +752,7 @@ MultiFpgaSim::checkFailover(int p, double now)
             cs.failedOver = true;
             linkFailovers_.fetch_add(1, std::memory_order_relaxed);
             if (cs.chan->probe())
-                cs.chan->probe()->onEvent("failover", now);
+                cs.chan->probe()->onEvent("failover");
             warn("channel '", cs.chan->name(),
                  "' exhausted its retry budget; failing over to ",
                  host.name);
@@ -871,9 +835,7 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
     }
 
     par::EngineConfig ecfg;
-    ecfg.workers = execConfig_.backend == ExecBackend::Sequential
-                       ? 1
-                       : execConfig_.workers;
+    ecfg.workers = execConfig_.workers;
     ecfg.deadlockWindowNs = deadlock_window;
     ecfg.stressSeed = execConfig_.stressSeed;
     ecfg.startTickNs = nextTick_;
@@ -894,7 +856,7 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
         // of worker 0, so lastReportNs_ and the stream cursor stay
         // single-writer. With one worker that is every partition.
         if (telemetry_) {
-            telemetryTick(size_t(p), now, step, progress, advanced);
+            telemetryTick(size_t(p), now, progress, advanced);
             if (lead[size_t(p)]) {
                 maybeStreamFlush(now);
                 const obs::TelemetryConfig &tcfg =
@@ -908,7 +870,7 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
         }
         // A failover drops the channel's batching and its
         // stop-and-wait stall, which the producer may be sleeping on.
-        bool failed_over = faults_.enabled() && checkFailover(p, now);
+        bool failed_over = faults_.enabled() && checkFailover(p);
 
         par::TickResult r;
         r.nextDeltaNs = step;
@@ -935,17 +897,9 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
             creditIdleTicks(size_t(p), edges, first_edge);
         };
     }
-    hooks.onTransientStall = [&](double now) {
-        ++transientStallEvents_;
-        if (telemetry_ && telemetry_->tracer())
-            telemetry_->tracer()->instant("transient-stall",
-                                          "executor", now);
-    };
+    hooks.onTransientStall = [&](double) { ++transientStallEvents_; };
     hooks.onDeadlock = [&](double now) {
         result.deadlocked = true;
-        if (telemetry_ && telemetry_->tracer())
-            telemetry_->tracer()->instant("deadlock", "executor",
-                                          now);
         result.diagnosis = buildDiagnosis(now);
         warn("multi-FPGA simulation deadlocked at host time ", now,
              " ns (no token progress for ", deadlock_window,
@@ -976,12 +930,17 @@ writeBlock(std::ostream &os, const std::string &payload)
     os << payload.size() << "\n" << payload;
 }
 
+/** The declared length is checked against the bytes left in the
+ *  shard before it sizes the buffer. */
 bool
-readBlock(std::istream &is, std::string &payload)
+readBlock(std::istringstream &is, std::string &payload)
 {
     size_t n = 0;
     is >> n;
-    if (!is || n > (size_t(1) << 32) || is.get() != '\n')
+    if (!is || is.get() != '\n')
+        return false;
+    std::streamsize left = is.rdbuf()->in_avail();
+    if (left < 0 || n > size_t(left))
         return false;
     payload.resize(n);
     is.read(payload.empty() ? nullptr : &payload[0],
@@ -1140,8 +1099,6 @@ MultiFpgaSim::rollback(const recovery::RecoveryPoint &rp)
     if (!applyRecoveryPoint(rp, error))
         fatal("rollback failed: ", error);
     ++restoreCount_;
-    if (telemetry_ && telemetry_->tracer())
-        telemetry_->tracer()->instant("rollback", "recovery", now_);
     recordRecoveryMetrics();
 }
 
@@ -1215,9 +1172,6 @@ MultiFpgaSim::restartPartition(int part,
     nextTick_[part] = rp.nextTickNs[part];
 
     ++partitionRestarts_;
-    if (telemetry_ && telemetry_->tracer())
-        telemetry_->tracer()->instant("partition-restart",
-                                      "recovery", now_);
     recordRecoveryMetrics();
     error.clear();
     return true;
@@ -1283,8 +1237,6 @@ MultiFpgaSim::snapshot(const std::string &dir, std::string &error)
     lastSnapshotBytes_ = bytes;
     lastSnapshotWallMs_ = wall_ms;
     totalSnapshotWallMs_ += wall_ms;
-    if (telemetry_ && telemetry_->tracer())
-        telemetry_->tracer()->instant("snapshot", "recovery", now_);
     recordRecoveryMetrics();
     error.clear();
     return true;
@@ -1385,8 +1337,6 @@ MultiFpgaSim::restore(const std::string &dir, std::string &error)
     if (!applyRecoveryPoint(rp, error))
         return false;
     ++restoreCount_;
-    if (telemetry_ && telemetry_->tracer())
-        telemetry_->tracer()->instant("restore", "recovery", now_);
     recordRecoveryMetrics();
     error.clear();
     return true;

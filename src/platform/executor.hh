@@ -193,38 +193,30 @@ unsigned defaultBatchDepth();
  *  FIREAXE_PIPELINED_EPOCHS is set to 0/false/off. */
 bool defaultPipelinedEpochs();
 
-/** How many workers of the src/par engine MultiFpgaSim::run() uses;
- *  every observable result is bit-identical either way. */
-enum class ExecBackend
-{
-    /** One worker, on the calling thread. */
-    Sequential,
-    /** ExecConfig::workers worker threads (0 = one per partition,
-     *  capped at the hardware concurrency). */
-    Parallel,
-};
-
-/** Execution backend selection for MultiFpgaSim::run(). */
+/** Execution settings for MultiFpgaSim::run(). */
 struct ExecConfig
 {
-    ExecBackend backend = ExecBackend::Sequential;
-    /** Parallel-backend worker threads; 0 = min(partitions,
-     *  hardware_concurrency). */
-    unsigned workers = 0;
+    /**
+     * Workers of the src/par engine. 1 (the default) runs every
+     * partition on the calling thread; N > 1 starts N worker
+     * threads; 0 = one per partition, capped at the hardware
+     * concurrency. Every observable result is bit-identical for any
+     * value.
+     */
+    unsigned workers = 1;
     /**
      * Evaluation engine for every partition's target simulator (see
      * rtlsim/engine.hh): Interpret re-evaluates the full design each
      * cycle, Compiled runs the bytecode engine with activity gating.
      * Bit-exact either way. Defaults to the process-wide
-     * FIREAXE_EVAL choice; fixed at init() time (unlike `backend`,
+     * FIREAXE_EVAL choice; fixed at init() time (unlike `workers`,
      * which may change between run() calls).
      */
     rtlsim::EvalEngine evalEngine = rtlsim::defaultEvalEngine();
     /**
-     * Nonzero (parallel backend only): seed random wall-clock
-     * scheduling jitter into every worker, to shake out ordering
-     * assumptions in stress tests. Results must stay bit-identical
-     * for any value.
+     * Nonzero: seed random wall-clock scheduling jitter into every
+     * worker, to shake out ordering assumptions in stress tests.
+     * Results must stay bit-identical for any value.
      */
     uint64_t stressSeed = 0;
     /**
@@ -273,7 +265,6 @@ struct ExecConfig
     parallel(unsigned workers = 0)
     {
         ExecConfig cfg;
-        cfg.backend = ExecBackend::Parallel;
         cfg.workers = workers;
         return cfg;
     }
@@ -306,11 +297,12 @@ class MultiFpgaSim
     /**
      * Enable telemetry: a metrics registry (per-channel token
      * latency and reliability counters, per-partition FMR and
-     * sim-rate sampling), a trace-event ring buffer (fireFSM phases,
-     * reliability/fault instants; Chrome trace_event export), and an
-     * optional periodic progress reporter. Must be called before
-     * init(). Telemetry is observe-only: the simulated token stream
-     * and all results are bit-identical with and without it.
+     * sim-rate sampling), an optional periodic progress reporter,
+     * and an optional JSONL stream of causal token records (see
+     * obs/tokentrace.hh; `fireaxe-trace --chrome` renders it as a
+     * Chrome trace). Must be called before init(). Telemetry is
+     * observe-only: the simulated token stream and all results are
+     * bit-identical with and without it.
      */
     void setTelemetry(const obs::TelemetryConfig &cfg);
 
@@ -324,11 +316,6 @@ class MultiFpgaSim
     /** Export the metrics registry as JSON; requires telemetry with
      *  metrics enabled. */
     void writeMetricsJson(std::ostream &os) const;
-
-    /** Export the trace ring buffer as Chrome trace_event JSON
-     *  (about://tracing / Perfetto); requires telemetry with tracing
-     *  enabled. */
-    void writeTrace(std::ostream &os) const;
 
     /** Attach a driver for a partition's external input ports; must
      *  be called before init(). */
@@ -382,16 +369,16 @@ class MultiFpgaSim
      *  needed. */
     void init();
 
-    /** Stop condition checked after every event batch. Under the
-     *  parallel backend the callback is serialized (called under a
+    /** Stop condition checked after every event batch. With more
+     *  than one worker the callback is serialized (called under a
      *  mutex) but may run on any worker thread. */
     void setStopCondition(std::function<bool()> cond)
     {
         stopCondition_ = std::move(cond);
     }
 
-    /** Select the execution backend for subsequent run() calls; may
-     *  be changed between runs (the two backends resume each other's
+    /** Select the execution settings for subsequent run() calls; may
+     *  be changed between runs (any worker count resumes another's
      *  state bit-exactly up to the documented hostTimeNs caveat in
      *  DESIGN.md). `batchDepth` and `evalEngine` are exceptions:
      *  both are fixed at init() time. Requesting a batch depth > 1
@@ -495,11 +482,11 @@ class MultiFpgaSim
     /**
      * Restore the committed snapshot in @p dir (after validating its
      * manifest against this plan's design and structure hashes).
-     * Cross-engine and cross-backend restores are legal: both eval
-     * engines and both backends are bit-exact. Resuming a restored
-     * run reproduces the uninterrupted run's results exactly —
-     * including under active fault injection, whose RNG substreams
-     * are part of the cut.
+     * Cross-engine and cross-worker-count restores are legal: both
+     * eval engines and every worker count are bit-exact. Resuming a
+     * restored run reproduces the uninterrupted run's results
+     * exactly — including under active fault injection, whose RNG
+     * substreams are part of the cut.
      */
     bool restore(const std::string &dir, std::string &error);
 
@@ -563,7 +550,8 @@ class MultiFpgaSim
          *  tick so other threads can aggregate without touching the
          *  partition's model. */
         std::atomic<uint64_t> targetCycles{0};
-        /** Host time a wait-for-tokens span opened; < 0 = none. */
+        /** Host time the current wait for tokens began; < 0 =
+         *  none. */
         double waitStartNs = -1.0;
         /** Total host time spent waiting for tokens (ns). */
         double waitNs = 0.0;
@@ -588,11 +576,11 @@ class MultiFpgaSim
     /** Wire probes / handles; called from init() when telemetry_. */
     void setupTelemetry();
     /** Per-event-loop-iteration telemetry hook. */
-    void telemetryTick(size_t p, double now, double step,
-                       bool progress, bool advanced);
+    void telemetryTick(size_t p, double now, bool progress,
+                       bool advanced);
     /** Charge @p n host edges on which partition @p p made no
      *  progress, the first at @p first_edge: host cycles, wait ticks
-     *  and the wait-for-tokens span they open. Used for each tick
+     *  and the wait for tokens they open. Used for each tick
      *  without progress and for the edges the engine skips. */
     void creditIdleTicks(size_t p, uint64_t n, double first_edge);
     /** When sleeping partition @p p must tick again although its
@@ -622,7 +610,7 @@ class MultiFpgaSim
     /** Fail partition @p p's retry-exhausted output channels over to
      *  host-managed PCIe, on p's worker. Returns whether any channel
      *  failed over. */
-    bool checkFailover(int p, double now);
+    bool checkFailover(int p);
     /** One engine run to @p target_cycles with the selected worker
      *  count (no autosnapshot chunking). */
     RunResult runOnce(uint64_t target_cycles);

@@ -123,10 +123,8 @@ JobRunner::prepare()
                 spec_.faultRate, spec_.seed));
 
         platform::ExecConfig exec;
-        exec.backend = spec_.backend == "parallel"
-                           ? platform::ExecBackend::Parallel
-                           : platform::ExecBackend::Sequential;
-        exec.workers = spec_.workers;
+        // "sequential" is sugar for one worker.
+        exec.workers = spec_.backend == "parallel" ? spec_.workers : 1;
         if (!spec_.engine.empty())
             exec.evalEngine = rtlsim::parseEvalEngine(spec_.engine);
         if (spec_.batchDepth > 0)

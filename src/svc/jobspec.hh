@@ -33,9 +33,11 @@ struct JobSpec
     std::string target;
     /** Partitioning mode: "exact" or "fast". */
     std::string mode = "exact";
-    /** Execution backend: "sequential" or "parallel". */
+    /** Execution backend: "sequential" (one worker, on the calling
+     *  thread) or "parallel" (`workers` threads). */
     std::string backend = "sequential";
-    /** Parallel worker threads (0 = auto). */
+    /** Worker threads under "parallel" (0 = auto); ignored under
+     *  "sequential". */
     unsigned workers = 0;
     /** Evaluation engine: "" = process default (FIREAXE_EVAL),
      *  "interpret" or "compiled". */

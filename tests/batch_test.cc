@@ -387,12 +387,11 @@ TEST(BatchClamp, MixedBoundaryRunsBitExactUnderRequestedDepth)
     EXPECT_GT(clamped, 0u);
     (void)legality;
 
-    for (auto backend :
-         {ExecBackend::Sequential, ExecBackend::Parallel}) {
+    for (unsigned workers : {1u, 0u}) {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
         ExecConfig cfg;
-        cfg.backend = backend;
+        cfg.workers = workers;
         cfg.batchDepth = 8; // clamped per channel, not rejected
         sim.setExecConfig(cfg);
         std::vector<uint64_t> trace;
@@ -547,8 +546,6 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
         ExecConfig cfg;
-        cfg.backend = workers ? ExecBackend::Parallel
-                              : ExecBackend::Sequential;
         cfg.workers = workers;
         cfg.batchDepth = depth;
         sim.setExecConfig(cfg);
@@ -564,7 +561,7 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
         // The parallel backend may overshoot; settle with a short
         // sequential tail so the stopping point is deterministic.
         ExecConfig tail = cfg;
-        tail.backend = ExecBackend::Sequential;
+        tail.workers = 1;
         sim.setExecConfig(tail);
         auto rt = sim.run(cycles + 25);
         ASSERT_FALSE(rt.deadlocked);

@@ -12,7 +12,7 @@
  * target cycles, modelled host time (as a bit pattern), trace hash,
  * final-state signature and retransmits, and for one worker the
  * per-partition host-cycle, wait-tick and FMR telemetry too (see
- * expectSame); the parallel runs must also count the sequential
+ * expectSame); the two-worker run must also count the one-worker
  * run's transient stalls. An autosnapshot-chunked run must equal an
  * unchunked one, since chunk boundaries are quiesce points. The
  * deadlock test derives the watchdog edge from first principles. The
@@ -63,8 +63,7 @@ struct Case
 
 struct Run
 {
-    ExecBackend backend = ExecBackend::Sequential;
-    unsigned workers = 0;
+    unsigned workers = 1;
     uint64_t snapshotEvery = 0;
     std::string snapshotDir = {};
 };
@@ -127,7 +126,6 @@ struct Setup
     configure(const Case &c, const Run &r)
     {
         ExecConfig exec;
-        exec.backend = r.backend;
         exec.workers = r.workers;
         exec.batchDepth = c.depth;
         exec.pipelinedEpochs = c.pipelined;
@@ -289,18 +287,15 @@ checkAgainstOracle(const Case &c)
 {
     SCOPED_TRACE(describe(c));
     Observed ref = tickEveryEdge(c);
-    Observed seq = simulate(c, {ExecBackend::Sequential});
-    expectSame(ref, seq);
-    // The oracle has no watchdog; the sequential run is the reference
+    Observed one = simulate(c, {});
+    expectSame(ref, one);
+    // The oracle has no watchdog; the one-worker run is the reference
     // for the transient stalls it excuses.
-    for (const Run &r : {Run{ExecBackend::Parallel, 1},
-                         Run{ExecBackend::Parallel, 2}}) {
-        SCOPED_TRACE("workers " + std::to_string(r.workers));
-        Observed got = simulate(c, r);
-        expectSame(ref, got, r.workers == 1);
-        EXPECT_EQ(got.result.transientStallEvents,
-                  seq.result.transientStallEvents);
-    }
+    SCOPED_TRACE("workers 2");
+    Observed two = simulate(c, {2});
+    expectSame(ref, two, false);
+    EXPECT_EQ(two.result.transientStallEvents,
+              one.result.transientStallEvents);
 }
 
 class ElisionOracle : public testing::TestWithParam<const char *>
@@ -384,9 +379,8 @@ TEST(Elision, AutosnapshotChunksMatchUnchunkedRun)
     for (const Case &c :
          {Case{"fig2", 1, 1e-3}, Case{"bus-soc", 32, 0.0}}) {
         SCOPED_TRACE(describe(c));
-        Observed whole = simulate(c, {ExecBackend::Sequential});
-        Observed chunked =
-            simulate(c, {ExecBackend::Sequential, 0, 250, dir});
+        Observed whole = simulate(c, {});
+        Observed chunked = simulate(c, {1, 250, dir});
         expectSame(whole, chunked);
         EXPECT_EQ(chunked.result.transientStallEvents,
                   whole.result.transientStallEvents);
@@ -430,8 +424,7 @@ TEST(Elision, DeadlockIsReportedOnTheWatchdogEdge)
             << r.hostTimeNs << " vs " << expected;
         // With more workers, a producer can publish between a walk's
         // bound read and the gate check, which adds no-op ticks.
-        if (exec.backend == ExecBackend::Sequential ||
-            exec.workers == 1) {
+        if (exec.workers == 1) {
             EXPECT_LE(sim.model(0).ticks() + sim.model(1).ticks(),
                       10u);
         }
@@ -452,14 +445,12 @@ TEST(Elision, DeadlockIsReportedOnTheWatchdogEdge)
 
 TEST(Elision, Fig2TicksOnFewHostEdges)
 {
-    expectTicksAtMostOneIn(simulate({"fig2"}, {ExecBackend::Sequential}),
-                           10);
+    expectTicksAtMostOneIn(simulate({"fig2"}, {}), 10);
 }
 
 TEST(Elision, BigCoreTicksOnFewHostEdges)
 {
-    expectTicksAtMostOneIn(
-        simulate({"big-core", 8}, {ExecBackend::Sequential}), 8);
+    expectTicksAtMostOneIn(simulate({"big-core", 8}, {}), 8);
 }
 
 TEST(Elision, OneWorkerReportsOnTheTickEveryEdgeSchedule)
@@ -468,9 +459,6 @@ TEST(Elision, OneWorkerReportsOnTheTickEveryEdgeSchedule)
     // progress lines on fig2 and 8 on bus-soc over kCycles cycles:
     // one at the first tick of any partition at or past each
     // interval.
-    EXPECT_EQ(simulate({"fig2"}, {ExecBackend::Sequential}).progressLines,
-              7u);
-    EXPECT_EQ(
-        simulate({"bus-soc"}, {ExecBackend::Sequential}).progressLines,
-        8u);
+    EXPECT_EQ(simulate({"fig2"}, {}).progressLines, 7u);
+    EXPECT_EQ(simulate({"bus-soc"}, {}).progressLines, 8u);
 }

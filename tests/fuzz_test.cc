@@ -504,11 +504,10 @@ TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
 
         const rtlsim::EvalEngine engines[] = {
             rtlsim::EvalEngine::Interpret, rtlsim::EvalEngine::Compiled};
-        const platform::ExecBackend backends[] = {
-            platform::ExecBackend::Sequential,
-            platform::ExecBackend::Parallel};
+        // One worker, and one per partition.
+        const unsigned worker_counts[] = {1, 0};
         for (auto engine : engines) {
-            for (auto backend : backends) {
+            for (unsigned workers : worker_counts) {
                 platform::MultiFpgaSim sim(
                     plan,
                     std::vector<platform::FpgaSpec>(
@@ -516,7 +515,7 @@ TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
                         platform::alveoU250(50.0)),
                     transport::qsfpAurora());
                 platform::ExecConfig cfg;
-                cfg.backend = backend;
+                cfg.workers = workers;
                 cfg.evalEngine = engine;
                 sim.setExecConfig(cfg);
                 std::vector<uint64_t> trace;
@@ -530,11 +529,7 @@ TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
                     ASSERT_EQ(trace[i], golden[i])
                         << "backend/engine divergence at cycle " << i
                         << " under engine " << rtlsim::toString(engine)
-                        << ", backend "
-                        << (backend ==
-                                    platform::ExecBackend::Sequential
-                                ? "sequential"
-                                : "parallel")
+                        << ", workers " << workers
                         << "; replay with FIREAXE_FUZZ_SEED=" << seed;
                 }
             }
@@ -574,7 +569,7 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
         spec.groups.push_back({"blka", {"dut_a"}, 1});
         ripper::PartitionPlan plan = ripper::partition(circuit, spec);
 
-        auto runOnce = [&](platform::ExecBackend backend,
+        auto runOnce = [&](unsigned workers,
                            rtlsim::EvalEngine engine, unsigned depth,
                            bool pipelined, std::vector<uint64_t> &out) {
             platform::MultiFpgaSim sim(
@@ -584,7 +579,7 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
                     platform::alveoU250(50.0)),
                 transport::qsfpAurora());
             platform::ExecConfig cfg;
-            cfg.backend = backend;
+            cfg.workers = workers;
             cfg.evalEngine = engine;
             cfg.batchDepth = depth;
             cfg.pipelinedEpochs = pipelined;
@@ -599,8 +594,7 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
         // Depth-1 sequential interpret is the golden; it must itself
         // match the monolithic run (sanity of the whole chain).
         std::vector<uint64_t> golden;
-        runOnce(platform::ExecBackend::Sequential,
-                rtlsim::EvalEngine::Interpret, 1, true, golden);
+        runOnce(1, rtlsim::EvalEngine::Interpret, 1, true, golden);
         ASSERT_GE(golden.size(), mono.size());
         for (size_t i = 0; i < mono.size(); ++i)
             ASSERT_EQ(golden[i], mono[i])
@@ -616,13 +610,12 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
         const rtlsim::EvalEngine engines[] = {
             rtlsim::EvalEngine::Interpret,
             rtlsim::EvalEngine::Compiled};
-        const platform::ExecBackend backends[] = {
-            platform::ExecBackend::Sequential,
-            platform::ExecBackend::Parallel};
+        // One worker, and one per partition.
+        const unsigned worker_counts[] = {1, 0};
         for (auto engine : engines) {
-            for (auto backend : backends) {
+            for (unsigned workers : worker_counts) {
                 std::vector<uint64_t> trace;
-                runOnce(backend, engine, depth, pipelined, trace);
+                runOnce(workers, engine, depth, pipelined, trace);
                 ASSERT_GE(trace.size(), golden.size())
                     << "short trace at depth " << depth
                     << "; replay with FIREAXE_FUZZ_SEED=" << seed;
@@ -631,11 +624,8 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
                         << "batching divergence at cycle " << i
                         << " under depth " << depth << ", pipelined "
                         << pipelined << ", engine "
-                        << rtlsim::toString(engine) << ", backend "
-                        << (backend ==
-                                    platform::ExecBackend::Sequential
-                                ? "sequential"
-                                : "parallel")
+                        << rtlsim::toString(engine) << ", workers "
+                        << workers
                         << "; replay with FIREAXE_FUZZ_SEED=" << seed;
                 }
                 trace.resize(golden.size());

@@ -2,8 +2,8 @@
  * @file
  * Tests of the observability subsystem: metrics-registry path
  * resolution and handle stability, bounded-reservoir histogram
- * percentiles, tracer ring-buffer wraparound and Chrome JSON export,
- * and — the invariant that matters — a telemetry-instrumented
+ * percentiles, the stream reader, and — the invariant that
+ * matters — a telemetry-instrumented
  * partitioned run staying bit-exact against the monolithic golden
  * reference while producing a well-formed metrics snapshot.
  */
@@ -21,13 +21,14 @@
 #include "obs/critpath.hh"
 #include "obs/jsonparse.hh"
 #include "obs/metrics.hh"
+#include "obs/streamreader.hh"
 #include "obs/telemetry.hh"
 #include "obs/tokentrace.hh"
-#include "obs/trace.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "ripper/partition.hh"
 #include "target/bus_soc.hh"
+#include "transport/fault.hh"
 #include "transport/link.hh"
 
 using namespace fireaxe;
@@ -174,84 +175,6 @@ TEST(Metrics, HistogramApproximateAboveReservoirCap)
     EXPECT_NEAR(h.percentile(50.0), n * 0.50, n * 0.05);
     EXPECT_NEAR(h.percentile(90.0), n * 0.90, n * 0.05);
     EXPECT_EQ(h.reservoirCap(), cap);
-}
-
-// ---------------------------------------------------------------
-// Tracer ring buffer
-// ---------------------------------------------------------------
-
-TEST(Trace, RingBufferWraparoundKeepsNewestInOrder)
-{
-    Tracer tr(8);
-    for (int i = 0; i < 20; ++i)
-        tr.instant("e" + std::to_string(i), "test", double(i));
-
-    EXPECT_EQ(tr.size(), 8u);
-    EXPECT_EQ(tr.totalEmitted(), 20u);
-    EXPECT_EQ(tr.dropped(), 12u);
-
-    // The survivors are the last 8 events, visited oldest-first.
-    std::vector<std::string> names;
-    tr.forEachOrdered([&](const TraceEvent &ev) {
-        names.push_back(ev.name);
-    });
-    ASSERT_EQ(names.size(), 8u);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(names[i], "e" + std::to_string(12 + i));
-
-    tr.clear();
-    EXPECT_EQ(tr.size(), 0u);
-}
-
-TEST(Trace, ChromeJsonExport)
-{
-    Tracer tr(64);
-    tr.setProcessName(0, "tiles");
-    tr.instant("nak", "reliability", 1500.0, 0);
-    tr.complete("advance", "fsm", 2000.0, 20.0, 0, 1);
-
-    std::ostringstream os;
-    tr.writeChromeJson(os);
-    std::string json = os.str();
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("process_name"), std::string::npos);
-    EXPECT_NE(json.find("\"tiles\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-    // ns -> us conversion: the 2000 ns event lands at ts 2 us.
-    EXPECT_NE(json.find("\"ts\":2,"), std::string::npos);
-}
-
-TEST(Trace, WrapSetsFlagAndWarnsExactlyOnce)
-{
-    // The first overwrite flips wrapped() and emits one warning;
-    // subsequent overwrites stay silent (the counter keeps moving).
-    std::ostringstream captured;
-    std::streambuf *old = std::cerr.rdbuf(captured.rdbuf());
-
-    Tracer tr(4);
-    EXPECT_FALSE(tr.wrapped());
-    for (int i = 0; i < 3; ++i)
-        tr.instant("e", "test", double(i));
-    EXPECT_FALSE(tr.wrapped());
-    EXPECT_EQ(tr.dropped(), 0u);
-
-    for (int i = 0; i < 13; ++i)
-        tr.instant("e", "test", double(i));
-    std::cerr.rdbuf(old);
-
-    EXPECT_TRUE(tr.wrapped());
-    EXPECT_EQ(tr.totalEmitted(), 16u);
-    EXPECT_EQ(tr.dropped(), 12u);
-
-    const std::string out = captured.str();
-    size_t first = out.find("ring buffer full");
-    ASSERT_NE(first, std::string::npos) << out;
-    EXPECT_EQ(out.find("ring buffer full", first + 1),
-              std::string::npos)
-        << "wrap warning emitted more than once:\n"
-        << out;
-    EXPECT_NE(out.find("trace.dropped_events"), std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -509,12 +432,12 @@ TEST(Telemetry, InstrumentedRunStaysBitExact)
         transport::qsfpAurora());
     auto ref_result = ref.run(cycles);
 
-    // Fully-instrumented run: metrics + tracing.
+    // Instrumented run: metrics.
     auto plan2 = tilesPlan(soc);
     platform::MultiFpgaSim sim(
         plan2, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
-    sim.setTelemetry(TelemetryConfig::full());
+    sim.setTelemetry(TelemetryConfig{});
     std::vector<uint64_t> part;
     sim.setMonitor(0,
                    [&part](rtlsim::Simulator &s, unsigned, uint64_t) {
@@ -561,16 +484,11 @@ TEST(Telemetry, InstrumentedRunStaysBitExact)
     }
     EXPECT_TRUE(saw_channel);
 
-    // Both exporters produce well-formed-looking documents.
+    // The exporter produces a well-formed-looking document.
     std::ostringstream mos;
     sim.writeMetricsJson(mos);
     EXPECT_NE(mos.str().find("fireaxe.metrics.v1"),
               std::string::npos);
-    std::ostringstream tos;
-    sim.writeTrace(tos);
-    EXPECT_NE(tos.str().find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(tos.str().find("wait-for-tokens"), std::string::npos);
-    EXPECT_NE(tos.str().find("advance"), std::string::npos);
 }
 
 TEST(Telemetry, ProgressReporterWritesToSink)
@@ -616,42 +534,6 @@ TEST(Telemetry, DisabledTelemetryLeavesSnapshotEmpty)
     EXPECT_EQ(sim.telemetry(), nullptr);
 }
 
-TEST(Telemetry, TraceDropCounterSurfacesInSnapshot)
-{
-    // A deliberately tiny trace ring must wrap on any real run, and
-    // the overflow must surface as the trace.dropped_events counter
-    // so truncation is visible in every metrics export.
-    target::BusSocConfig cfg;
-    cfg.numTiles = 3;
-    cfg.memWords = 256;
-    auto soc = target::buildBusSoc(cfg);
-    auto plan = tilesPlan(soc);
-
-    platform::MultiFpgaSim sim(
-        plan, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
-        transport::qsfpAurora());
-    TelemetryConfig tcfg;
-    tcfg.tracing = true;
-    tcfg.traceCapacity = 32;
-    sim.setTelemetry(tcfg);
-
-    // Swallow the (expected, one-time) wrap warning.
-    std::ostringstream captured;
-    std::streambuf *old = std::cerr.rdbuf(captured.rdbuf());
-    auto result = sim.run(400);
-    std::cerr.rdbuf(old);
-
-    EXPECT_FALSE(result.deadlocked);
-    const Tracer *tr = sim.telemetry()->tracer();
-    ASSERT_NE(tr, nullptr);
-    EXPECT_TRUE(tr->wrapped());
-    EXPECT_GT(tr->dropped(), 0u);
-    EXPECT_EQ(result.metrics.counter("trace.dropped_events"),
-              tr->dropped());
-    EXPECT_NE(captured.str().find("ring buffer full"),
-              std::string::npos);
-}
-
 TEST(Telemetry, StreamedRunFeedsCriticalPathAnalyzer)
 {
     // End-to-end tentpole check in miniature: stream a fully-sampled
@@ -692,90 +574,27 @@ TEST(Telemetry, StreamedRunFeedsCriticalPathAnalyzer)
     EXPECT_EQ(result.targetCycles, ref_result.targetCycles);
     EXPECT_DOUBLE_EQ(result.hostTimeNs, ref_result.hostTimeNs);
 
-    // Every line parses; rebuild the analyzer input from the file.
+    // Every line parses; rebuild the analyzer input from the file
+    // with the reader fireaxe-trace uses.
     std::ifstream is(path);
     ASSERT_TRUE(is.good());
-    CritPathInput input;
-    input.sampleEvery = 1;
-    const JsonValue *summary = nullptr;
-    JsonValue summary_val;
-    std::string line;
-    size_t token_lines = 0, metrics_lines = 0;
-    bool have_header = false;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        JsonValue v;
-        std::string err;
-        ASSERT_TRUE(parseJson(line, v, err)) << err << "\n" << line;
-        const std::string type = v.text("type");
-        if (type == "header") {
-            have_header = true;
-            EXPECT_EQ(v.text("schema"), "fireaxe.stream.v1");
-            EXPECT_EQ(v.text("target"), "obs_test");
-            for (const JsonValue &p : v.get("partitions")->arr) {
-                size_t id = size_t(p.u64("id"));
-                if (input.partNames.size() <= id)
-                    input.partNames.resize(id + 1);
-                input.partNames[id] = p.text("name");
-            }
-            for (const JsonValue &c : v.get("channels")->arr) {
-                TokenChannelInfo ch;
-                ch.id = int(c.num("id"));
-                ch.name = c.text("name");
-                ch.srcPart = int(c.num("src"));
-                ch.dstPart = int(c.num("dst"));
-                input.channels.push_back(ch);
-            }
-        } else if (type == "tokens") {
-            ++token_lines;
-            for (const JsonValue &t : v.get("records")->arr) {
-                TokenRecord r;
-                r.channel = int(t.num("chan"));
-                r.seq = t.u64("seq");
-                r.targetCycle =
-                    t.u64("cycle", TokenRecord::kNoCycle);
-                r.produceNs = t.num("produce_ns");
-                r.departNs = t.num("depart_ns");
-                r.readyNs = t.num("ready_ns");
-                r.flightNs = t.num("flight_ns");
-                r.penaltyNs = t.num("penalty_ns");
-                r.nakNs = t.num("nak_ns");
-                r.naks = uint32_t(t.num("naks"));
-                r.fireNs = t.num("fire_ns");
-                r.deliverNs = r.fireNs;
-                r.fired = true;
-                if (r.channel >= 0 &&
-                    size_t(r.channel) < input.channels.size()) {
-                    r.srcPart = input.channels[r.channel].srcPart;
-                    r.dstPart = input.channels[r.channel].dstPart;
-                }
-                input.records.push_back(r);
-            }
-        } else if (type == "metrics") {
-            ++metrics_lines;
-            const JsonValue *m = v.get("metrics");
-            ASSERT_NE(m, nullptr);
-            for (size_t p = 0; p < input.partNames.size(); ++p) {
-                const JsonValue *w = m->get(
-                    "part." + input.partNames[p] + ".wait_ns");
-                if (w)
-                    input.measuredWaitNs[int(p)] = w->num("value");
-            }
-        } else if (type == "summary") {
-            summary_val = v;
-            summary = &summary_val;
-        }
-    }
-    ASSERT_TRUE(have_header);
-    EXPECT_GT(token_lines, 0u);
-    EXPECT_GT(metrics_lines, 0u);
-    ASSERT_NE(summary, nullptr);
-    EXPECT_GT(summary->u64("token_records"), 0u);
-    EXPECT_TRUE(summary->has("token_records_dropped"));
-    EXPECT_TRUE(summary->has("trace_events_dropped"));
-    EXPECT_EQ(summary->u64("target_cycle"), result.targetCycles);
-    EXPECT_EQ(summary->u64("token_records"),
+    StreamContents s;
+    std::string error;
+    ASSERT_TRUE(readStream(is, s, error)) << error;
+    EXPECT_TRUE(s.skipped.empty());
+    EXPECT_EQ(s.target, "obs_test");
+    EXPECT_EQ(s.backend, "sequential");
+    const CritPathInput &input = s.input;
+    EXPECT_EQ(input.sampleEvery, 1u);
+    EXPECT_EQ(input.partNames.size(), 2u);
+    EXPECT_FALSE(input.channels.empty());
+    EXPECT_GT(s.tokenLines, 0u);
+    EXPECT_GT(s.metricsLines, 0u);
+    ASSERT_TRUE(s.haveSummary);
+    EXPECT_GT(s.summary.u64("token_records"), 0u);
+    EXPECT_TRUE(s.summary.has("token_records_dropped"));
+    EXPECT_EQ(s.summary.u64("target_cycle"), result.targetCycles);
+    EXPECT_EQ(s.summary.u64("token_records"),
               uint64_t(input.records.size()));
 
     // At 1-in-1 sampling the attribution is exact: per-partition
@@ -792,4 +611,71 @@ TEST(Telemetry, StreamedRunFeedsCriticalPathAnalyzer)
     EXPECT_FALSE(report.channels.empty());
 
     std::remove(path.c_str());
+}
+
+TEST(Telemetry, StreamReaderSkipsTornLineAndAcceptsOlderSummary)
+{
+    // Older writers put trace_events_dropped in the summary; a
+    // killed producer leaves a torn last line.
+    std::istringstream is(
+        R"({"type":"header","schema":"fireaxe.stream.v1","target":"old","partitions":[{"id":0,"name":"a"}],"channels":[]})"
+        "\n"
+        R"({"type":"summary","host_time_ns":10,"target_cycle":5,"token_records":0,"token_records_dropped":0,"trace_events_dropped":3,"deadlocked":false})"
+        "\n"
+        R"({"type":"tokens","records":[{"chan":0,)");
+    StreamContents s;
+    std::string error;
+    ASSERT_TRUE(readStream(is, s, error)) << error;
+    EXPECT_EQ(s.target, "old");
+    ASSERT_TRUE(s.haveSummary);
+    EXPECT_EQ(s.summary.u64("target_cycle"), 5u);
+    ASSERT_EQ(s.skipped.size(), 1u);
+    EXPECT_EQ(s.skipped[0].first, 3u);
+    EXPECT_EQ(s.tokenLines, 0u);
+
+    std::istringstream headless(R"({"type":"summary"})");
+    StreamContents h;
+    EXPECT_FALSE(readStream(headless, h, error));
+    EXPECT_FALSE(error.empty());
+}
+
+TEST(Telemetry, ReliabilityEventsReachTheStream)
+{
+    // Every retransmit the run counts must show up in the final
+    // metrics line as a chan.<name>.events.retransmit_* counter.
+    target::BusSocConfig cfg;
+    cfg.numTiles = 3;
+    cfg.memWords = 256;
+    auto soc = target::buildBusSoc(cfg);
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        auto plan = tilesPlan(soc);
+        platform::MultiFpgaSim sim(
+            plan,
+            {platform::alveoU250(50.0), platform::alveoU250(50.0)},
+            transport::qsfpAurora());
+        sim.setFaultModel(transport::FaultConfig::uniform(5e-3, 7));
+        sim.setExecConfig(platform::ExecConfig::parallel(workers));
+        std::stringstream sink;
+        TelemetryConfig tcfg;
+        tcfg.streamSink = &sink;
+        sim.setTelemetry(tcfg);
+        auto result = sim.run(600);
+        ASSERT_FALSE(result.deadlocked);
+
+        StreamContents s;
+        std::string error;
+        ASSERT_TRUE(readStream(sink, s, error)) << error;
+        const JsonValue *m = s.lastMetrics.get("metrics");
+        ASSERT_NE(m, nullptr);
+        ASSERT_TRUE(m->isObject());
+        uint64_t events = 0;
+        for (const auto &[key, v] : m->obj) {
+            if (key.ends_with(".events.retransmit_timeout") ||
+                key.ends_with(".events.retransmit_nak"))
+                events += v.u64("value");
+        }
+        EXPECT_GT(result.retransmits, 0u);
+        EXPECT_EQ(events, result.retransmits);
+    }
 }

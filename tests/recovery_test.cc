@@ -121,6 +121,18 @@ tempDir()
     return dir ? std::string(dir) : std::string();
 }
 
+/** Peak resident set of this process (VmHWM), in KiB. */
+uint64_t
+peakRssKb()
+{
+    std::ifstream is("/proc/self/status");
+    std::string line;
+    while (std::getline(is, line))
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtoull(line.c_str() + 6, nullptr, 10);
+    return 0;
+}
+
 /** Assert that every cycle @p got observed has the golden value. */
 void
 expectTraceSubset(const CycleTrace &golden, const CycleTrace &got)
@@ -146,7 +158,7 @@ void
 settle(MultiFpgaSim &sim, uint64_t cycles)
 {
     ExecConfig exec = sim.execConfig();
-    exec.backend = ExecBackend::Sequential;
+    exec.workers = 1;
     exec.snapshotEveryCycles = 0;
     sim.setExecConfig(exec);
     auto r = sim.run(cycles);
@@ -625,9 +637,7 @@ TEST(Restore, WrongTokenLengthIsRejectedBeforeAnyStateCommits)
         fresh_sig = stateSignature(sim, plan.partitions.size());
     }
     for (ExecConfig exec : {ExecConfig{}, ExecConfig::parallel(2)}) {
-        SCOPED_TRACE(exec.backend == ExecBackend::Sequential
-                         ? "sequential"
-                         : "parallel");
+        SCOPED_TRACE("workers " + std::to_string(exec.workers));
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
         sim.setExecConfig(exec);
@@ -696,9 +706,7 @@ TEST(Restore, ExecShardSecondSlotIsIgnored)
     }
 
     for (ExecConfig exec : {ExecConfig{}, ExecConfig::parallel(2)}) {
-        SCOPED_TRACE(exec.backend == ExecBackend::Sequential
-                         ? "sequential"
-                         : "parallel");
+        SCOPED_TRACE("workers " + std::to_string(exec.workers));
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
         sim.setFaultModel(faults);
@@ -726,6 +734,50 @@ TEST(Restore, ExecShardSecondSlotIsIgnored)
 // ---------------------------------------------------------------
 // Autosnapshot: chunked run() with unchanged results
 // ---------------------------------------------------------------
+
+TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
+{
+    // A channel block that declares more bytes than its shard holds
+    // (CRCs and manifest rewritten to match) must fail as a
+    // structured error before the length sizes any buffer.
+    auto soc = fourTileSoc();
+    auto plan = threeWayPlan(soc);
+    std::string dir = tempDir();
+    std::string error;
+    {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.run(200);
+        ASSERT_TRUE(sim.snapshot(dir, error)) << error;
+    }
+    {
+        recovery::SnapshotStore store(dir);
+        recovery::Manifest m;
+        ASSERT_TRUE(store.loadManifest(m, error)) << error;
+        std::vector<std::string> shards(m.shards.size());
+        for (size_t i = 0; i < shards.size(); ++i)
+            ASSERT_TRUE(store.readShard(m, i, shards[i], error)) << error;
+        // "fireaxe-exec 1\n<clocks>\n<next ticks>\n<channels>\n
+        //  <channel 0 counters>\n<block length>\n<block>..."
+        std::string &exec = shards.back();
+        size_t at = 0;
+        for (int line = 0; line < 5; ++line)
+            at = exec.find('\n', at) + 1;
+        exec.replace(at, exec.find('\n', at) - at, "3000000000");
+        uint64_t bytes = 0;
+        ASSERT_TRUE(store.commit(m, shards, bytes, error)) << error;
+    }
+
+    MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                     transport::qsfpAurora());
+    sim.init();
+    uint64_t peak0 = peakRssKb();
+    ASSERT_GT(peak0, 0u);
+    EXPECT_FALSE(sim.restore(dir, error));
+    EXPECT_EQ(error, "malformed executor shard");
+    EXPECT_LT(peakRssKb() - peak0, 64u * 1024);
+    fs::remove_all(dir);
+}
 
 TEST(Autosnapshot, PeriodicSnapshotsDoNotPerturbTheRun)
 {

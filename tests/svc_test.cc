@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -291,6 +292,34 @@ TEST(SvcJobRunner, WarmCacheSkipsSetupAndPreservesResults)
     EXPECT_EQ(warm.finalSig, cold.finalSig);
     EXPECT_EQ(warm.planHash, cold.planHash);
     EXPECT_EQ(warm.artifactHash, cold.artifactHash);
+}
+
+TEST(SvcJobRunner, BackendIsSugarForTheWorkerCount)
+{
+    // "sequential" runs one worker whatever `workers` says, so it
+    // equals "parallel" with one worker bit for bit.
+    svc::JobSpec seq;
+    seq.target = "bus-soc";
+    seq.cycles = 800;
+    seq.faultRate = 1e-3;
+    seq.backend = "sequential";
+    seq.workers = 4;
+    svc::JobSpec par = seq;
+    par.backend = "parallel";
+    par.workers = 1;
+
+    svc::JobRunner runner(seq);
+    ASSERT_TRUE(runner.prepare()) << runner.outcome().error;
+    EXPECT_EQ(runner.sim()->execConfig().workers, 1u);
+
+    svc::RunOutcome a = svc::runJob(seq);
+    svc::RunOutcome b = svc::runJob(par);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_EQ(a.traceHash, b.traceHash);
+    EXPECT_EQ(a.finalSig, b.finalSig);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.result.hostTimeNs),
+              std::bit_cast<uint64_t>(b.result.hostTimeNs));
 }
 
 TEST(SvcJobRunner, RejectsInvalidPlanWithRenderedReport)

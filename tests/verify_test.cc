@@ -498,14 +498,12 @@ TEST(VerifyProperty, AcceptedPlansRunDeadlockFreeOnBothBackends)
             auto report = verify::verifyPlan(plan);
             ASSERT_FALSE(report.hasErrors()) << report.renderText();
 
-            for (auto backend : {platform::ExecBackend::Sequential,
-                                 platform::ExecBackend::Parallel}) {
+            for (unsigned workers : {1u, 2u}) {
                 platform::MultiFpgaSim sim(
                     plan, u250s(plan.partitions.size(), 50.0),
                     transport::qsfpAurora());
-                if (backend == platform::ExecBackend::Parallel)
-                    sim.setExecConfig(
-                        platform::ExecConfig::parallel(2));
+                sim.setExecConfig(
+                    platform::ExecConfig::parallel(workers));
                 auto result = sim.run(300);
                 EXPECT_FALSE(result.deadlocked);
                 EXPECT_EQ(result.targetCycles, 300u);

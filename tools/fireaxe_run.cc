@@ -55,7 +55,7 @@ usage(std::ostream &os, int status)
           "  --mode exact|fast   partitioning mode (default exact)\n"
           "  --backend sequential|parallel\n"
           "                      execution backend (default "
-          "sequential)\n"
+          "sequential = one worker)\n"
           "  --workers N         parallel worker threads (0 = auto)\n"
           "  --engine interpret|compiled\n"
           "                      evaluation engine (default: "

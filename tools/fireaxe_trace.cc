@@ -5,9 +5,10 @@
  * `fireaxe-run --stream` or any executor with
  * TelemetryConfig::streamPath set).
  *
- * Reads the stream back (header → channel table and run identity,
- * "tokens" chunks → causal token records, the last "metrics" line →
- * measured per-partition wall-clock wait), runs the critical-path
+ * Reads the stream back with obs::readStream (header → channel
+ * table and run identity, "tokens" chunks → causal token records,
+ * the last "metrics" line → measured per-partition wall-clock
+ * wait), runs the critical-path
  * analyzer (obs/critpath.hh), and prints the human report: a
  * per-partition attribution-coverage table plus the top-N blocking
  * channels with wait decomposed into serialization / link flight /
@@ -23,16 +24,13 @@
  * skipped with a warning; a stream without a header is invalid.
  */
 
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "obs/critpath.hh"
-#include "obs/jsonparse.hh"
-#include "obs/tokentrace.hh"
+#include "obs/streamreader.hh"
 
 using namespace fireaxe;
 
@@ -50,146 +48,23 @@ usage(std::ostream &os, int status)
     return status;
 }
 
-/** Parsed-back view of one stream file. */
-struct Stream
-{
-    bool haveHeader = false;
-    std::string target;
-    std::string backend;
-    std::string engine;
-    uint64_t planHash = 0;
-    obs::CritPathInput input;
-    /** Last summary line (authoritative for a chunked run). */
-    obs::JsonValue summary;
-    bool haveSummary = false;
-    uint64_t tokenLines = 0;
-    uint64_t metricsLines = 0;
-    uint64_t badLines = 0;
-};
-
-void
-parseHeader(const obs::JsonValue &line, Stream &s)
-{
-    s.haveHeader = true;
-    s.target = line.text("target");
-    s.backend = line.text("backend");
-    s.engine = line.text("engine");
-    s.planHash = line.u64("plan_hash");
-    s.input.sampleEvery = unsigned(line.u64("sample_every", 1));
-    if (const obs::JsonValue *parts = line.get("partitions");
-        parts && parts->isArray()) {
-        for (const obs::JsonValue &p : parts->arr) {
-            size_t id = size_t(p.u64("id"));
-            if (s.input.partNames.size() <= id)
-                s.input.partNames.resize(id + 1);
-            s.input.partNames[id] = p.text("name");
-        }
-    }
-    if (const obs::JsonValue *chans = line.get("channels");
-        chans && chans->isArray()) {
-        for (const obs::JsonValue &c : chans->arr) {
-            obs::TokenChannelInfo info;
-            info.id = int(c.u64("id"));
-            info.name = c.text("name");
-            info.srcPart = int(c.u64("src"));
-            info.dstPart = int(c.u64("dst"));
-            s.input.channels.push_back(std::move(info));
-        }
-    }
-}
-
-void
-parseTokens(const obs::JsonValue &line, Stream &s)
-{
-    const obs::JsonValue *records = line.get("records");
-    if (!records || !records->isArray())
-        return;
-    ++s.tokenLines;
-    for (const obs::JsonValue &r : records->arr) {
-        obs::TokenRecord rec;
-        rec.channel = int(r.u64("chan"));
-        rec.seq = r.u64("seq");
-        rec.targetCycle =
-            r.u64("cycle", obs::TokenRecord::kNoCycle);
-        rec.produceNs = r.num("produce_ns");
-        rec.departNs = r.num("depart_ns");
-        rec.readyNs = r.num("ready_ns");
-        rec.flightNs = r.num("flight_ns");
-        rec.penaltyNs = r.num("penalty_ns");
-        rec.nakNs = r.num("nak_ns");
-        rec.naks = uint32_t(r.u64("naks"));
-        rec.fireNs = r.num("fire_ns");
-        rec.deliverNs = rec.fireNs;
-        rec.fired = true; // only completed records are streamed
-        if (rec.channel >= 0 &&
-            size_t(rec.channel) < s.input.channels.size()) {
-            rec.srcPart = s.input.channels[rec.channel].srcPart;
-            rec.dstPart = s.input.channels[rec.channel].dstPart;
-        }
-        s.input.records.push_back(std::move(rec));
-    }
-}
-
-/** Pull part.<name>.wait_ns gauges out of a metrics line. Later
- *  lines overwrite earlier ones, so the last snapshot wins. */
-void
-parseMetrics(const obs::JsonValue &line, Stream &s)
-{
-    const obs::JsonValue *metrics = line.get("metrics");
-    if (!metrics || !metrics->isObject())
-        return;
-    ++s.metricsLines;
-    for (size_t p = 0; p < s.input.partNames.size(); ++p) {
-        const std::string key =
-            "part." + s.input.partNames[p] + ".wait_ns";
-        if (const obs::JsonValue *m = metrics->get(key))
-            s.input.measuredWaitNs[int(p)] = m->num("value");
-    }
-}
-
 bool
-readStream(const std::string &path, Stream &s)
+readStreamFile(const std::string &path, obs::StreamContents &s)
 {
     std::ifstream is(path);
     if (!is) {
         std::cerr << "fireaxe-trace: cannot open '" << path << "'\n";
         return false;
     }
-    std::string line;
-    uint64_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        obs::JsonValue v;
-        std::string error;
-        if (!obs::parseJson(line, v, error)) {
-            // A producer killed mid-write leaves one truncated line;
-            // skip it rather than losing the whole stream.
-            std::cerr << "fireaxe-trace: " << path << ":" << lineno
-                      << ": skipping malformed line (" << error
-                      << ")\n";
-            ++s.badLines;
-            continue;
-        }
-        const std::string type = v.text("type");
-        if (type == "header")
-            parseHeader(v, s);
-        else if (type == "tokens")
-            parseTokens(v, s);
-        else if (type == "metrics")
-            parseMetrics(v, s);
-        else if (type == "summary") {
-            s.summary = std::move(v);
-            s.haveSummary = true;
-        }
-    }
-    if (!s.haveHeader) {
-        std::cerr << "fireaxe-trace: " << path
-                  << ": no fireaxe.stream.v1 header line\n";
-        return false;
-    }
-    return true;
+    std::string error;
+    bool ok = obs::readStream(is, s, error);
+    for (const auto &[lineno, why] : s.skipped)
+        std::cerr << "fireaxe-trace: " << path << ":" << lineno
+                  << ": skipping malformed line (" << why << ")\n";
+    if (!ok)
+        std::cerr << "fireaxe-trace: " << path << ": " << error
+                  << "\n";
+    return ok;
 }
 
 } // namespace
@@ -234,8 +109,8 @@ main(int argc, char **argv)
     if (path.empty())
         return usage(std::cerr, 2);
 
-    Stream s;
-    if (!readStream(path, s))
+    obs::StreamContents s;
+    if (!readStreamFile(path, s))
         return 3;
 
     obs::CritPathReport report = obs::analyzeCriticalPath(s.input);
@@ -254,9 +129,7 @@ main(int argc, char **argv)
                   << "host_time_ns " << s.summary.num("host_time_ns")
                   << "\n"
                   << "token_records_dropped "
-                  << s.summary.u64("token_records_dropped") << "\n"
-                  << "trace_events_dropped "
-                  << s.summary.u64("trace_events_dropped") << "\n";
+                  << s.summary.u64("token_records_dropped") << "\n";
     }
     std::cout << "\n";
     report.writeText(std::cout, top_n);
