@@ -40,6 +40,7 @@ struct FaultPoint
     bool bitExact = false;
     uint64_t planHash = 0;
     uint64_t contentHash = 0;
+    platform::ExecConfig exec;
 };
 
 std::vector<uint64_t>
@@ -59,10 +60,9 @@ FaultPoint
 runPoint(const firrtl::Circuit &soc,
          const std::vector<uint64_t> &mono,
          const transport::LinkParams &link, double fault_rate,
-         uint64_t cycles,
+         uint64_t cycles, const platform::ExecConfig &exec,
          const obs::TelemetryConfig *telemetry = nullptr,
-         std::ostream *metrics_os = nullptr,
-         const platform::ExecConfig *exec = nullptr)
+         std::ostream *metrics_os = nullptr)
 {
     ripper::PartitionSpec spec;
     spec.mode = ripper::PartitionMode::Exact;
@@ -73,8 +73,7 @@ runPoint(const firrtl::Circuit &soc,
         plan,
         {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         link);
-    if (exec)
-        sim.setExecConfig(*exec);
+    sim.setExecConfig(exec);
     if (telemetry)
         sim.setTelemetry(*telemetry);
     if (fault_rate > 0.0)
@@ -93,6 +92,7 @@ runPoint(const firrtl::Circuit &soc,
     FaultPoint point;
     point.planHash = sim.planHash();
     point.contentHash = sim.contentHash();
+    point.exec = sim.execConfig();
     point.simRateMhz = result.simRateMhz();
     point.retransmits = result.retransmits;
     point.bitExact = !result.deadlocked && part.size() >= mono.size();
@@ -124,10 +124,8 @@ main(int argc, char **argv)
     // autosnapshot machinery; the golden cross-check then doubles as
     // evidence that snapshot cuts under fault injection do not
     // perturb the simulation.
-    platform::ExecConfig exec_cfg;
-    args.applyRecovery(exec_cfg);
-    const platform::ExecConfig *exec =
-        args.snapshotEvery ? &exec_cfg : nullptr;
+    platform::ExecConfig exec = bench::envExecConfig();
+    args.applyRecovery(exec);
 
     const double rates[] = {0.0, 1e-4, 1e-3, 1e-2};
     const transport::LinkParams links[] = {
@@ -146,7 +144,7 @@ main(int argc, char **argv)
         std::vector<FaultPoint> points;
         for (const auto &link : links)
             points.push_back(runPoint(soc, mono, link, rate, cycles,
-                                      nullptr, nullptr, exec));
+                                      exec));
         for (size_t i = 0; i < points.size(); ++i) {
             double rate_val = points[i].simRateMhz;
             if (i == 2)
@@ -159,8 +157,7 @@ main(int argc, char **argv)
             bench::addRunIdentity(
                 jrow, "fireaxe.bench.v1", "fault_sweep",
                 points[i].planHash, points[i].contentHash,
-                "sequential",
-                rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+                points[i].exec);
             jrow.field("fault_rate", rate)
                 .field("transport", linkNames[i])
                 .field("sim_rate_mhz", points[i].simRateMhz)
@@ -186,7 +183,7 @@ main(int argc, char **argv)
         obs::TelemetryConfig tcfg;
         std::ofstream metrics_os(args.metricsJsonPath);
         auto pt = runPoint(soc, mono, transport::qsfpAurora(), 1e-3,
-                           cycles, &tcfg, &metrics_os, exec);
+                           cycles, exec, &tcfg, &metrics_os);
         std::cout << "\ntelemetry showcase (qsfp @ 1e-3/token): "
                   << TextTable::num(pt.simRateMhz, 3) << " MHz, "
                   << pt.retransmits << " retransmits, bit-exact "

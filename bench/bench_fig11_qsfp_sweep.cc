@@ -53,10 +53,8 @@ main(int argc, char **argv)
     // --snapshot-every/--snapshot-dir make every measured run carry
     // the autosnapshot machinery, so its rate tax shows up in the
     // sweep itself.
-    platform::ExecConfig exec_cfg;
-    args.applyRecovery(exec_cfg);
-    const platform::ExecConfig *exec =
-        args.snapshotEvery ? &exec_cfg : nullptr;
+    platform::ExecConfig exec = envExecConfig();
+    args.applyRecovery(exec);
 
     for (double mhz : {10.0, 30.0, 50.0, 70.0, 90.0}) {
         TextTable table({"interface (bits)", "exact (MHz)",
@@ -64,10 +62,10 @@ main(int argc, char **argv)
         for (const auto &step : widthSteps) {
             auto exact = runTilePartitionSweep(
                 total_tiles, step.tilesOut, step.traceWords,
-                PartitionMode::Exact, link, mhz, cycles, exec);
+                PartitionMode::Exact, link, mhz, cycles, &exec);
             auto fast = runTilePartitionSweep(
                 total_tiles, step.tilesOut, step.traceWords,
-                PartitionMode::Fast, link, mhz, cycles, exec);
+                PartitionMode::Fast, link, mhz, cycles, &exec);
             table.addRow(
                 {std::to_string(exact.interfaceBits),
                  TextTable::num(exact.simRateMhz, 3),
@@ -79,10 +77,7 @@ main(int argc, char **argv)
                 JsonRow row;
                 addRunIdentity(row, "fireaxe.bench.v1",
                                "fig11_qsfp_sweep", pt->planHash,
-                               pt->contentHash, "sequential",
-                               rtlsim::toString(
-                                   rtlsim::defaultEvalEngine()),
-                               0);
+                               pt->contentHash, pt->exec);
                 row.field("bitstream_mhz", mhz)
                     .field("mode", pt == &exact ? "exact" : "fast")
                     .field("interface_bits", pt->interfaceBits)
@@ -105,7 +100,7 @@ main(int argc, char **argv)
     for (const auto &step : widthSteps) {
         auto exact = runTilePartitionSweep(
             total_tiles, step.tilesOut, step.traceWords,
-            PartitionMode::Exact, link, 50.0, cycles, exec);
+            PartitionMode::Exact, link, 50.0, cycles, &exec);
         double model =
             analyticRateMhz(link, exact.interfaceBits, 2, 50.0);
         ablation.addRow({std::to_string(exact.interfaceBits),
@@ -113,10 +108,7 @@ main(int argc, char **argv)
                          TextTable::num(exact.simRateMhz, 3)});
         JsonRow row;
         addRunIdentity(row, "fireaxe.bench.v1", "fig11_qsfp_sweep",
-                       exact.planHash, exact.contentHash,
-                       "sequential",
-                       rtlsim::toString(rtlsim::defaultEvalEngine()),
-                       0);
+                       exact.planHash, exact.contentHash, exact.exec);
         row.field("mode", "ablation")
             .field("bitstream_mhz", 50.0)
             .field("interface_bits", exact.interfaceBits)

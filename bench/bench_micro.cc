@@ -200,15 +200,15 @@ runWorkerSweep(const std::vector<unsigned> &worker_counts,
                 "bit_exact");
 
     double seq_wall = 0.0;
-    auto seq = measure(platform::ExecConfig{}, seq_wall);
+    const platform::ExecConfig seq_exec = bench::envExecConfig();
+    auto seq = measure(seq_exec, seq_wall);
     std::printf("%-12s %8s %12.0f %10.2f %9s %9s\n", "sequential",
                 "-", seq.hostTimeNs, seq_wall, "1.00", "ref");
     {
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc8", plan_hash,
-            content_hash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            content_hash, seq_exec);
         row.field("partitions", nparts)
             .field("target_cycles", seq.targetCycles)
             .field("host_time_ns", seq.hostTimeNs)
@@ -221,7 +221,8 @@ runWorkerSweep(const std::vector<unsigned> &worker_counts,
 
     for (unsigned w : worker_counts) {
         double wall = 0.0;
-        auto par = measure(platform::ExecConfig::parallel(w), wall);
+        const platform::ExecConfig par_exec = bench::envExecConfig(w);
+        auto par = measure(par_exec, wall);
         bool exact = par.targetCycles == seq.targetCycles &&
                      par.hostTimeNs == seq.hostTimeNs;
         double speedup = wall > 0.0 ? seq_wall / wall : 0.0;
@@ -231,8 +232,7 @@ runWorkerSweep(const std::vector<unsigned> &worker_counts,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc8", plan_hash,
-            content_hash, "parallel",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), w);
+            content_hash, par_exec);
         row.field("partitions", nparts)
             .field("target_cycles", par.targetCycles)
             .field("host_time_ns", par.hostTimeNs)
@@ -325,9 +325,11 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
     double base_wall = 0.0;
     uint64_t base_sig = 0, plan_hash = 0, content_hash = 0;
     platform::RunResult base{};
+    const platform::ExecConfig base_exec = bench::envExecConfig();
     {
         platform::MultiFpgaSim sim(plan, fpgas,
                                    transport::qsfpAurora());
+        sim.setExecConfig(base_exec);
         sim.init();
         plan_hash = sim.planHash();
         content_hash = sim.contentHash();
@@ -344,8 +346,7 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", plan_hash,
-            content_hash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            content_hash, base_exec);
         row.field("partitions", uint64_t(nparts))
             .field("snapshot_every", uint64_t(0))
             .field("snapshot_count", uint64_t(0))
@@ -370,7 +371,7 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
         std::string dir =
             base_dir + "/every" + std::to_string(every);
 
-        platform::ExecConfig exec;
+        platform::ExecConfig exec = base_exec;
         exec.snapshotEveryCycles = every;
         exec.snapshotDir = dir;
         double wall = 0.0;
@@ -400,6 +401,7 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
         {
             platform::MultiFpgaSim resumed(plan, fpgas,
                                            transport::qsfpAurora());
+            resumed.setExecConfig(base_exec);
             std::string err;
             if (resumed.restore(dir, err)) {
                 auto rr = resumed.run(cycles);
@@ -427,8 +429,7 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", plan_hash,
-            content_hash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            content_hash, exec);
         row.field("partitions", uint64_t(nparts))
             .field("snapshot_every", every)
             .field("snapshot_count", snapshots)
@@ -487,6 +488,7 @@ runResumeMeasurement(const std::string &dir, uint64_t cycles,
         std::vector<platform::FpgaSpec>(nparts,
                                         platform::alveoU250(50.0)),
         transport::qsfpAurora());
+    sim.setExecConfig(bench::envExecConfig());
     std::string err;
     auto t0 = std::chrono::steady_clock::now();
     if (!sim.restore(dir, err)) {
@@ -518,8 +520,7 @@ runResumeMeasurement(const std::string &dir, uint64_t cycles,
     bench::JsonRow row;
     bench::addRunIdentity(
         row, "fireaxe.bench.v1", "bus_soc4", sim.planHash(),
-        sim.contentHash(), "sequential",
-        rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+        sim.contentHash(), sim.execConfig());
     row.field("partitions", uint64_t(nparts))
         .field("resume_from", dir)
         .field("restore_ms", restore_ms)
@@ -599,9 +600,10 @@ runEngineSweep(const std::vector<rtlsim::EvalEngine> &engines,
                         point.wallMs, point.cyclesPerSec, speedup,
                         gated, exact ? "yes" : "NO");
             bench::JsonRow row;
+            platform::ExecConfig exec;
+            exec.evalEngine = engine;
             bench::addRunIdentity(row, "fireaxe.bench.v1",
-                                  design.name, 0, 0, "monolithic",
-                                  rtlsim::toString(engine), 0);
+                                  design.name, 0, 0, exec);
             row.field("target_cycles", cycles)
                 .field("wall_ms", point.wallMs)
                 .field("cycles_per_sec", point.cyclesPerSec)
@@ -665,10 +667,12 @@ runTokenTraceSweep(const std::vector<uint64_t> &rates,
         uint64_t records = 0;
         uint64_t dropped = 0;
     };
+    const platform::ExecConfig exec = bench::envExecConfig();
     auto runOnce = [&](const obs::TelemetryConfig *tcfg,
                        Measured &m) {
         platform::MultiFpgaSim sim(plan, fpgas,
                                    transport::qsfpAurora());
+        sim.setExecConfig(exec);
         if (tcfg)
             sim.setTelemetry(*tcfg);
         sim.init();
@@ -725,8 +729,7 @@ runTokenTraceSweep(const std::vector<uint64_t> &rates,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", base.planHash,
-            base.contentHash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            base.contentHash, exec);
         row.field("partitions", uint64_t(nparts))
             .field("token_sample_every", uint64_t(0))
             .field("token_records", uint64_t(0))
@@ -759,8 +762,7 @@ runTokenTraceSweep(const std::vector<uint64_t> &rates,
         bench::JsonRow row;
         bench::addRunIdentity(
             row, "fireaxe.bench.v1", "bus_soc4", m.planHash,
-            m.contentHash, "sequential",
-            rtlsim::toString(rtlsim::defaultEvalEngine()), 0);
+            m.contentHash, exec);
         row.field("partitions", uint64_t(nparts))
             .field("token_sample_every",
                    uint64_t(tcfg.tokenSampleEvery))

@@ -54,12 +54,7 @@ addOutcomeRow(bench::JsonRows &rows, const svc::JobSpec &spec,
 {
     bench::JsonRow row;
     bench::addRunIdentity(row, "fireaxe.bench.v1", spec.target,
-                          o.planHash, o.artifactHash, spec.backend,
-                          spec.engine.empty()
-                              ? rtlsim::toString(
-                                    rtlsim::defaultEvalEngine())
-                              : spec.engine.c_str(),
-                          spec.workers);
+                          o.planHash, o.artifactHash, o.exec);
     row.field("bench", "svc_submission")
         .field("phase", phase)
         .field("target_cycles", spec.cycles)
@@ -236,12 +231,7 @@ main(int argc, char **argv)
         bench::JsonRow row;
         bench::addRunIdentity(row, "fireaxe.bench.v1", spec.target,
                               cold.planHash, cold.artifactHash,
-                              spec.backend,
-                              spec.engine.empty()
-                                  ? rtlsim::toString(
-                                        rtlsim::defaultEvalEngine())
-                                  : spec.engine.c_str(),
-                              jobs);
+                              cold.exec);
         row.field("bench", "svc_concurrency")
             .field("jobs", jobs)
             .field("target_cycles", cycles)

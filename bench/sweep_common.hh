@@ -10,6 +10,7 @@
 #define FIREAXE_BENCH_SWEEP_COMMON_HH
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -124,24 +125,36 @@ class JsonRow
 };
 
 /**
- * Stamp the uniform run-identity prefix (obs::addRunIdentity) onto a
- * result row.
+ * Stamp the uniform run-identity prefix (obs::addRunIdentity) of a
+ * run under @p exec onto a result row.
  */
 inline JsonRow &
 addRunIdentity(JsonRow &row, std::string_view schema,
                std::string_view target, uint64_t plan_hash,
-               uint64_t artifact_hash, std::string_view backend,
-               std::string_view engine, unsigned workers,
-               // Benches pick up batching from the environment (the
-               // default ExecConfig does), so the default here is the
-               // same resolved value — rows stay truthful under
-               // FIREAXE_BATCH_DEPTH without touching every caller.
-               unsigned batch_depth = platform::defaultBatchDepth())
+               uint64_t artifact_hash, const platform::ExecConfig &exec)
 {
     obs::addRunIdentity(row.writer(), schema, target, plan_hash,
-                        artifact_hash, backend, engine, workers,
-                        batch_depth);
+                        artifact_hash, exec);
     return row;
+}
+
+/**
+ * The sweep benches' execution config with @p workers workers:
+ * ExecConfig's constant defaults, except that FIREAXE_EVAL and
+ * FIREAXE_BATCH_DEPTH, when set, pick the evaluation engine and the
+ * batch depth (CI's batched worker sweep under TSan sets the depth).
+ */
+inline platform::ExecConfig
+envExecConfig(unsigned workers = 1)
+{
+    platform::ExecConfig exec = platform::ExecConfig::parallel(workers);
+    if (const char *v = std::getenv("FIREAXE_EVAL"); v && *v)
+        exec.evalEngine = rtlsim::parseEvalEngine(v);
+    if (const char *v = std::getenv("FIREAXE_BATCH_DEPTH"); v && *v)
+        exec.batchDepth = unsigned(std::strtoul(v, nullptr, 10));
+    if (exec.batchDepth == 0)
+        exec.batchDepth = 1;
+    return exec;
 }
 
 /**
@@ -278,6 +291,8 @@ struct SweepPoint
     double fmr = 0.0;
     /** Partition-plan identity of the measured run (addRunIdentity). */
     uint64_t planHash = 0;
+    /** The execution config the run used. */
+    platform::ExecConfig exec;
     /** Design+plan content hash (platform::contentHash). */
     uint64_t contentHash = 0;
 };
@@ -317,12 +332,12 @@ runTilePartitionSweep(unsigned total_tiles, unsigned tiles_out,
         {platform::alveoU250(bitstream_mhz),
          platform::alveoU250(bitstream_mhz)},
         link);
-    if (exec)
-        sim.setExecConfig(*exec);
+    sim.setExecConfig(exec ? *exec : envExecConfig());
     auto result = sim.run(cycles);
 
     SweepPoint point;
     point.planHash = sim.planHash();
+    point.exec = sim.execConfig();
     point.contentHash = sim.contentHash();
     // Boundary width of the extracted partition (one side).
     point.interfaceBits = plan.feedback.interfaceWidths[1];

@@ -74,9 +74,6 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
     if (full())
         return false;
     unsigned depth = batchDepth();
-    if (depth > 1 && !pipelined_ && batchPos_ == 0 &&
-        now < stallUntil_)
-        return false; // stop-and-wait: last epoch's frame still flying
 
     uint64_t seq = nextSeq_++;
     uint32_t crc = tokenCrc(token);
@@ -177,8 +174,6 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
             probe_->onEvent("duplicate");
         serializer_->lastDepart += unit_ser;
     }
-    if (depth > 1 && !pipelined_)
-        stallUntil_ = ready;
     // The wire copy (and a link-layer duplicate of it, one unit
     // later) is written straight into a reused queue slot.
     auto transmit = [&](double at) {
@@ -427,7 +422,6 @@ TokenChannel::failover(double ser_time, double latency)
     // ready times; future enqueues pay the per-token cost.
     batchDepth_.store(1, std::memory_order_relaxed);
     batchPos_ = 0;
-    stallUntil_ = 0.0;
     faultsActive_.store(false, std::memory_order_relaxed);
     failed_.store(false, std::memory_order_relaxed);
     txStats_.add("failovers");
@@ -489,13 +483,13 @@ TokenChannel::saveCkpt(std::ostream &os) const
        << (faultsActive_.load(std::memory_order_relaxed) ? 1 : 0)
        << "\n";
     // Link timing and clocks. A snapshot may land mid-epoch, so the
-    // frame phase and the stop-and-wait horizon are part of the
-    // token schedule's state.
+    // frame phase is part of the token schedule's state. The last
+    // slot held the retired stop-and-wait horizon: it is written as
+    // 0 and ignored on read, so older snapshots still resume.
     os << doubleBits(serTime()) << " " << doubleBits(latency()) << " "
        << doubleBits(serializer_->lastDepart) << " "
        << doubleBits(producerNowNs_) << " "
-       << doubleBits(consumerNowNs_) << " " << batchPos_ << " "
-       << doubleBits(stallUntil_) << "\n";
+       << doubleBits(consumerNowNs_) << " " << batchPos_ << " 0\n";
     os << nak_.pendingSeq << " " << doubleBits(nak_.resendReadyNs)
        << " " << nak_.backoffTries << " "
        << doubleBits(nak_.backoffNs) << "\n";
@@ -604,9 +598,9 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
     is >> enq >> deq >> pushes >> next_seq >> last_delivered >>
         suppress >> replay_cap >> failed >> faults_active;
     uint64_t ser_b = 0, lat_b = 0, depart_b = 0, pnow_b = 0,
-             cnow_b = 0, batch_pos = 0, stall_b = 0;
+             cnow_b = 0, batch_pos = 0, retired_b = 0;
     is >> ser_b >> lat_b >> depart_b >> pnow_b >> cnow_b >>
-        batch_pos >> stall_b;
+        batch_pos >> retired_b;
     NakRecovery nak;
     uint64_t resend_b = 0, backoff_b = 0;
     is >> nak.pendingSeq >> resend_b >> nak.backoffTries >> backoff_b;
@@ -651,7 +645,6 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
     producerNowNs_ = bitsToDouble(pnow_b);
     consumerNowNs_ = bitsToDouble(cnow_b);
     batchPos_ = batch_pos;
-    stallUntil_ = bitsToDouble(stall_b);
     nak_ = nak;
     txRng_ = tx_rng;
     rxRng_ = rx_rng;

@@ -222,12 +222,8 @@ class TokenChannel final
      * Every depth'th token is the epoch boundary: the whole frame
      * (@p frame_overhead_ns + depth x payload_ser_ns) departs on the
      * shared serializer and flies for latency(). Faults and
-     * retransmissions act at frame granularity.
-     *
-     * @p pipelined selects overlap of frame flight with the next
-     * epoch's compute; when false the channel applies stop-and-wait
-     * backpressure (the first token of epoch k+1 is refused until
-     * epoch k's frame has been delivered).
+     * retransmissions act at frame granularity. Epoch k's frame
+     * flight overlaps epoch k+1's compute.
      *
      * Token values and order are untouched — batching only retimes
      * visibility — so any depth is observationally bit-exact.
@@ -235,7 +231,7 @@ class TokenChannel final
      */
     void
     configureBatching(unsigned depth, double payload_ser_ns,
-                      double frame_overhead_ns, bool pipelined)
+                      double frame_overhead_ns)
     {
         FIREAXE_ASSERT(depth >= 1, "channel '", name_,
                        "': batch depth must be >= 1");
@@ -244,7 +240,6 @@ class TokenChannel final
                             std::memory_order_relaxed);
         frameOverheadNs_.store(frame_overhead_ns,
                                std::memory_order_relaxed);
-        pipelined_ = pipelined;
     }
 
     unsigned
@@ -252,30 +247,6 @@ class TokenChannel final
     {
         return batchDepth_.load(std::memory_order_relaxed);
     }
-
-    bool pipelinedEpochs() const { return pipelined_; }
-
-    /**
-     * Whether an enqueue attempted at host time @p now could be
-     * accepted as far as the epoch protocol is concerned (it may
-     * still fail on occupancy — see full()). False only while a
-     * stop-and-wait epoch stall is pending: batching enabled,
-     * pipelined epochs off, at an epoch boundary, and the previous
-     * frame has not landed yet. Producer-side state only — must be
-     * called from the producing partition's thread, like
-     * tryEnqTimed().
-     */
-    bool
-    writableAt(double now) const
-    {
-        return pipelined_ || batchDepth() <= 1 || batchPos_ != 0 ||
-               now >= stallUntil_;
-    }
-
-    /** The host time at which a pending stop-and-wait stall ends:
-     *  writableAt(t) holds for every t >= writableFrom(). Like
-     *  writableAt(), producer-side only. */
-    double writableFrom() const { return stallUntil_; }
 
     /** Payload-only serialization of one token within a frame. */
     double
@@ -398,10 +369,10 @@ class TokenChannel final
     /**
      * Try to enqueue a token produced at host time @p now, applying
      * the configured serialization + latency model and the fault
-     * model. Returns false on backpressure (channel full, or a
-     * pending stop-and-wait epoch stall) without consuming a
-     * serializer slot. Like tryEnq(), copies the token and leaves it
-     * intact; duplicates and corruptions are written in place too.
+     * model. Returns false on backpressure (channel full) without
+     * consuming a serializer slot. Like tryEnq(), copies the token
+     * and leaves it intact; duplicates and corruptions are written
+     * in place too.
      */
     bool tryEnqTimed(const Token &token, double now);
 
@@ -764,14 +735,9 @@ class TokenChannel final
     std::atomic<unsigned> batchDepth_{1};
     std::atomic<double> payloadSerNs_{0.0};
     std::atomic<double> frameOverheadNs_{0.0};
-    /** Producer-only (tryEnqTimed). */
-    bool pipelined_ = true;
     /** Position of the next enqueue within the current epoch
      *  (producer-only). */
     uint64_t batchPos_ = 0;
-    /** Stop-and-wait horizon (pipelined epochs off): delivery time
-     *  of the last boundary frame (producer-only). */
-    double stallUntil_ = 0.0;
 
     // --- concurrent-mode state ------------------------------------
     bool concurrent_ = false;

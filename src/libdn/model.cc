@@ -203,8 +203,7 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         th.situation[c] = th.inChans[c]->headReady(now);
     for (size_t c = 0; c < th.outChans.size(); ++c)
         th.situation[num_in + c] = !th.fired[c] &&
-                                   !th.outChans[c]->full() &&
-                                   th.outChans[c]->writableAt(now);
+                                   !th.outChans[c]->full();
     if (th.situationValid && th.situation == th.lastSituation)
         return false;
     th.situation.swap(th.lastSituation);
@@ -303,11 +302,6 @@ LIBDNModel::wakeTimeNs(double now) const
         double ready = ch->headReadyTime();
         if (ready > now)
             wake = std::min(wake, ready);
-    }
-    for (size_t c = 0; c < th.outChans.size(); ++c) {
-        const TokenChannel &ch = *th.outChans[c];
-        if (!th.fired[c] && !ch.full() && !ch.writableAt(now))
-            wake = std::min(wake, ch.writableFrom());
     }
     return wake;
 }

@@ -72,7 +72,7 @@ class LIBDNModel
     LIBDNModel(std::string name, const firrtl::Circuit &circuit,
                unsigned num_threads = 1,
                rtlsim::EvalEngine engine =
-                   rtlsim::defaultEvalEngine(),
+                   rtlsim::EvalEngine::Interpret,
                std::shared_ptr<const rtlsim::CompiledProgram>
                    precompiled = nullptr);
 
@@ -134,11 +134,10 @@ class LIBDNModel
      * thread's channel situation can change on its own: the next
      * input head becoming visible (the raw queue head, so a
      * channel's NAK and duplicate handling run on the same
-     * host edge as they would tick by tick), or the end of a
-     * stop-and-wait stall on an output that could fire otherwise.
-     * +inf when only another partition can change it. Between
-     * @p now and this time tick() returns false without touching
-     * any state, unless a peer moves a token on a shared channel.
+     * host edge as they would tick by tick). +inf when only
+     * another partition can change it. Between @p now and this time
+     * tick() returns false without touching any state, unless a
+     * peer moves a token on a shared channel.
      */
     double wakeTimeNs(double now) const;
 

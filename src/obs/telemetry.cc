@@ -1,20 +1,11 @@
 #include "obs/telemetry.hh"
 
-#include <cstdlib>
-
 namespace fireaxe::obs {
 
 Telemetry::Telemetry(const TelemetryConfig &cfg) : cfg_(cfg)
 {
-    // FIREAXE_STREAM turns on streaming (and thus causal token
-    // tracing) without touching the caller's config — the same
-    // opt-in shape as FIREAXE_EVAL for the eval engine.
-    if (cfg_.streamPath.empty()) {
-        if (const char *env = std::getenv("FIREAXE_STREAM");
-            env && *env) {
-            cfg_.streamPath = env;
-        }
-    }
+    // Streaming needs the metrics it exports and the causal token
+    // trace it carries.
     if (!cfg_.streamPath.empty() || cfg_.streamSink) {
         cfg_.metrics = true;
         cfg_.tokenTrace = true;

@@ -58,8 +58,7 @@ struct TelemetryConfig
      *  target cycles (0 with a streamPath = a default cadence chosen
      *  by the executor). */
     uint64_t streamEveryCycles = 0;
-    /** JSONL stream destination; empty = no streaming. The
-     *  FIREAXE_STREAM environment variable provides a default. */
+    /** JSONL stream destination; empty = no streaming. */
     std::string streamPath;
     /**
      * Caller-owned JSONL stream destination; non-null enables

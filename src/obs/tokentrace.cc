@@ -4,6 +4,7 @@
 
 #include "obs/json.hh"
 #include "obs/metrics.hh"
+#include "obs/runid.hh"
 
 namespace fireaxe::obs {
 
@@ -105,22 +106,8 @@ StreamWriter::writeHeader(const StreamRunInfo &info)
     w.beginObject();
     w.key("type");
     w.value("header");
-    w.key("schema");
-    w.value("fireaxe.stream.v1");
-    w.key("target");
-    w.value(info.runLabel);
-    w.key("plan_hash");
-    w.value(info.planHash);
-    w.key("artifact_hash");
-    w.value(info.artifactHash);
-    w.key("backend");
-    w.value(info.backend);
-    w.key("engine");
-    w.value(info.engine);
-    w.key("workers");
-    w.value(uint64_t(info.workers));
-    w.key("batch_depth");
-    w.value(uint64_t(info.batchDepth));
+    addRunIdentity(w, "fireaxe.stream.v1", info.runLabel,
+                   info.planHash, info.artifactHash, info.exec);
     w.key("sample_every");
     w.value(uint64_t(info.sampleEvery));
     w.key("partitions");

@@ -43,6 +43,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "platform/execconfig.hh"
+
 namespace fireaxe::obs {
 
 struct MetricsSnapshot;
@@ -198,12 +200,8 @@ struct StreamRunInfo
     /** Design+plan content hash (platform::contentHash) — the same
      *  64-bit identity bench rows and the service cache key on. */
     uint64_t artifactHash = 0;
-    std::string backend;
-    std::string engine;
-    unsigned workers = 0;
-    /** Requested token batch depth (ExecConfig::batchDepth); 1 =
-     *  classic per-cycle tokens. */
-    unsigned batchDepth = 1;
+    /** The run's effective execution config (obs/runid.hh). */
+    platform::ExecConfig exec;
     unsigned sampleEvery = 1;
     /** Index = partition id. */
     std::vector<std::string> partitions;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <map>
@@ -26,29 +25,6 @@ using libdn::ChannelPtr;
 using libdn::LIBDNModel;
 using libdn::TokenChannel;
 using ripper::PartitionMode;
-
-unsigned
-defaultBatchDepth()
-{
-    const char *env = std::getenv("FIREAXE_BATCH_DEPTH");
-    if (!env || !*env)
-        return 1;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end || v == 0)
-        return 1;
-    return unsigned(v);
-}
-
-bool
-defaultPipelinedEpochs()
-{
-    const char *env = std::getenv("FIREAXE_PIPELINED_EPOCHS");
-    if (!env || !*env)
-        return true;
-    std::string v(env);
-    return !(v == "0" || v == "false" || v == "off");
-}
 
 uint64_t
 designContentHash(const ripper::PartitionPlan &plan)
@@ -214,24 +190,15 @@ MultiFpgaSim::init()
     if (execConfig_.batchDepth > 1)
         ensureBatchAnnotation();
 
-    // FIREAXE_NO_VERIFY=1 is the process-level --no-verify escape
-    // hatch: it demotes Enforce to WarnOnly so a rejected plan still
-    // runs (with the findings on stderr) without a code change.
-    VerifyPolicy policy = verifyPolicy_;
-    const char *no_verify = std::getenv("FIREAXE_NO_VERIFY");
-    if (policy == VerifyPolicy::Enforce && no_verify &&
-        *no_verify && std::string(no_verify) != "0")
-        policy = VerifyPolicy::WarnOnly;
-
-    if (policy != VerifyPolicy::Off) {
+    if (verifyPolicy_ != VerifyPolicy::Off) {
         runPreflight();
         if (preflight_.hasErrors()) {
-            if (policy == VerifyPolicy::Enforce) {
+            if (verifyPolicy_ == VerifyPolicy::Enforce) {
                 fatal("pre-flight static verification rejected the "
                       "partition plan:\n",
                       preflight_.renderText(),
                       "(setVerifyPolicy(VerifyPolicy::WarnOnly/Off) "
-                      "or FIREAXE_NO_VERIFY=1 to override)");
+                      "to override)");
             }
             warn("pre-flight static verification found errors "
                  "(running anyway):\n",
@@ -308,8 +275,7 @@ MultiFpgaSim::init()
             chan->configureBatching(
                 eff_depth,
                 transport::payloadSerNs(link_, ch.widthBits),
-                transport::frameOverheadNs(link_),
-                execConfig_.pipelinedEpochs);
+                transport::frameOverheadNs(link_));
         channels_.push_back({chan, ch.srcPart, ch.dstPart, false,
                              ser, ser_ns, lat_ns});
 
@@ -393,11 +359,7 @@ MultiFpgaSim::setupTelemetry()
             info.runLabel = cfg.runLabel;
             info.planHash = planHash();
             info.artifactHash = contentHash();
-            info.backend = execConfig_.workers == 1 ? "sequential"
-                                                    : "parallel";
-            info.engine = rtlsim::toString(execConfig_.evalEngine);
-            info.workers = execConfig_.workers;
-            info.batchDepth = execConfig_.batchDepth;
+            info.exec = execConfig_;
             info.sampleEvery = tt ? tt->sampleEvery() : 1;
             info.partitions = plan_.partitionNames;
             if (tt)
@@ -696,12 +658,7 @@ MultiFpgaSim::run(uint64_t target_cycles)
     // exactly a consistent cut — so snapshotting between chunks
     // cannot perturb the token schedule or any result.
     uint64_t every = execConfig_.snapshotEveryCycles;
-    std::string snap_dir = execConfig_.snapshotDir;
-    if (snap_dir.empty()) {
-        const char *env = std::getenv("FIREAXE_SNAPSHOT_DIR");
-        if (env && *env)
-            snap_dir = env;
-    }
+    const std::string &snap_dir = execConfig_.snapshotDir;
     if (every == 0 || snap_dir.empty())
         return runOnce(target_cycles);
 
@@ -868,8 +825,8 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
                 }
             }
         }
-        // A failover drops the channel's batching and its
-        // stop-and-wait stall, which the producer may be sleeping on.
+        // A failover retimes the channel and drops its batching; the
+        // producer ticks the next edge rather than sleep past it.
         bool failed_over = faults_.enabled() && checkFailover(p);
 
         par::TickResult r;

@@ -38,6 +38,7 @@
 #include "libdn/model.hh"
 #include "obs/telemetry.hh"
 #include "par/engine.hh"
+#include "platform/execconfig.hh"
 #include "platform/fpga.hh"
 #include "recovery/recovery.hh"
 #include "ripper/partition.hh"
@@ -182,91 +183,6 @@ struct RunResult
     {
         return hostTimeNs > 0.0 ? targetCycles / hostTimeNs * 1000.0
                                 : 0.0;
-    }
-};
-
-/** Process-wide default token batch depth: FIREAXE_BATCH_DEPTH when
- *  set to a positive integer, else 1 (unbatched). */
-unsigned defaultBatchDepth();
-
-/** Process-wide default for pipelined epochs: true unless
- *  FIREAXE_PIPELINED_EPOCHS is set to 0/false/off. */
-bool defaultPipelinedEpochs();
-
-/** Execution settings for MultiFpgaSim::run(). */
-struct ExecConfig
-{
-    /**
-     * Workers of the src/par engine. 1 (the default) runs every
-     * partition on the calling thread; N > 1 starts N worker
-     * threads; 0 = one per partition, capped at the hardware
-     * concurrency. Every observable result is bit-identical for any
-     * value.
-     */
-    unsigned workers = 1;
-    /**
-     * Evaluation engine for every partition's target simulator (see
-     * rtlsim/engine.hh): Interpret re-evaluates the full design each
-     * cycle, Compiled runs the bytecode engine with activity gating.
-     * Bit-exact either way. Defaults to the process-wide
-     * FIREAXE_EVAL choice; fixed at init() time (unlike `workers`,
-     * which may change between run() calls).
-     */
-    rtlsim::EvalEngine evalEngine = rtlsim::defaultEvalEngine();
-    /**
-     * Nonzero: seed random wall-clock scheduling jitter into every
-     * worker, to shake out ordering assumptions in stress tests.
-     * Results must stay bit-identical for any value.
-     */
-    uint64_t stressSeed = 0;
-    /**
-     * Nonzero: run() autosnapshots the whole simulation into
-     * `snapshotDir` every N target cycles (crash-consistent commit;
-     * see src/recovery). run() internally chunks the event loop at
-     * the snapshot boundaries — the boundaries are quiesce points,
-     * so the token schedule (and every result) is unchanged.
-     */
-    uint64_t snapshotEveryCycles = 0;
-    /** Autosnapshot directory; empty falls back to the
-     *  FIREAXE_SNAPSHOT_DIR environment variable. */
-    std::string snapshotDir;
-    /**
-     * Per-channel delivered-token replay log depth backing
-     * restartPartition() (entries retained past each recovery
-     * point). 0 disables the logs (and with them single-partition
-     * restart); whole-run rollback/restore is unaffected.
-     */
-    size_t replayLogDepth = 1024;
-    /**
-     * Depth-N token batching (latency hiding): a partition may run
-     * up to N target cycles ahead across a fully registered cut and
-     * ship the N tokens as one framed link transaction (one
-     * seq+CRC+frame overhead per batch). init() runs the static
-     * legality pass (analyze::annotateBatchDepths) and clamps the
-     * requested depth per channel — an illegal boundary (PLAN011)
-     * silently runs at depth 1, so results stay bit-exact
-     * regardless. 1 (default) is the classic per-cycle protocol and
-     * is bit-identical to pre-batching builds *including host time*.
-     * Defaults to the FIREAXE_BATCH_DEPTH environment variable via
-     * defaultBatchDepth().
-     */
-    unsigned batchDepth = defaultBatchDepth();
-    /**
-     * Pipelined epochs (default on): overlap epoch k's frame flight
-     * with epoch k+1's compute. When off, the producer stalls at
-     * each epoch boundary until the previous frame has been
-     * delivered (stop-and-wait); token values and order are
-     * identical either way — only modeled host time differs.
-     * FIREAXE_PIPELINED_EPOCHS=0 flips the default off.
-     */
-    bool pipelinedEpochs = defaultPipelinedEpochs();
-
-    static ExecConfig
-    parallel(unsigned workers = 0)
-    {
-        ExecConfig cfg;
-        cfg.workers = workers;
-        return cfg;
     }
 };
 
@@ -447,10 +363,8 @@ class MultiFpgaSim
     /**
      * Rewind the whole run to a cut captured by
      * acquireRecoveryPoint() on this instance. The continuation is
-     * bit-identical to a run that never went past the cut. This is
-     * the rollback seam a future optimistic (Time Warp) scheduler
-     * builds on; points are plain values — hold as many as you like,
-     * discard in O(1).
+     * bit-identical to a run that never went past the cut. Points
+     * are plain values — hold as many as you like, discard in O(1).
      */
     void rollback(const recovery::RecoveryPoint &point);
 

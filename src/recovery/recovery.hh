@@ -12,9 +12,8 @@
  * SnapshotStore), or restart a single condemned partition while its
  * peers keep their state.
  *
- * The acquire/rollback seam is deliberately a value type: the future
- * optimistic (Time Warp) scheduler of ROADMAP item 1 needs to hold
- * several cuts at once and discard them in O(1).
+ * A recovery point is a plain value: a caller may hold several cuts
+ * at once and discard them in O(1).
  */
 
 #ifndef FIREAXE_RECOVERY_RECOVERY_HH

@@ -1,7 +1,5 @@
 #include "rtlsim/engine.hh"
 
-#include <cstdlib>
-
 #include "base/logging.hh"
 
 namespace fireaxe::rtlsim {
@@ -27,15 +25,6 @@ parseEvalEngine(const std::string &name)
         return EvalEngine::Compiled;
     fatal("unknown eval engine '", name,
           "' (expected 'interpret' or 'compiled')");
-}
-
-EvalEngine
-defaultEvalEngine()
-{
-    const char *env = std::getenv("FIREAXE_EVAL");
-    if (env && *env)
-        return parseEvalEngine(env);
-    return EvalEngine::Interpret;
 }
 
 } // namespace fireaxe::rtlsim

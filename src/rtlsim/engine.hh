@@ -17,8 +17,7 @@
  * Both engines produce identical results for every observable
  * operation (peek/poke, checkpoints, saved state, output
  * dependencies); the choice is purely a host-performance knob.
- * The process-wide default honours the FIREAXE_EVAL environment
- * variable ("interpret" or "compiled").
+ * Interpret is the default everywhere.
  */
 
 #ifndef FIREAXE_RTLSIM_ENGINE_HH
@@ -36,13 +35,6 @@ const char *toString(EvalEngine engine);
 
 /** Parse an engine name; fatal() on anything unknown. */
 EvalEngine parseEvalEngine(const std::string &name);
-
-/**
- * The process default: FIREAXE_EVAL if set (and non-empty), else
- * Interpret. Read afresh on every call so tests can flip the
- * environment between simulator constructions.
- */
-EvalEngine defaultEvalEngine();
 
 } // namespace fireaxe::rtlsim
 

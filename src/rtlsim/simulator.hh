@@ -69,8 +69,7 @@ class Simulator
      * @param engine       evaluation engine; both engines are
      *                     bit-exact, Compiled adds one-shot bytecode
      *                     compilation plus activity gating (see
-     *                     rtlsim/engine.hh). Defaults to the
-     *                     process-wide FIREAXE_EVAL choice.
+     *                     rtlsim/engine.hh).
      * @param precompiled  optional shared compiled program (Compiled
      *                     engine only) harvested from an earlier
      *                     simulator of the same flat circuit — the
@@ -80,7 +79,7 @@ class Simulator
      */
     explicit Simulator(
         const firrtl::Circuit &flat_circuit,
-        EvalEngine engine = defaultEvalEngine(),
+        EvalEngine engine = EvalEngine::Interpret,
         std::shared_ptr<const CompiledProgram> precompiled = nullptr);
     ~Simulator();
 

@@ -132,6 +132,7 @@ JobRunner::prepare()
         exec.snapshotEveryCycles = spec_.snapshotEvery;
         exec.snapshotDir = spec_.snapshotDir;
         sim_->setExecConfig(exec);
+        outcome_.exec = exec;
 
         outcome_.planHash = sim_->planHash();
         prepared_ = true;

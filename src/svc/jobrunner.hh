@@ -56,6 +56,10 @@ struct RunOutcome
      *  worth forwarding). */
     std::string verifyReport;
 
+    /** The execution config the job ran under: the spec's knobs
+     *  resolved over ExecConfig's constant defaults. */
+    platform::ExecConfig exec;
+
     uint64_t planHash = 0;
     /** platform::contentHash of the elaborated design+plan. */
     uint64_t artifactHash = 0;

@@ -39,13 +39,12 @@ struct JobSpec
     /** Worker threads under "parallel" (0 = auto); ignored under
      *  "sequential". */
     unsigned workers = 0;
-    /** Evaluation engine: "" = process default (FIREAXE_EVAL),
-     *  "interpret" or "compiled". */
+    /** Evaluation engine: "interpret" or "compiled"; "" =
+     *  interpret (the ExecConfig default). */
     std::string engine;
-    /** Depth-N token batching (ExecConfig::batchDepth); 0 = process
-     *  default (FIREAXE_BATCH_DEPTH), 1 = classic per-cycle tokens.
-     *  Illegal boundaries are clamped per channel (PLAN011), so any
-     *  depth is bit-exact. */
+    /** Depth-N token batching (ExecConfig::batchDepth); 0 or 1 =
+     *  classic per-cycle tokens. Illegal boundaries are clamped per
+     *  channel (PLAN011), so any depth is bit-exact. */
     unsigned batchDepth = 0;
     /** Target cycles to simulate. */
     uint64_t cycles = 2000;

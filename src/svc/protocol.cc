@@ -5,6 +5,7 @@
 
 #include "obs/json.hh"
 #include "obs/jsonparse.hh"
+#include "obs/runid.hh"
 
 namespace fireaxe::svc {
 
@@ -159,6 +160,7 @@ resultLine(uint64_t job, const std::string &target,
     w.value(hexHash(o.planHash));
     w.key("artifact_hash");
     w.value(hexHash(o.artifactHash));
+    obs::addExecFields(w, o.exec);
     w.key("deadlocked");
     w.value(o.result.deadlocked);
     w.key("stopped");

@@ -29,6 +29,7 @@
 #include "target/bus_soc.hh"
 #include "transport/link.hh"
 #include "verify/verify.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::analyze;
@@ -496,12 +497,6 @@ TEST(CutCost, Fig2PredictionMatchesMeasuredRun)
         std::vector<platform::FpgaSpec>(2, platform::alveoU250(50.0)),
         transport::qsfpAurora());
     sim.setTelemetry({});
-    // The cut-cost model prices every cut token's full link cost;
-    // depth-N batching (e.g. FIREAXE_BATCH_DEPTH in a CI sweep)
-    // would drive the measured FMR below the predicted lower bound.
-    platform::ExecConfig exec;
-    exec.batchDepth = 1;
-    sim.setExecConfig(exec);
     auto result = sim.run(1500);
     ASSERT_FALSE(result.deadlocked);
 
@@ -598,6 +593,7 @@ TEST(AutoPartitionScoring, SpecStillRunsCycleExact)
         std::vector<platform::FpgaSpec>(plan.partitions.size(),
                                         platform::alveoU250(50.0)),
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> mono, part;
     platform::runMonolithic(
         soc, nullptr,

@@ -33,6 +33,7 @@
 #include "transport/fault.hh"
 #include "transport/link.hh"
 #include "verify/verify.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::ripper;
@@ -390,7 +391,7 @@ TEST(BatchClamp, MixedBoundaryRunsBitExactUnderRequestedDepth)
     for (unsigned workers : {1u, 0u}) {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
-        ExecConfig cfg;
+        ExecConfig cfg = testenv::execConfig();
         cfg.workers = workers;
         cfg.batchDepth = 8; // clamped per channel, not rejected
         sim.setExecConfig(cfg);
@@ -467,8 +468,7 @@ TEST(BatchFault, BatchGranularRetransmitNoDuplicateDelivery)
     libdn::TokenChannel ch("ch", 64, 64, transport::FaultModel(fc));
     ch.setTiming(10.0, 100.0);
     ch.configureBatching(8, /*payload_ser_ns=*/2.0,
-                         /*frame_overhead_ns=*/10.0,
-                         /*pipelined=*/true);
+                         /*frame_overhead_ns=*/10.0);
     auto out = pump(ch, count);
 
     // Exactly-once, in-order delivery despite drops and duplicates.
@@ -511,7 +511,7 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
     {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
-        ExecConfig cfg;
+        ExecConfig cfg = testenv::execConfig();
         cfg.batchDepth = depth;
         sim.setExecConfig(cfg);
         sim.setMonitor(0,
@@ -535,7 +535,7 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
             MultiFpgaSim sim(plan,
                              u250s(plan.partitions.size(), 50.0),
                              transport::qsfpAurora());
-            ExecConfig cfg;
+            ExecConfig cfg = testenv::execConfig();
             cfg.batchDepth = depth;
             sim.setExecConfig(cfg);
             auto r = sim.run(cut);
@@ -545,7 +545,7 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
 
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
-        ExecConfig cfg;
+        ExecConfig cfg = testenv::execConfig();
         cfg.workers = workers;
         cfg.batchDepth = depth;
         sim.setExecConfig(cfg);
@@ -593,7 +593,7 @@ TEST(BatchFmr, Fig2ShowcaseFmrCollapsesAtDepth32)
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(),
                                      host_mhz),
                          transport::qsfpAurora());
-        ExecConfig cfg;
+        ExecConfig cfg = testenv::execConfig();
         cfg.batchDepth = depth;
         sim.setExecConfig(cfg);
         auto r = sim.run(cycles);
@@ -609,7 +609,7 @@ TEST(BatchFmr, Fig2ShowcaseFmrCollapsesAtDepth32)
 
     // Paper regime: unbatched partitioned fig2 pays the full link
     // round trip every target cycle (FMR ~60); depth-32 batching
-    // with pipelined epochs amortizes it into single digits.
+    // amortizes it into single digits.
     EXPECT_GT(fmr1, 30.0);
     EXPECT_LT(fmr32, 10.0);
     EXPECT_GT(fmr1 / fmr32, 5.0);
@@ -633,7 +633,7 @@ TEST(TokenPath, SteadyStateTokensAllocateNothing)
                 libdn::TokenChannel ch("steady", 256, capacity);
                 ch.setTiming(10.0, 100.0);
                 if (depth > 1)
-                    ch.configureBatching(depth, 2.5, 40.0, true);
+                    ch.configureBatching(depth, 2.5, 40.0);
                 ch.setReplayLogCapacity(replay);
                 libdn::Token token(4);
                 double now = 0.0;
@@ -667,6 +667,7 @@ TEST(TokenPath, LongerRunAllocatesNoMoreThanShorterRun)
     auto runAllocations = [&](uint64_t cycles) {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         RunResult r;
         uint64_t n = allocationsIn([&] { r = sim.run(cycles); });
         EXPECT_FALSE(r.deadlocked);

@@ -42,6 +42,7 @@
 #include "svc/targets.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::platform;
@@ -56,7 +57,6 @@ struct Case
     std::string target;
     unsigned depth = 1;
     double faultRate = 0.0;
-    bool pipelined = true;
     /** Every channel's token capacity; 0 keeps the planned one. */
     size_t capacity = 0;
 };
@@ -125,10 +125,9 @@ struct Setup
     void
     configure(const Case &c, const Run &r)
     {
-        ExecConfig exec;
+        ExecConfig exec = testenv::execConfig();
         exec.workers = r.workers;
         exec.batchDepth = c.depth;
-        exec.pipelinedEpochs = c.pipelined;
         exec.snapshotEveryCycles = r.snapshotEvery;
         exec.snapshotDir = r.snapshotDir;
         sim->setExecConfig(exec);
@@ -275,8 +274,7 @@ std::string
 describe(const Case &c)
 {
     std::ostringstream os;
-    os << c.target << " depth " << c.depth << " faults " << c.faultRate
-       << (c.pipelined ? "" : " stop-and-wait");
+    os << c.target << " depth " << c.depth << " faults " << c.faultRate;
     if (c.capacity)
         os << " capacity " << c.capacity;
     return os.str();
@@ -357,17 +355,12 @@ INSTANTIATE_TEST_SUITE_P(ShippedTargets, ElisionOracle,
                                          "ring-noc", "big-core", "sha3",
                                          "gemmini", "boot"));
 
-TEST(Elision, StopAndWaitEpochsMatchTickEveryEdge)
-{
-    checkAgainstOracle({"fig2", 8, 0.0, false});
-}
-
 TEST(Elision, FullOutputsMatchTickEveryEdge)
 {
     // One-token channels fill up: a producer that saw a full output
     // must not sleep past the consumer's pop.
     for (const char *target : {"bus-soc", "big-core"})
-        checkAgainstOracle({target, 1, 0.0, true, 1});
+        checkAgainstOracle({target, 1, 0.0, 1});
 }
 
 TEST(Elision, AutosnapshotChunksMatchUnchunkedRun)
@@ -429,14 +422,14 @@ TEST(Elision, DeadlockIsReportedOnTheWatchdogEdge)
                       10u);
         }
     };
-    check(ExecConfig{});
+    check(testenv::execConfig());
     // The report must name the same edge however far the workers ran
     // before the pool quiesced.
     for (unsigned workers : {1u, 2u}) {
         for (uint64_t seed = 0; seed < 12; ++seed) {
             SCOPED_TRACE("parallel workers " + std::to_string(workers) +
                          " stress seed " + std::to_string(seed));
-            ExecConfig exec = ExecConfig::parallel(workers);
+            ExecConfig exec = testenv::execConfig(workers);
             exec.stressSeed = seed;
             check(exec);
         }

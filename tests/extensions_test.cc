@@ -25,6 +25,7 @@
 #include "target/bus_soc.hh"
 #include "target/paper_examples.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::firrtl;
@@ -71,8 +72,10 @@ TEST(Parser, ParsedCircuitSimulatesIdentically)
     auto original = target::buildBusSoc(cfg);
     auto parsed = parseCircuitString(circuitToString(original));
 
-    rtlsim::Simulator sim_a(passes::flattenAll(original));
-    rtlsim::Simulator sim_b(passes::flattenAll(parsed));
+    rtlsim::Simulator sim_a(passes::flattenAll(original),
+                            testenv::evalEngine());
+    rtlsim::Simulator sim_b(passes::flattenAll(parsed),
+                            testenv::evalEngine());
     for (int i = 0; i < 200; ++i) {
         ASSERT_EQ(sim_a.peek("status"), sim_b.peek("status"))
             << "cycle " << i;
@@ -133,7 +136,7 @@ TEST(Vcd, EmitsHeaderInitialDumpAndChanges)
     m.connect("cnt", bits(eAdd(r, lit(1, 4)), 3, 0));
     m.connect("count", r);
 
-    rtlsim::Simulator sim(cb.finish());
+    rtlsim::Simulator sim(cb.finish(), testenv::evalEngine());
     std::ostringstream os;
     rtlsim::VcdWriter vcd(os, sim);
     vcd.sample();
@@ -159,7 +162,7 @@ TEST(Vcd, OnlyChangedSignalsAfterFirstSample)
     m.output("steady", 8);
     m.reg("r", 8, 7);
     m.connect("steady", m.sig("r"));
-    rtlsim::Simulator sim(cb.finish());
+    rtlsim::Simulator sim(cb.finish(), testenv::evalEngine());
 
     std::ostringstream os;
     rtlsim::VcdWriter vcd(os, sim);
@@ -212,6 +215,7 @@ TEST(AutoPartition, ResultRunsCycleExact)
         std::vector<platform::FpgaSpec>(plan.partitions.size(),
                                         platform::alveoU250(40.0)),
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
 
     std::vector<uint64_t> mono, part;
     platform::runMonolithic(
@@ -301,6 +305,7 @@ TEST(Ethernet, SlowerThanQsfpButUsable)
             plan,
             {platform::alveoU250(60.0), platform::alveoU250(60.0)},
             link);
+        sim.setExecConfig(testenv::execConfig());
         auto r = sim.run(200);
         EXPECT_FALSE(r.deadlocked);
         return r.simRateMhz();
@@ -344,7 +349,7 @@ TEST(Checkpoint, ResumesExactly)
     cfg.memWords = 64;
     auto flat = passes::flattenAll(target::buildBusSoc(cfg));
 
-    rtlsim::Simulator sim(flat);
+    rtlsim::Simulator sim(flat, testenv::evalEngine());
     sim.run(137);
     std::stringstream snap;
     sim.saveCheckpoint(snap);
@@ -357,7 +362,7 @@ TEST(Checkpoint, ResumesExactly)
     }
 
     // Restore into a fresh simulator and replay.
-    rtlsim::Simulator restored(flat);
+    rtlsim::Simulator restored(flat, testenv::evalEngine());
     restored.loadCheckpoint(snap);
     EXPECT_EQ(restored.cycle(), 137u);
     for (int i = 0; i < 100; ++i) {
@@ -444,9 +449,9 @@ TEST(Checkpoint, RejectsMismatchedDesign)
     small.numTiles = 1;
     big.numTiles = 3;
     rtlsim::Simulator sim_a(
-        passes::flattenAll(target::buildBusSoc(small)));
+        passes::flattenAll(target::buildBusSoc(small)), testenv::evalEngine());
     rtlsim::Simulator sim_b(
-        passes::flattenAll(target::buildBusSoc(big)));
+        passes::flattenAll(target::buildBusSoc(big)), testenv::evalEngine());
     std::stringstream snap;
     sim_a.saveCheckpoint(snap);
     EXPECT_THROW(sim_b.loadCheckpoint(snap), FatalError);
@@ -457,7 +462,7 @@ TEST(Checkpoint, RejectsGarbageStream)
     target::BusSocConfig cfg;
     cfg.numTiles = 1;
     rtlsim::Simulator sim(
-        passes::flattenAll(target::buildBusSoc(cfg)));
+        passes::flattenAll(target::buildBusSoc(cfg)), testenv::evalEngine());
     std::stringstream junk("not a checkpoint at all");
     EXPECT_THROW(sim.loadCheckpoint(junk), FatalError);
 }
@@ -471,6 +476,7 @@ TEST(Vcd, AttachesToPartitionedSimulation)
         plan,
         {platform::alveoU250(30.0), platform::alveoU250(30.0)},
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::ostringstream wave;
     sim.attachVcd(1, wave);
     auto result = sim.run(50);

@@ -22,6 +22,7 @@
 #include "target/bus_soc.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::platform;
@@ -74,6 +75,7 @@ runFaulted(const PartitionPlan &plan,
 {
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     sim.setFaultModel(faults);
     sim.setMonitor(0, recorder(trace, "status"));
     return sim.run(cycles);
@@ -228,7 +230,7 @@ TEST(Fault, RetransmitBufferNeverOutgrowsQueue)
                                 transport::FaultModel(fc));
                 ch.setTiming(10.0, 100.0);
                 if (depth > 1)
-                    ch.configureBatching(depth, 2.0, 10.0, true);
+                    ch.configureBatching(depth, 2.0, 10.0);
                 Rng rng(seed * 31 + capacity * 7 + depth);
                 double now = 0.0;
                 uint64_t next = 0;
@@ -629,6 +631,7 @@ TEST(Fault, PreflightRefusesDeadlockPlan)
     // wait-for cycle.
     auto plan = deadlockPlan();
     MultiFpgaSim sim(plan, u250s(2, 50.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     try {
         sim.run(10);
         FAIL() << "expected the pre-flight gate to reject the plan";
@@ -642,6 +645,7 @@ TEST(Fault, GenuineDeadlockIsDiagnosed)
 {
     auto plan = deadlockPlan();
     MultiFpgaSim sim(plan, u250s(2, 50.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     sim.setVerifyPolicy(platform::VerifyPolicy::Off);
     auto result = sim.run(10);
 
@@ -690,6 +694,7 @@ TEST(Fault, DiagnosisPrettyPrinters)
 {
     auto plan = deadlockPlan();
     MultiFpgaSim sim(plan, u250s(2, 50.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     sim.setVerifyPolicy(platform::VerifyPolicy::Off);
     auto result = sim.run(10);
     ASSERT_TRUE(result.deadlocked);

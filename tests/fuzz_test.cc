@@ -31,6 +31,7 @@
 #include "ripper/partition.hh"
 #include "rtlsim/simulator.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using firrtl::ExprPtr;
@@ -514,7 +515,7 @@ TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
                         plan.partitions.size(),
                         platform::alveoU250(50.0)),
                     transport::qsfpAurora());
-                platform::ExecConfig cfg;
+                platform::ExecConfig cfg = testenv::execConfig();
                 cfg.workers = workers;
                 cfg.evalEngine = engine;
                 sim.setExecConfig(cfg);
@@ -538,14 +539,13 @@ TEST(FuzzPartitioned, BackendsAndEnginesMatchGolden)
 }
 
 /**
- * Batching differential: depth-N token batching and pipelined epochs
- * change only the modeled host time, never token values or order, so
- * every (depth, pipelined, backend, engine) combination must
- * reproduce the depth-1 sequential golden's monitor trace — the
- * per-cycle signal-table witness — and its trace hash, bit-exactly.
- * Each seed draws one depth from {1, 2, 8, 32} and a pipelined
- * on/off coin so the corpus covers the grid without multiplying the
- * run time by eight. FIREAXE_FUZZ_BATCH scales the corpus.
+ * Batching differential: depth-N token batching changes only the
+ * modeled host time, never token values or order, so every (depth,
+ * backend, engine) combination must reproduce the depth-1 sequential
+ * golden's monitor trace — the per-cycle signal-table witness — and
+ * its trace hash, bit-exactly. Each seed draws one depth from
+ * {1, 2, 8, 32} so the corpus covers the grid without multiplying
+ * the run time by four. FIREAXE_FUZZ_BATCH scales the corpus.
  */
 TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
 {
@@ -571,7 +571,7 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
 
         auto runOnce = [&](unsigned workers,
                            rtlsim::EvalEngine engine, unsigned depth,
-                           bool pipelined, std::vector<uint64_t> &out) {
+                           std::vector<uint64_t> &out) {
             platform::MultiFpgaSim sim(
                 plan,
                 std::vector<platform::FpgaSpec>(
@@ -582,7 +582,6 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
             cfg.workers = workers;
             cfg.evalEngine = engine;
             cfg.batchDepth = depth;
-            cfg.pipelinedEpochs = pipelined;
             sim.setExecConfig(cfg);
             sim.setMonitor(0, recorder(out, "status"));
             auto result = sim.run(cycles);
@@ -594,7 +593,7 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
         // Depth-1 sequential interpret is the golden; it must itself
         // match the monolithic run (sanity of the whole chain).
         std::vector<uint64_t> golden;
-        runOnce(1, rtlsim::EvalEngine::Interpret, 1, true, golden);
+        runOnce(1, rtlsim::EvalEngine::Interpret, 1, golden);
         ASSERT_GE(golden.size(), mono.size());
         for (size_t i = 0; i < mono.size(); ++i)
             ASSERT_EQ(golden[i], mono[i])
@@ -605,7 +604,6 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
 
         FuzzRng draw(seed * 0x9e3779b97f4a7c15ull + 11);
         const unsigned depth = depths[draw() % 4];
-        const bool pipelined = draw() % 2 == 0;
 
         const rtlsim::EvalEngine engines[] = {
             rtlsim::EvalEngine::Interpret,
@@ -615,15 +613,14 @@ TEST(FuzzPartitioned, BatchDepthsMatchDepthOneGolden)
         for (auto engine : engines) {
             for (unsigned workers : worker_counts) {
                 std::vector<uint64_t> trace;
-                runOnce(workers, engine, depth, pipelined, trace);
+                runOnce(workers, engine, depth, trace);
                 ASSERT_GE(trace.size(), golden.size())
                     << "short trace at depth " << depth
                     << "; replay with FIREAXE_FUZZ_SEED=" << seed;
                 for (size_t i = 0; i < golden.size(); ++i) {
                     ASSERT_EQ(trace[i], golden[i])
                         << "batching divergence at cycle " << i
-                        << " under depth " << depth << ", pipelined "
-                        << pipelined << ", engine "
+                        << " under depth " << depth << ", engine "
                         << rtlsim::toString(engine) << ", workers "
                         << workers
                         << "; replay with FIREAXE_FUZZ_SEED=" << seed;

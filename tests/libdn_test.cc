@@ -13,6 +13,7 @@
 #include "libdn/channel.hh"
 #include "libdn/model.hh"
 #include "target/paper_examples.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::firrtl;
@@ -130,7 +131,7 @@ counterPartition()
 
 TEST(LIBDN, SourceOutputFiresEveryCycle)
 {
-    LIBDNModel model("m", counterPartition());
+    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch = std::make_shared<TokenChannel>("out", 16, 64);
     model.bindOutput(out, 0, ch);
@@ -150,7 +151,7 @@ TEST(LIBDN, SourceOutputFiresEveryCycle)
 
 TEST(LIBDN, BlocksWhenOutputChannelIsFull)
 {
-    LIBDNModel model("m", counterPartition());
+    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch = std::make_shared<TokenChannel>("out", 16, 2);
     model.bindOutput(out, 0, ch);
@@ -174,7 +175,7 @@ TEST(LIBDN, WaitsForInputToken)
     auto in = m.input("in", 16);
     m.output("out", 16);
     m.connect("out", bits(eAdd(in, lit(1, 16)), 15, 0));
-    LIBDNModel model("m", cb.finish());
+    LIBDNModel model("m", cb.finish(), 1, testenv::evalEngine());
 
     int in_slot = model.defineInputChannel({"in", {"in"}});
     int out_slot = model.defineOutputChannel({"out", {"out"}});
@@ -228,8 +229,10 @@ struct Fig2Harness
             m.connect("snk_out", bits(eAdd(sink_in, r), 15, 0));
             return cb.finish();
         };
-        a = std::make_unique<LIBDNModel>("a", mk(1));
-        b = std::make_unique<LIBDNModel>("b", mk(2));
+        a = std::make_unique<LIBDNModel>("a", mk(1), 1,
+                                         testenv::evalEngine());
+        b = std::make_unique<LIBDNModel>("b", mk(2), 1,
+                                         testenv::evalEngine());
 
         auto connect = [&](LIBDNModel &src, LIBDNModel &dst,
                            const std::vector<std::string> &src_ports,
@@ -329,7 +332,7 @@ TEST(LIBDN, Fame5ThreadsAdvanceIndependentStates)
 {
     // One counter circuit, two FAME-5 threads: shared combinational
     // netlist, replicated sequential state, round-robin scheduling.
-    LIBDNModel model("m", counterPartition(), 2);
+    LIBDNModel model("m", counterPartition(), 2, testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch0 = std::make_shared<TokenChannel>("t0", 16, 64);
     auto ch1 = std::make_shared<TokenChannel>("t1", 16, 64);
@@ -355,7 +358,7 @@ TEST(LIBDN, Fame5ThreadsAdvanceIndependentStates)
 
 TEST(LIBDN, Fame5BlockedThreadStallsScheduler)
 {
-    LIBDNModel model("m", counterPartition(), 2);
+    LIBDNModel model("m", counterPartition(), 2, testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch0 = std::make_shared<TokenChannel>("t0", 16, 2);
     auto ch1 = std::make_shared<TokenChannel>("t1", 16, 64);
@@ -381,7 +384,7 @@ TEST(LIBDN, DriverSuppliesExternalInputs)
     auto r = m.reg("r", 16, 0);
     m.connect("r", in);
     m.connect("out", r);
-    LIBDNModel model("m", cb.finish());
+    LIBDNModel model("m", cb.finish(), 1, testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch = std::make_shared<TokenChannel>("out", 16, 64);
     model.bindOutput(out, 0, ch);
@@ -409,14 +412,14 @@ TEST(LIBDN, DriverSuppliesExternalInputs)
 
 TEST(LIBDN, UnboundChannelFailsFinalize)
 {
-    LIBDNModel model("m", counterPartition());
+    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
     model.defineOutputChannel({"out", {"out"}});
     EXPECT_THROW(model.finalize(), FatalError);
 }
 
 TEST(LIBDN, ChannelOverUnknownPortFails)
 {
-    LIBDNModel model("m", counterPartition());
+    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
     EXPECT_THROW(model.defineOutputChannel({"x", {"nope"}}),
                  FatalError);
 }

@@ -15,6 +15,7 @@
 #include "ripper/partition.hh"
 #include "target/noc_soc.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::ripper;
@@ -177,6 +178,7 @@ TEST(NocPartition, TwoFpgaRingIsCycleExact)
     auto plan = partition(soc, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 40.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
         part.push_back(s.peek("status"));
@@ -213,6 +215,7 @@ TEST(NocPartition, FiveFpgaRingRunsAndStaysExact)
     ASSERT_EQ(plan.partitions.size(), 5u);
 
     MultiFpgaSim sim(plan, u250s(5, 40.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
         part.push_back(s.peek("status"));
@@ -235,6 +238,7 @@ TEST(NocPartition, Fame5TilePartitionRuns)
     auto plan = partition(soc, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 30.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     auto result = sim.run(200);
     EXPECT_FALSE(result.deadlocked);
     EXPECT_GE(result.targetCycles, 200u);
@@ -301,6 +305,7 @@ TEST(BidirNoc, NocPartitionStaysCycleExact)
     auto plan = partition(soc, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 40.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
         part.push_back(s.peek("status"));

@@ -30,6 +30,7 @@
 #include "target/bus_soc.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::obs;
@@ -430,6 +431,7 @@ TEST(Telemetry, InstrumentedRunStaysBitExact)
     platform::MultiFpgaSim ref(
         plan1, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
+    ref.setExecConfig(testenv::execConfig());
     auto ref_result = ref.run(cycles);
 
     // Instrumented run: metrics.
@@ -437,6 +439,7 @@ TEST(Telemetry, InstrumentedRunStaysBitExact)
     platform::MultiFpgaSim sim(
         plan2, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     sim.setTelemetry(TelemetryConfig{});
     std::vector<uint64_t> part;
     sim.setMonitor(0,
@@ -502,6 +505,7 @@ TEST(Telemetry, ProgressReporterWritesToSink)
     platform::MultiFpgaSim sim(
         plan, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::ostringstream progress;
     TelemetryConfig tcfg;
     tcfg.progressIntervalNs = 50000.0;
@@ -527,6 +531,7 @@ TEST(Telemetry, DisabledTelemetryLeavesSnapshotEmpty)
     platform::MultiFpgaSim sim(
         plan, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     auto result = sim.run(200);
     EXPECT_FALSE(result.deadlocked);
     EXPECT_TRUE(result.metrics.empty());
@@ -551,6 +556,7 @@ TEST(Telemetry, StreamedRunFeedsCriticalPathAnalyzer)
     platform::MultiFpgaSim ref(
         plan1, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
+    ref.setExecConfig(testenv::execConfig());
     auto ref_result = ref.run(cycles);
 
     const std::string path =
@@ -561,6 +567,7 @@ TEST(Telemetry, StreamedRunFeedsCriticalPathAnalyzer)
     platform::MultiFpgaSim sim(
         plan2, {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     TelemetryConfig tcfg;
     tcfg.streamPath = path;
     tcfg.tokenSampleEvery = 1;
@@ -655,7 +662,7 @@ TEST(Telemetry, ReliabilityEventsReachTheStream)
             {platform::alveoU250(50.0), platform::alveoU250(50.0)},
             transport::qsfpAurora());
         sim.setFaultModel(transport::FaultConfig::uniform(5e-3, 7));
-        sim.setExecConfig(platform::ExecConfig::parallel(workers));
+        sim.setExecConfig(testenv::execConfig(workers));
         std::stringstream sink;
         TelemetryConfig tcfg;
         tcfg.streamSink = &sink;

@@ -36,6 +36,7 @@
 #include "target/bus_soc.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::platform;
@@ -418,14 +419,14 @@ TEST(ParExec, MatchesSequentialAndGoldenAcrossWorkerCounts)
     runMonolithic(soc, nullptr, recorder(mono, "status"), cycles);
     EXPECT_NE(mono.front(), mono.back());
 
-    ParityRun seq = runBackend(soc, ExecConfig{}, cycles);
+    ParityRun seq = runBackend(soc, testenv::execConfig(), cycles);
     EXPECT_FALSE(seq.result.deadlocked);
     expectPrefixEqual(mono, seq.trace);
 
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
         ParityRun par = runBackend(
-            soc, ExecConfig::parallel(workers), cycles);
+            soc, testenv::execConfig(workers), cycles);
         EXPECT_FALSE(par.result.deadlocked);
         expectPrefixEqual(mono, par.trace);
         // The schedules are identical, not merely equivalent: the
@@ -448,14 +449,14 @@ TEST(ParExec, FaultInjectionStaysBitExactInParallel)
     const uint64_t cycles = 800;
     auto faults = transport::FaultConfig::uniform(1e-3, 42);
 
-    ParityRun seq = runBackend(soc, ExecConfig{}, cycles, &faults);
+    ParityRun seq = runBackend(soc, testenv::execConfig(), cycles, &faults);
     EXPECT_FALSE(seq.result.deadlocked);
     EXPECT_GT(seq.result.retransmits, 0u);
 
     for (unsigned workers : {2u, 4u}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
         ParityRun par = runBackend(
-            soc, ExecConfig::parallel(workers), cycles, &faults);
+            soc, testenv::execConfig(workers), cycles, &faults);
         EXPECT_FALSE(par.result.deadlocked);
         EXPECT_GT(par.result.retransmits, 0u);
         EXPECT_EQ(par.result.targetCycles, seq.result.targetCycles);
@@ -479,11 +480,11 @@ TEST(ParExec, SchedulingJitterDoesNotChangeResults)
     const uint64_t cycles = 500;
     auto faults = transport::FaultConfig::uniform(2e-3, 7);
 
-    ParityRun seq = runBackend(soc, ExecConfig{}, cycles, &faults);
+    ParityRun seq = runBackend(soc, testenv::execConfig(), cycles, &faults);
 
     for (uint64_t seed : {1ull, 99ull}) {
         SCOPED_TRACE("stressSeed=" + std::to_string(seed));
-        ExecConfig exec = ExecConfig::parallel(4);
+        ExecConfig exec = testenv::execConfig(4);
         exec.stressSeed = seed;
         ParityRun par = runBackend(soc, exec, cycles, &faults);
         EXPECT_FALSE(par.result.deadlocked);
@@ -501,14 +502,14 @@ TEST(ParExec, SchedulingJitterDoesNotChangeResults)
     // channel heads from other threads; the read order is what keeps
     // their skips safe, and jitter is what exposes a wrong one.
     const uint64_t big_cycles = 2000;
-    BigCoreRun big_seq = runBigCore(ExecConfig{}, big_cycles);
+    BigCoreRun big_seq = runBigCore(testenv::execConfig(), big_cycles);
     ASSERT_EQ(big_seq.result.targetCycles, big_cycles);
     EXPECT_GT(big_seq.result.retransmits, 0u);
     for (unsigned workers : {1u, 2u, 4u}) {
         for (uint64_t seed : {1ull, 99ull}) {
             SCOPED_TRACE("big-core workers=" + std::to_string(workers) +
                          " stressSeed=" + std::to_string(seed));
-            ExecConfig exec = ExecConfig::parallel(workers);
+            ExecConfig exec = testenv::execConfig(workers);
             exec.stressSeed = seed;
             BigCoreRun par = runBigCore(exec, big_cycles);
             EXPECT_FALSE(par.result.deadlocked);
@@ -546,8 +547,8 @@ TEST(ParExec, TransientStallsAreExcusedInParallel)
     faults.stallRate = 0.02;
     faults.stallMeanNs = 200000.0;
 
-    ParityRun seq = runBackend(soc, ExecConfig{}, cycles, &faults);
-    ParityRun par = runBackend(soc, ExecConfig::parallel(4), cycles,
+    ParityRun seq = runBackend(soc, testenv::execConfig(), cycles, &faults);
+    ParityRun par = runBackend(soc, testenv::execConfig(4), cycles,
                                &faults);
 
     EXPECT_FALSE(par.result.deadlocked);
@@ -572,8 +573,8 @@ TEST(ParExec, FailoverRunsOnWorkerThreads)
     faults.dropRate = 0.7; // hopeless link
     faults.maxRetries = 2;
 
-    ParityRun seq = runBackend(soc, ExecConfig{}, cycles, &faults);
-    ParityRun par = runBackend(soc, ExecConfig::parallel(4), cycles,
+    ParityRun seq = runBackend(soc, testenv::execConfig(), cycles, &faults);
+    ParityRun par = runBackend(soc, testenv::execConfig(4), cycles,
                                &faults);
 
     EXPECT_FALSE(par.result.deadlocked);
@@ -594,7 +595,7 @@ TEST(ParExec, GenuineDeadlockIsDiagnosedInParallel)
     auto plan = deadlockPlan();
     MultiFpgaSim sim(plan, u250s(2, 50.0), transport::qsfpAurora());
     sim.setVerifyPolicy(VerifyPolicy::Off);
-    sim.setExecConfig(ExecConfig::parallel(2));
+    sim.setExecConfig(testenv::execConfig(2));
     auto result = sim.run(10);
 
     ASSERT_TRUE(result.deadlocked);
@@ -618,7 +619,7 @@ TEST(ParExec, StopConditionWorksAcrossWorkers)
     auto plan = threeWayPlan(soc);
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
-    sim.setExecConfig(ExecConfig::parallel(3));
+    sim.setExecConfig(testenv::execConfig(3));
     std::atomic<uint64_t> seen{0};
     sim.setMonitor(0, [&](rtlsim::Simulator &, unsigned,
                           uint64_t cycle) { seen.store(cycle); });
@@ -634,14 +635,14 @@ TEST(ParExec, ResumeContinuesBitExactly)
     auto soc = fourTileSoc();
     const uint64_t cycles = 400;
 
-    ParityRun seq = runBackend(soc, ExecConfig{}, cycles);
+    ParityRun seq = runBackend(soc, testenv::execConfig(), cycles);
 
     // Same run split into two parallel segments: the event schedule
     // is target-independent, so the trace must continue seamlessly.
     auto plan = threeWayPlan(soc);
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
-    sim.setExecConfig(ExecConfig::parallel(4));
+    sim.setExecConfig(testenv::execConfig(4));
     std::vector<uint64_t> trace;
     sim.setMonitor(0, recorder(trace, "status"));
     auto first = sim.run(cycles / 2);
@@ -671,7 +672,7 @@ TEST(ParExec, TokenStreamingStaysBitExactAcrossWorkers)
     const size_t nparts = plan_ref.partitions.size();
     MultiFpgaSim ref(plan_ref, u250s(nparts, 50.0),
                      transport::qsfpAurora());
-    ref.setExecConfig(ExecConfig::parallel(4));
+    ref.setExecConfig(testenv::execConfig(4));
     std::vector<uint64_t> ref_trace;
     ref.setMonitor(0, recorder(ref_trace, "status"));
     auto ref_result = ref.run(cycles);
@@ -691,7 +692,7 @@ TEST(ParExec, TokenStreamingStaysBitExactAcrossWorkers)
     tcfg.streamEveryCycles = 100;
     tcfg.runLabel = "par_test";
     sim.setTelemetry(tcfg);
-    sim.setExecConfig(ExecConfig::parallel(4));
+    sim.setExecConfig(testenv::execConfig(4));
     std::vector<uint64_t> trace;
     sim.setMonitor(0, recorder(trace, "status"));
     auto result = sim.run(cycles);
@@ -744,7 +745,7 @@ TEST(ParExec, TelemetryWorksUnderParallelExecution)
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
     sim.setTelemetry(obs::TelemetryConfig{});
-    sim.setExecConfig(ExecConfig::parallel(4));
+    sim.setExecConfig(testenv::execConfig(4));
     auto result = sim.run(300);
 
     EXPECT_FALSE(result.deadlocked);

@@ -13,6 +13,7 @@
 #include "passes/flatten.hh"
 #include "passes/resources.hh"
 #include "rtlsim/simulator.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::firrtl;
@@ -239,7 +240,7 @@ TEST(Flatten, FlatDesignSimulatesLikeOriginalWouldBehave)
 {
     Circuit c = buildTwoLevelCircuit();
     Circuit flat = passes::flattenAll(c);
-    rtlsim::Simulator sim(flat);
+    rtlsim::Simulator sim(flat, testenv::evalEngine());
     sim.poke("i", 5);
     sim.evalComb();
     sim.step(); // acc becomes 5

@@ -18,6 +18,7 @@
 #include "target/bus_soc.hh"
 #include "target/paper_examples.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::platform;
@@ -60,6 +61,7 @@ TEST(Executor, Fig2ExactModeIsCycleExact)
     auto plan = partition(target, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 30.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, recorder(part, "obs_a"));
     auto result = sim.run(cycles);
@@ -90,6 +92,7 @@ TEST(Executor, BusSocExactModeIsCycleExact)
     auto plan = partition(soc, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 50.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, recorder(part, "status"));
     auto result = sim.run(cycles);
@@ -119,6 +122,7 @@ TEST(Executor, ThreeWayPartitionStaysExact)
     ASSERT_EQ(plan.partitions.size(), 3u);
 
     MultiFpgaSim sim(plan, u250s(3, 40.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, recorder(part, "status"));
     auto result = sim.run(cycles);
@@ -141,6 +145,7 @@ TEST(Executor, Fig3FastModePreservesTransactions)
     auto plan = partition(target, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 30.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     auto result = sim.run(600);
     EXPECT_FALSE(result.deadlocked);
 
@@ -176,6 +181,7 @@ TEST(Executor, Fig3FastModeIsCycleApproximate)
     auto plan = partition(target, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 30.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     uint64_t part_done = 0;
     sim.setMonitor(1, [&](rtlsim::Simulator &s, unsigned,
                           uint64_t cycle) {
@@ -204,6 +210,7 @@ TEST(Executor, FastModeIsFasterThanExactMode)
         auto plan = partition(target, spec);
         MultiFpgaSim sim(plan, u250s(2, 60.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         auto result = sim.run(cycles);
         EXPECT_FALSE(result.deadlocked);
         return result.simRateMhz();
@@ -226,12 +233,6 @@ TEST(Executor, QsfpBeatsPcieBeatsHostPcie)
     auto rate = [&](const transport::LinkParams &link,
                     uint64_t cycles) {
         MultiFpgaSim sim(plan, u250s(2, 60.0), link);
-        // This test validates the per-cycle transport cost model;
-        // depth-N batching (e.g. from FIREAXE_BATCH_DEPTH in a CI
-        // sweep) deliberately hides exactly that cost.
-        ExecConfig exec;
-        exec.batchDepth = 1;
-        sim.setExecConfig(exec);
         auto result = sim.run(cycles);
         EXPECT_FALSE(result.deadlocked);
         return result.simRateMhz();
@@ -258,6 +259,7 @@ TEST(Executor, HigherBitstreamFrequencyImprovesRate)
     auto rate = [&](double mhz) {
         MultiFpgaSim sim(plan, u250s(2, mhz),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         return sim.run(300).simRateMhz();
     };
     EXPECT_GT(rate(90.0), rate(10.0));
@@ -283,6 +285,7 @@ TEST(Executor, Fame5ChargesHostCyclesPerThread)
         auto plan = partition(soc, spec);
         MultiFpgaSim sim(plan, u250s(2, 15.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         auto result = sim.run(200);
         EXPECT_FALSE(result.deadlocked);
         return result.simRateMhz();
@@ -305,10 +308,12 @@ TEST(Executor, CheckFitFlagsOversizedPartition)
     // A toy FPGA with almost no LUTs cannot host the tile.
     FpgaSpec tiny{"tiny", 30.0, 10, 10, 1};
     MultiFpgaSim sim(plan, {tiny, tiny}, transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     EXPECT_FALSE(sim.checkFit(false));
     EXPECT_THROW(sim.checkFit(true), FatalError);
 
     MultiFpgaSim big(plan, u250s(2, 30.0), transport::qsfpAurora());
+    big.setExecConfig(testenv::execConfig());
     EXPECT_TRUE(big.checkFit(true));
 }
 
@@ -321,6 +326,7 @@ TEST(Executor, StopConditionEndsRunEarly)
     auto plan = partition(target, spec);
 
     MultiFpgaSim sim(plan, u250s(2, 30.0), transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     uint64_t seen = 0;
     sim.setMonitor(0, [&](rtlsim::Simulator &, unsigned,
                           uint64_t cycle) { seen = cycle; });

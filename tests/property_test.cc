@@ -42,6 +42,7 @@
 #include "transport/link.hh"
 #include "uarch/core_model.hh"
 #include "uarch/params.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::firrtl;
@@ -95,6 +96,7 @@ TEST_P(ExactEquivalence, PartitionedMatchesMonolithicPerCycle)
         plan,
         {platform::alveoU250(p.mhz), platform::alveoU250(p.mhz)},
         link);
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
         part.push_back(s.peek("status"));
@@ -153,6 +155,7 @@ TEST_P(FastModePreservation, TransactionsNeitherDroppedNorDuplicated)
     platform::MultiFpgaSim sim(
         plan, {platform::alveoU250(mhz), platform::alveoU250(mhz)},
         link);
+    sim.setExecConfig(testenv::execConfig());
     auto result = sim.run(700);
     ASSERT_FALSE(result.deadlocked);
     auto &consumer = sim.model(1).sim();
@@ -180,7 +183,8 @@ TEST_P(QueueProperty, MatchesReferenceFifo)
     auto [width, depth, seed] = GetParam();
     CircuitBuilder cb("Q");
     target::addQueueModule(cb, "Q", width, depth);
-    rtlsim::Simulator sim(passes::flattenAll(cb.finish()));
+    rtlsim::Simulator sim(passes::flattenAll(cb.finish()),
+                          testenv::evalEngine());
 
     Rng rng(seed);
     std::deque<uint64_t> reference;
@@ -240,7 +244,7 @@ TEST_P(SkidProperty, NeverDropsWithTwoCycleStaleReady)
     // producer decides on ready observed two cycles ago.
     Circuit c;
     c.topName = ripper::addSkidBufferModule(c, {16});
-    rtlsim::Simulator sim(passes::flattenAll(c));
+    rtlsim::Simulator sim(passes::flattenAll(c), testenv::evalEngine());
 
     Rng rng(GetParam());
     std::deque<bool> ready_history = {true, true};
@@ -431,7 +435,7 @@ TEST_P(RandomCircuit, InterpreterMatchesTreeWalkingReference)
     ExprPtr out_expr = randomExpr(rng, signals, 3);
     m.output("out", std::max(1u, out_expr->width));
     m.connect("out", out_expr);
-    rtlsim::Simulator sim(cb.finish());
+    rtlsim::Simulator sim(cb.finish(), testenv::evalEngine());
 
     // Reference state.
     std::map<std::string, uint64_t> env;
@@ -700,8 +704,10 @@ TEST_P(RandomRoundTrip, PrintParsePrintIsAFixpoint)
     Circuit parsed = parseCircuitString(text);
     ASSERT_EQ(circuitToString(parsed), text);
 
-    rtlsim::Simulator sim_a(passes::flattenAll(original));
-    rtlsim::Simulator sim_b(passes::flattenAll(parsed));
+    rtlsim::Simulator sim_a(passes::flattenAll(original),
+                            testenv::evalEngine());
+    rtlsim::Simulator sim_b(passes::flattenAll(parsed),
+                            testenv::evalEngine());
     Rng drive(GetParam());
     for (int cycle = 0; cycle < 30; ++cycle) {
         for (const auto &name : input_names) {

@@ -35,6 +35,7 @@
 #include "target/bus_soc.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::platform;
@@ -375,8 +376,8 @@ TEST(Restore, BitExactAcrossWorkerCountsAndEngines)
             SCOPED_TRACE(std::string(rtlsim::toString(engine)) +
                          " workers=" + std::to_string(workers));
             ExecConfig exec = workers == 0
-                                  ? ExecConfig{}
-                                  : ExecConfig::parallel(workers);
+                                  ? testenv::execConfig()
+                                  : testenv::execConfig(workers);
             exec.evalEngine = engine;
             roundTrip(soc, exec, exec, 200, 400);
         }
@@ -389,9 +390,9 @@ TEST(Restore, CrossEngineCrossBackendResume)
     // resume under the interpreter on the sequential backend: both
     // pairs are bit-exact, so the mix must be too.
     auto soc = fourTileSoc();
-    ExecConfig first = ExecConfig::parallel(4);
+    ExecConfig first = testenv::execConfig(4);
     first.evalEngine = rtlsim::EvalEngine::Compiled;
-    ExecConfig second;
+    ExecConfig second = testenv::execConfig();
     second.evalEngine = rtlsim::EvalEngine::Interpret;
     roundTrip(soc, first, second, 250, 500);
 }
@@ -403,10 +404,11 @@ TEST(Restore, FaultInjectionStateSurvivesTheCut)
     // same recovery schedule as the uninterrupted one.
     auto soc = fourTileSoc();
     auto faults = transport::FaultConfig::uniform(2e-3, 42);
-    GoldenRun golden = goldenRun(soc, ExecConfig{}, 700, &faults);
+    GoldenRun golden = goldenRun(soc, testenv::execConfig(), 700, &faults);
     EXPECT_GT(golden.result.retransmits, 0u);
-    roundTrip(soc, ExecConfig{}, ExecConfig{}, 350, 700, &faults);
-    roundTrip(soc, ExecConfig::parallel(4), ExecConfig::parallel(4),
+    roundTrip(soc, testenv::execConfig(),
+              testenv::execConfig(), 350, 700, &faults);
+    roundTrip(soc, testenv::execConfig(4), testenv::execConfig(4),
               350, 700, &faults);
 }
 
@@ -419,6 +421,7 @@ TEST(Restore, RejectsForeignAndMissingSnapshots)
         auto plan = threeWayPlan(soc);
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.run(50);
         ASSERT_TRUE(sim.snapshot(dir, error)) << error;
     }
@@ -431,6 +434,7 @@ TEST(Restore, RejectsForeignAndMissingSnapshots)
     auto other = partition(soc, spec);
     MultiFpgaSim sim(other, u250s(other.partitions.size(), 50.0),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     EXPECT_FALSE(sim.restore(dir, error));
     EXPECT_FALSE(error.empty());
 
@@ -455,10 +459,11 @@ TEST(Restore, TornWriteFixtureFallsBackToCommittedGeneration)
     auto plan = threeWayPlan(soc);
     std::string dir = tempDir();
     std::string error;
-    GoldenRun golden = goldenRun(soc, ExecConfig{}, 400);
+    GoldenRun golden = goldenRun(soc, testenv::execConfig(), 400);
     {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.run(200);
         ASSERT_TRUE(sim.snapshot(dir, error)) << error;
     }
@@ -468,6 +473,7 @@ TEST(Restore, TornWriteFixtureFallsBackToCommittedGeneration)
 
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     ASSERT_TRUE(sim.restore(dir, error)) << error;
     auto r = sim.run(400);
     ASSERT_FALSE(r.deadlocked);
@@ -486,6 +492,7 @@ TEST(Restore, CorruptedCommittedShardFailsStructured)
     {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.run(100);
         ASSERT_TRUE(sim.snapshot(dir, error)) << error;
     }
@@ -502,6 +509,7 @@ TEST(Restore, CorruptedCommittedShardFailsStructured)
 
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     EXPECT_FALSE(sim.restore(dir, error));
     EXPECT_FALSE(error.empty());
     // Validation happens before any state is touched: the executor
@@ -622,6 +630,7 @@ TEST(Restore, WrongTokenLengthIsRejectedBeforeAnyStateCommits)
     {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.run(200);
         ASSERT_TRUE(sim.snapshot(dir, error)) << error;
     }
@@ -633,10 +642,12 @@ TEST(Restore, WrongTokenLengthIsRejectedBeforeAnyStateCommits)
     {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.run(100);
         fresh_sig = stateSignature(sim, plan.partitions.size());
     }
-    for (ExecConfig exec : {ExecConfig{}, ExecConfig::parallel(2)}) {
+    for (ExecConfig exec : {testenv::execConfig(),
+         testenv::execConfig(2)}) {
         SCOPED_TRACE("workers " + std::to_string(exec.workers));
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
@@ -671,7 +682,7 @@ TEST(Restore, ExecShardSecondSlotIsIgnored)
     auto soc = fourTileSoc();
     auto plan = threeWayPlan(soc);
     auto faults = transport::FaultConfig::uniform(2e-3, 42);
-    GoldenRun golden = goldenRun(soc, ExecConfig{}, 400, &faults);
+    GoldenRun golden = goldenRun(soc, testenv::execConfig(), 400, &faults);
     ASSERT_FALSE(golden.result.deadlocked);
     EXPECT_GT(golden.result.retransmits, 0u);
     std::string dir = tempDir();
@@ -679,6 +690,7 @@ TEST(Restore, ExecShardSecondSlotIsIgnored)
     {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.setFaultModel(faults);
         sim.run(200);
         ASSERT_TRUE(sim.snapshot(dir, error)) << error;
@@ -705,8 +717,111 @@ TEST(Restore, ExecShardSecondSlotIsIgnored)
         ASSERT_TRUE(store.commit(m, shards, bytes, error)) << error;
     }
 
-    for (ExecConfig exec : {ExecConfig{}, ExecConfig::parallel(2)}) {
+    for (ExecConfig exec : {testenv::execConfig(),
+         testenv::execConfig(2)}) {
         SCOPED_TRACE("workers " + std::to_string(exec.workers));
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.setFaultModel(faults);
+        sim.setExecConfig(exec);
+        CycleTrace trace0, trace1;
+        sim.setMonitor(0, recorder(trace0));
+        sim.setMonitor(1, recorder(trace1));
+        ASSERT_TRUE(sim.restore(dir, error)) << error;
+        auto r = sim.run(400);
+        ASSERT_FALSE(r.deadlocked);
+        EXPECT_EQ(r.targetCycles, golden.result.targetCycles);
+        EXPECT_EQ(std::bit_cast<uint64_t>(r.hostTimeNs),
+                  std::bit_cast<uint64_t>(golden.result.hostTimeNs));
+        EXPECT_EQ(r.retransmits, golden.result.retransmits);
+        EXPECT_GT(trace0.size(), 0u);
+        expectTraceSubset(golden.trace0, trace0);
+        expectTraceSubset(golden.trace1, trace1);
+        settle(sim, 425);
+        EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
+                  golden.signature);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Restore, ChannelStallSlotIsIgnored)
+{
+    // Every channel checkpoint's timing line ends with a slot that
+    // once held the stop-and-wait horizon of a retired epoch mode;
+    // it is written as 0 and older snapshots still carry it. Whatever
+    // it holds, here a far-future time on every channel of a depth-8
+    // faulty run, a resume must equal the uninterrupted run.
+    auto soc = fourTileSoc();
+    auto plan = threeWayPlan(soc);
+    auto faults = transport::FaultConfig::uniform(2e-3, 42);
+    ExecConfig batched = testenv::execConfig();
+    batched.batchDepth = 8;
+    GoldenRun golden = goldenRun(soc, batched, 400, &faults);
+    ASSERT_FALSE(golden.result.deadlocked);
+    EXPECT_GT(golden.result.retransmits, 0u);
+    std::string dir = tempDir();
+    std::string error;
+    {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.setFaultModel(faults);
+        sim.setExecConfig(batched);
+        sim.run(200);
+        ASSERT_TRUE(sim.snapshot(dir, error)) << error;
+    }
+    {
+        recovery::SnapshotStore store(dir);
+        recovery::Manifest m;
+        ASSERT_TRUE(store.loadManifest(m, error)) << error;
+        std::vector<std::string> shards(m.shards.size());
+        for (size_t i = 0; i < shards.size(); ++i)
+            ASSERT_TRUE(store.readShard(m, i, shards[i], error)) << error;
+        // "fireaxe-exec 1\n<clocks>\n<next ticks>\n<channels>\n"
+        // then per channel "<counters>\n<block length>\n<block>",
+        // the block a "fireaxe-chan 3" checkpoint whose fourth line
+        // is the link timing, ending with the retired slot.
+        std::istringstream is(shards.back());
+        std::ostringstream os;
+        std::string line;
+        for (int i = 0; i < 3; ++i) {
+            std::getline(is, line);
+            os << line << "\n";
+        }
+        size_t nchan = 0;
+        is >> nchan;
+        is.get();
+        ASSERT_GT(nchan, 0u);
+        os << nchan << "\n";
+        for (size_t c = 0; c < nchan; ++c) {
+            std::getline(is, line);
+            os << line << "\n";
+            size_t len = 0;
+            is >> len;
+            is.get();
+            std::string block(len, '\0');
+            is.read(block.data(), std::streamsize(len));
+            ASSERT_TRUE(is);
+            ASSERT_EQ(block.rfind("fireaxe-chan 3\n", 0), 0u);
+            size_t at = 0;
+            for (int l = 0; l < 3; ++l)
+                at = block.find('\n', at) + 1;
+            size_t eol = block.find('\n', at);
+            size_t slot = block.rfind(' ', eol) + 1;
+            ASSERT_EQ(block.substr(slot, eol - slot), "0");
+            block.replace(slot, eol - slot,
+                          std::to_string(std::bit_cast<uint64_t>(1e300)));
+            os << block.size() << "\n" << block;
+        }
+        ASSERT_EQ(is.peek(), EOF);
+        shards.back() = os.str();
+        uint64_t bytes = 0;
+        ASSERT_TRUE(store.commit(m, shards, bytes, error)) << error;
+    }
+
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        ExecConfig exec = batched;
+        exec.workers = workers;
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
         sim.setFaultModel(faults);
@@ -747,6 +862,7 @@ TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
     {
         MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.run(200);
         ASSERT_TRUE(sim.snapshot(dir, error)) << error;
     }
@@ -770,6 +886,7 @@ TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
 
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     sim.init();
     uint64_t peak0 = peakRssKb();
     ASSERT_GT(peak0, 0u);
@@ -782,13 +899,13 @@ TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
 TEST(Autosnapshot, PeriodicSnapshotsDoNotPerturbTheRun)
 {
     auto soc = fourTileSoc();
-    GoldenRun golden = goldenRun(soc, ExecConfig{}, 500);
+    GoldenRun golden = goldenRun(soc, testenv::execConfig(), 500);
 
     std::string dir = tempDir();
     auto plan = threeWayPlan(soc);
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
-    ExecConfig exec;
+    ExecConfig exec = testenv::execConfig();
     exec.snapshotEveryCycles = 120;
     exec.snapshotDir = dir;
     sim.setExecConfig(exec);
@@ -812,6 +929,7 @@ TEST(Autosnapshot, PeriodicSnapshotsDoNotPerturbTheRun)
     // The last committed snapshot resumes to the same end state.
     MultiFpgaSim resumed(plan, u250s(plan.partitions.size(), 50.0),
                          transport::qsfpAurora());
+    resumed.setExecConfig(testenv::execConfig());
     std::string error;
     ASSERT_TRUE(resumed.restore(dir, error)) << error;
     resumed.run(500);
@@ -831,6 +949,7 @@ TEST(RecoveryPoint, RollbackReplaysBitExactly)
     auto plan = threeWayPlan(soc);
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     CycleTrace trace;
     sim.setMonitor(0, recorder(trace));
     auto r1 = sim.run(150);
@@ -909,17 +1028,17 @@ restartScenario(const ExecConfig &exec)
 
 TEST(RecoveryPoint, RestartPartitionSequential)
 {
-    restartScenario(ExecConfig{});
+    restartScenario(testenv::execConfig());
 }
 
 TEST(RecoveryPoint, RestartPartitionParallel)
 {
-    restartScenario(ExecConfig::parallel(4));
+    restartScenario(testenv::execConfig(4));
 }
 
 TEST(RecoveryPoint, RestartPartitionCompiledEngine)
 {
-    ExecConfig exec;
+    ExecConfig exec = testenv::execConfig();
     exec.evalEngine = rtlsim::EvalEngine::Compiled;
     restartScenario(exec);
 }
@@ -930,7 +1049,7 @@ TEST(RecoveryPoint, RestartFailsCleanlyWhenReplayLogOutrun)
     auto plan = threeWayPlan(soc);
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
-    ExecConfig exec;
+    ExecConfig exec = testenv::execConfig();
     exec.replayLogDepth = 4; // far too shallow for 200 cycles
     sim.setExecConfig(exec);
 
@@ -945,7 +1064,7 @@ TEST(RecoveryPoint, RestartFailsCleanlyWhenReplayLogOutrun)
 
     // The failed restart touched nothing: the run continues to the
     // same state as an undisturbed one.
-    GoldenRun golden = goldenRun(soc, ExecConfig{}, 500);
+    GoldenRun golden = goldenRun(soc, testenv::execConfig(), 500);
     auto r = sim.run(500);
     ASSERT_FALSE(r.deadlocked);
     settle(sim, 525);
@@ -967,6 +1086,7 @@ TEST(RecoveryPoint, RollbackAcrossFailoverReattachesTheLink)
     auto plan = threeWayPlan(soc);
     MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     sim.setFaultModel(faults);
     sim.init();
     recovery::RecoveryPoint rp = sim.acquireRecoveryPoint();

@@ -19,6 +19,7 @@
 #include "rtlsim/simulator.hh"
 #include "target/bus_soc.hh"
 #include "target/paper_examples.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::firrtl;
@@ -249,7 +250,7 @@ TEST(Ripper, SkidBufferModuleBehaves)
     // Unit-check the generated skid buffer with the RTL interpreter.
     Circuit c;
     c.topName = addSkidBufferModule(c, {16});
-    rtlsim::Simulator sim(passes::flattenAll(c));
+    rtlsim::Simulator sim(passes::flattenAll(c), testenv::evalEngine());
 
     auto push = [&](uint64_t v) {
         sim.poke("enq_valid", 1);

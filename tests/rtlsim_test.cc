@@ -12,6 +12,7 @@
 #include "firrtl/builder.hh"
 #include "passes/flatten.hh"
 #include "rtlsim/simulator.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::firrtl;
@@ -43,7 +44,7 @@ TEST(Interp, AddSubWrapAtWidth)
     m.output("diff", 8);
     m.connect("sum", bits(eAdd(a, b), 7, 0));
     m.connect("diff", bits(eSub(a, b), 7, 0));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.poke("a", 200);
     sim.poke("b", 100);
     sim.evalComb();
@@ -59,7 +60,7 @@ TEST(Interp, MulDivRem)
     auto c = combCircuit(+[](ModuleBuilder &m) {
         return eMul(m.sig("a"), m.sig("b"));
     });
-    Simulator sim(c);
+    Simulator sim(c, testenv::evalEngine());
     sim.poke("a", 123);
     sim.poke("b", 45);
     sim.evalComb();
@@ -71,7 +72,7 @@ TEST(Interp, DivideByZeroYieldsZero)
     auto c = combCircuit(+[](ModuleBuilder &m) {
         return binOp(BinOpKind::Div, m.sig("a"), m.sig("b"));
     });
-    Simulator sim(c);
+    Simulator sim(c, testenv::evalEngine());
     sim.poke("a", 100);
     sim.poke("b", 0);
     sim.evalComb();
@@ -93,7 +94,7 @@ TEST(Interp, LogicAndCompare)
     m.connect("and_o", eAnd(a, b));
     m.connect("lt_o", eLt(a, b));
     m.connect("not_o", eNot(a));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.poke("a", 0xf0);
     sim.poke("b", 0x3c);
     sim.evalComb();
@@ -112,7 +113,7 @@ TEST(Interp, ShiftsSaturateAt64)
     m.output("shr_o", 32);
     m.connect("shl_o", binOp(BinOpKind::Shl, a, sh));
     m.connect("shr_o", binOp(BinOpKind::Shr, a, sh));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.poke("a", 0x80000001u);
     sim.poke("sh", 4);
     sim.evalComb();
@@ -135,7 +136,7 @@ TEST(Interp, ReductionOps)
     m.connect("andr_o", unOp(UnOpKind::AndR, a));
     m.connect("orr_o", unOp(UnOpKind::OrR, a));
     m.connect("xorr_o", unOp(UnOpKind::XorR, a));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.poke("a", 0xf);
     sim.evalComb();
     EXPECT_EQ(sim.peek("andr_o"), 1u);
@@ -157,7 +158,7 @@ TEST(Interp, CatAndBits)
     m.output("hi_o", 4);
     m.connect("cat_o", cat(a, b));
     m.connect("hi_o", bits(a, 7, 4));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.poke("a", 0xab);
     sim.poke("b", 0xcd);
     sim.evalComb();
@@ -174,7 +175,7 @@ TEST(Interp, RegisterLatchesOnStep)
     auto r = m.reg("r", 8, 42);
     m.connect("r", d);
     m.connect("q", r);
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     EXPECT_EQ(sim.peek("q"), 42u); // initial value visible
     sim.poke("d", 7);
     sim.evalComb();
@@ -190,7 +191,7 @@ TEST(Interp, UndrivenRegisterHoldsValue)
     m.output("q", 8);
     m.reg("r", 8, 99);
     m.connect("q", m.sig("r"));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.run(10);
     EXPECT_EQ(sim.peek("q"), 99u);
 }
@@ -203,7 +204,7 @@ TEST(Interp, CounterCounts)
     auto r = m.reg("cnt", 8, 0);
     m.connect("cnt", bits(eAdd(r, lit(1, 8)), 7, 0));
     m.connect("count", r);
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.run(300);
     EXPECT_EQ(sim.peek("count"), 300u % 256);
     EXPECT_EQ(sim.cycle(), 300u);
@@ -224,7 +225,7 @@ TEST(Interp, MemoryWriteThenRead)
     m.connect("ram.wen", wen);
     m.connect("ram.raddr", raddr);
     m.connect("rdata", m.sig("ram.rdata"));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
 
     sim.poke("waddr", 5);
     sim.poke("wdata", 0x5a);
@@ -247,7 +248,7 @@ TEST(Interp, MemoryBackdoorAccess)
     m.mem("rom", 16, 8);
     m.connect("rom.raddr", raddr);
     m.connect("rdata", m.sig("rom.rdata"));
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.writeMem("rom", 3, 0x77);
     EXPECT_EQ(sim.readMem("rom", 3), 0x77u);
     sim.poke("raddr", 3);
@@ -267,7 +268,7 @@ TEST(Interp, DepMatrixSeparatesSinkAndSourceOutputs)
     m.connect("comb_o", eXor(a, lit(1, 8)));
     m.connect("r", b);
     m.connect("reg_o", r);
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     int comb_o = sim.signalIndex("comb_o");
     int reg_o = sim.signalIndex("reg_o");
     int a_idx = sim.signalIndex("a");
@@ -283,7 +284,7 @@ TEST(Interp, SeqStateSnapshotRoundTrip)
     auto r = m.reg("cnt", 16, 0);
     m.connect("cnt", bits(eAdd(r, lit(1, 16)), 15, 0));
     m.connect("count", r);
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.run(10);
     rtlsim::SeqState snap;
     sim.saveState(snap);
@@ -302,7 +303,7 @@ TEST(Interp, ResetRestoresInitialState)
     auto r = m.reg("cnt", 16, 5);
     m.connect("cnt", bits(eAdd(r, lit(1, 16)), 15, 0));
     m.connect("count", r);
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.run(10);
     sim.reset();
     EXPECT_EQ(sim.peek("count"), 5u);
@@ -320,7 +321,7 @@ TEST(Interp, RejectsNonFlatModule)
     top.instance("l", "Leaf");
     top.connect("o", top.sig("l.o"));
     Circuit c = cb.finish();
-    EXPECT_THROW(Simulator sim(c), FatalError);
+    EXPECT_THROW(Simulator sim(c, testenv::evalEngine()), FatalError);
 }
 
 TEST(Interp, RejectsCombLoop)
@@ -334,7 +335,7 @@ TEST(Interp, RejectsCombLoop)
     m.connect(w2, eNot(w1));
     m.connect("o", w1);
     Circuit c = cb.finish();
-    EXPECT_THROW(Simulator sim(c), FatalError);
+    EXPECT_THROW(Simulator sim(c, testenv::evalEngine()), FatalError);
 }
 
 TEST(Interp, GcdComputesCorrectly)
@@ -365,7 +366,7 @@ TEST(Interp, GcdComputesCorrectly)
     m.connect("result", x);
     m.connect("busy", running);
 
-    Simulator sim(cb.finish());
+    Simulator sim(cb.finish(), testenv::evalEngine());
     sim.poke("a_in", 48);
     sim.poke("b_in", 36);
     sim.poke("start", 1);

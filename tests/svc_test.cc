@@ -16,13 +16,17 @@
 #include <atomic>
 #include <bit>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hh"
+#include "obs/jsonparse.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "recovery/snapshot.hh"
@@ -30,9 +34,11 @@
 #include "svc/jobrunner.hh"
 #include "svc/jobspec.hh"
 #include "svc/protocol.hh"
+#include "svc/server.hh"
 #include "svc/service.hh"
 #include "svc/targets.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 
@@ -267,8 +273,7 @@ TEST(SvcCache, ShardsAreIndependent)
 
 TEST(SvcJobRunner, WarmCacheSkipsSetupAndPreservesResults)
 {
-    svc::JobSpec spec;
-    spec.target = "fig2";
+    svc::JobSpec spec = testenv::jobSpec("fig2");
     spec.cycles = 800;
     spec.engine = "compiled";
 
@@ -298,8 +303,7 @@ TEST(SvcJobRunner, BackendIsSugarForTheWorkerCount)
 {
     // "sequential" runs one worker whatever `workers` says, so it
     // equals "parallel" with one worker bit for bit.
-    svc::JobSpec seq;
-    seq.target = "bus-soc";
+    svc::JobSpec seq = testenv::jobSpec("bus-soc");
     seq.cycles = 800;
     seq.faultRate = 1e-3;
     seq.backend = "sequential";
@@ -324,8 +328,7 @@ TEST(SvcJobRunner, BackendIsSugarForTheWorkerCount)
 
 TEST(SvcJobRunner, RejectsInvalidPlanWithRenderedReport)
 {
-    svc::JobSpec spec;
-    spec.target = "fig2";
+    svc::JobSpec spec = testenv::jobSpec("fig2");
     spec.cycles = 100;
     spec.channelCapacity = 0; // PLAN007: source can never enqueue
 
@@ -339,8 +342,7 @@ TEST(SvcJobRunner, RejectsInvalidPlanWithRenderedReport)
 
 TEST(SvcJobRunner, RejectsMalformedSpec)
 {
-    svc::JobSpec spec;
-    spec.target = "no-such-target";
+    svc::JobSpec spec = testenv::jobSpec("no-such-target");
     svc::RunOutcome o = svc::runJob(spec);
     EXPECT_FALSE(o.ok);
     EXPECT_EQ(o.exitCode, 2);
@@ -365,6 +367,7 @@ TEST(SvcStop, RequestStopQuiescesWithResumableSnapshot)
     {
         platform::MultiFpgaSim sim(plan, fpgas,
                                    transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.init();
         auto r = sim.run(cycles);
         ASSERT_FALSE(r.deadlocked);
@@ -378,6 +381,7 @@ TEST(SvcStop, RequestStopQuiescesWithResumableSnapshot)
     {
         platform::MultiFpgaSim sim(plan, fpgas,
                                    transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         sim.setMonitor(0, [&sim](rtlsim::Simulator &, unsigned,
                                  uint64_t cycle) {
             if (cycle >= 1000)
@@ -398,6 +402,7 @@ TEST(SvcStop, RequestStopQuiescesWithResumableSnapshot)
     {
         platform::MultiFpgaSim sim(plan, fpgas,
                                    transport::qsfpAurora());
+        sim.setExecConfig(testenv::execConfig());
         std::string err;
         ASSERT_TRUE(sim.restore(dir, err)) << err;
         auto r = sim.run(cycles);
@@ -480,8 +485,7 @@ struct JobProbe
 
 TEST(SvcService, ConcurrentJobsMatchSequentialGolden)
 {
-    svc::JobSpec spec;
-    spec.target = "fig2";
+    svc::JobSpec spec = testenv::jobSpec("fig2");
     spec.cycles = 600;
 
     // Sequential golden.
@@ -518,8 +522,7 @@ TEST(SvcService, ConcurrentJobsMatchSequentialGolden)
 
 TEST(SvcService, StructuredRejectionForInvalidPlan)
 {
-    svc::JobSpec spec;
-    spec.target = "fig2";
+    svc::JobSpec spec = testenv::jobSpec("fig2");
     spec.cycles = 100;
     spec.channelCapacity = 0;
 
@@ -539,8 +542,7 @@ TEST(SvcService, DrainStopsInFlightJobAndLeavesResumableSnapshot)
     std::string dir = tempDir("drain");
 
     // A job far too long to finish: the drain must stop it.
-    svc::JobSpec spec;
-    spec.target = "fig2";
+    svc::JobSpec spec = testenv::jobSpec("fig2");
     spec.cycles = 200000000ull;
     spec.snapshotDir = dir;
 
@@ -585,6 +587,7 @@ TEST(SvcService, DrainStopsInFlightJobAndLeavesResumableSnapshot)
         std::vector<platform::FpgaSpec>(plan.partitions.size(),
                                         platform::alveoU250(100.0)),
         transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::string err;
     ASSERT_TRUE(sim.restore(dir, err)) << err;
     // The stop may land anywhere — including cycle 0 if the drain
@@ -601,8 +604,7 @@ TEST(SvcService, SubmitAfterDrainIsRejected)
 {
     svc::SimService service;
     service.drain();
-    svc::JobSpec spec;
-    spec.target = "fig2";
+    svc::JobSpec spec = testenv::jobSpec("fig2");
     JobProbe probe;
     service.submit(spec, probe.sink());
     probe.waitTerminal();
@@ -612,8 +614,7 @@ TEST(SvcService, SubmitAfterDrainIsRejected)
 
 TEST(SvcService, StreamedTelemetryArrivesAsProtocolLines)
 {
-    svc::JobSpec spec;
-    spec.target = "fig2";
+    svc::JobSpec spec = testenv::jobSpec("fig2");
     spec.cycles = 400;
     spec.stream = true;
     spec.sampleEvery = 1;
@@ -637,4 +638,149 @@ TEST(SvcService, StreamedTelemetryArrivesAsProtocolLines)
     }
     EXPECT_GT(stream_lines, 0u);
     EXPECT_TRUE(header_seen);
+}
+
+// --- environment ---------------------------------------------------
+
+namespace {
+
+/** Every FIREAXE_* variable the library used to read. */
+const char *const kLibraryEnv[] = {
+    "FIREAXE_EVAL",
+    "FIREAXE_BATCH_DEPTH",
+    "FIREAXE_PIPELINED_EPOCHS",
+    "FIREAXE_NO_VERIFY",
+    "FIREAXE_SNAPSHOT_DIR",
+    "FIREAXE_STREAM",
+};
+
+/** Unsets kLibraryEnv for its lifetime; restores the old values. */
+class ScrubbedEnv
+{
+  public:
+    ScrubbedEnv()
+    {
+        for (const char *name : kLibraryEnv) {
+            const char *v = std::getenv(name);
+            saved_.push_back(v ? std::optional<std::string>(v)
+                               : std::nullopt);
+            unsetenv(name);
+        }
+    }
+    ~ScrubbedEnv()
+    {
+        for (size_t i = 0; i < saved_.size(); ++i) {
+            if (saved_[i])
+                setenv(kLibraryEnv[i], saved_[i]->c_str(), 1);
+            else
+                unsetenv(kLibraryEnv[i]);
+        }
+    }
+
+  private:
+    std::vector<std::optional<std::string>> saved_;
+};
+
+/** Submit @p spec to a fresh in-process fireaxed; its result line. */
+obs::JsonValue
+daemonResult(const svc::JobSpec &spec, const std::string &socket)
+{
+    svc::ServerConfig cfg;
+    cfg.socketPath = socket;
+    cfg.service.workers = 1;
+    svc::Server server(cfg);
+    std::string error;
+    obs::JsonValue result;
+    if (!server.start(error)) {
+        ADD_FAILURE() << error;
+        return result;
+    }
+    std::thread serve([&] { server.run(); });
+    {
+        svc::Client client;
+        EXPECT_TRUE(client.connect(socket, error)) << error;
+        EXPECT_TRUE(client.submit(spec, error)) << error;
+        std::string line;
+        while (client.readLine(line, error)) {
+            obs::JsonValue v;
+            EXPECT_TRUE(obs::parseJson(line, v, error)) << error;
+            if (v.text("type") == "result" ||
+                v.text("type") == "error") {
+                result = v;
+                break;
+            }
+        }
+    }
+    server.requestShutdown();
+    serve.join();
+    return result;
+}
+
+} // namespace
+
+TEST(SvcEnvironment, ResultsIgnoreTheProcessEnvironment)
+{
+    // A job's result is a function of its spec: every variable the
+    // library once read is set to a value that would change the run
+    // or write files, and a faulty bus-soc job, run through JobRunner
+    // and through an in-process fireaxed, must equal the same job run
+    // with all of them unset. The spec leaves engine and batch depth
+    // unset and asks for autosnapshots with no directory.
+    ScrubbedEnv scrubbed;
+    std::string dir = tempDir("env");
+    const std::string snap_dir = dir + "/snap";
+    const std::string stream_path = dir + "/stream.jsonl";
+    const std::string socket = dir + "/fxd.sock";
+
+    svc::JobSpec spec;
+    spec.target = "bus-soc";
+    spec.cycles = 600;
+    spec.faultRate = 1e-3;
+    spec.snapshotEvery = 200;
+
+    svc::RunOutcome ref = svc::runJob(spec);
+    ASSERT_TRUE(ref.ok) << ref.error;
+    EXPECT_GT(ref.result.retransmits, 0u);
+    EXPECT_EQ(ref.exec.evalEngine, rtlsim::EvalEngine::Interpret);
+    EXPECT_EQ(ref.exec.batchDepth, 1u);
+    obs::JsonValue ref_line = daemonResult(spec, socket);
+    ASSERT_EQ(ref_line.text("type"), "result");
+
+    setenv("FIREAXE_EVAL", "compiled", 1);
+    setenv("FIREAXE_BATCH_DEPTH", "8", 1);
+    setenv("FIREAXE_PIPELINED_EPOCHS", "0", 1);
+    setenv("FIREAXE_NO_VERIFY", "1", 1);
+    setenv("FIREAXE_SNAPSHOT_DIR", snap_dir.c_str(), 1);
+    setenv("FIREAXE_STREAM", stream_path.c_str(), 1);
+
+    svc::RunOutcome o = svc::runJob(spec);
+    ASSERT_TRUE(o.ok) << o.error;
+    EXPECT_EQ(o.traceHash, ref.traceHash);
+    EXPECT_EQ(o.finalSig, ref.finalSig);
+    EXPECT_EQ(o.artifactHash, ref.artifactHash);
+    EXPECT_EQ(o.result.retransmits, ref.result.retransmits);
+    EXPECT_EQ(std::bit_cast<uint64_t>(o.result.hostTimeNs),
+              std::bit_cast<uint64_t>(ref.result.hostTimeNs));
+    EXPECT_EQ(o.snapshots, 0u);
+    EXPECT_EQ(o.exec.evalEngine, rtlsim::EvalEngine::Interpret);
+    EXPECT_EQ(o.exec.batchDepth, 1u);
+
+    obs::JsonValue line = daemonResult(spec, socket);
+    ASSERT_EQ(line.text("type"), "result") << line.text("message");
+    EXPECT_EQ(svc::parseHexHash(line.text("trace_hash")), ref.traceHash);
+    EXPECT_EQ(svc::parseHexHash(line.text("final_sig")), ref.finalSig);
+    EXPECT_EQ(svc::parseHexHash(line.text("artifact_hash")),
+              ref.artifactHash);
+    for (const char *key :
+         {"trace_hash", "final_sig", "artifact_hash", "engine"})
+        EXPECT_EQ(line.text(key), ref_line.text(key)) << key;
+    for (const char *key : {"host_time_ns", "retransmits"})
+        EXPECT_EQ(line.num(key), ref_line.num(key)) << key;
+    EXPECT_EQ(line.text("engine"), "interpret");
+    EXPECT_EQ(line.u64("batch_depth"), 1u);
+    EXPECT_EQ(line.u64("workers"), 1u);
+
+    EXPECT_FALSE(std::filesystem::exists(snap_dir));
+    EXPECT_FALSE(std::filesystem::exists(stream_path));
+    std::filesystem::remove_all(dir);
 }

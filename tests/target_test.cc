@@ -20,6 +20,7 @@
 #include "target/big_core.hh"
 #include "target/primitives.hh"
 #include "transport/link.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::platform;
@@ -54,6 +55,7 @@ partitionedDoneCycle(const firrtl::Circuit &soc, PartitionMode mode,
     MultiFpgaSim sim(plan,
                      std::vector<FpgaSpec>(2, alveoU250(30.0)),
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     uint64_t done_cycle = 0;
     sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned,
                           uint64_t cycle) {
@@ -215,6 +217,7 @@ TEST(BigCore, SplitCoreExactModeIsCycleExact)
 
     MultiFpgaSim sim(plan, {alveoU250(30.0), alveoU250(30.0)},
                      transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
     sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
         part.push_back(s.peek("status"));
@@ -249,7 +252,8 @@ TEST(Primitives, QueueModuleFifoSemantics)
 {
     firrtl::CircuitBuilder cb("Q");
     target::addQueueModule(cb, "Q", 8, 4);
-    rtlsim::Simulator sim(passes::flattenAll(cb.finish()));
+    rtlsim::Simulator sim(passes::flattenAll(cb.finish()),
+                          testenv::evalEngine());
 
     sim.poke("deq_ready", 0);
     for (uint64_t v : {5, 6, 7, 8}) {

@@ -18,6 +18,7 @@
 #include "target/paper_examples.hh"
 #include "transport/link.hh"
 #include "verify/verify.hh"
+#include "testenv.hh"
 
 using namespace fireaxe;
 using namespace fireaxe::ripper;
@@ -503,7 +504,7 @@ TEST(VerifyProperty, AcceptedPlansRunDeadlockFreeOnBothBackends)
                     plan, u250s(plan.partitions.size(), 50.0),
                     transport::qsfpAurora());
                 sim.setExecConfig(
-                    platform::ExecConfig::parallel(workers));
+                    testenv::execConfig(workers));
                 auto result = sim.run(300);
                 EXPECT_FALSE(result.deadlocked);
                 EXPECT_EQ(result.targetCycles, 300u);
@@ -519,6 +520,7 @@ TEST(VerifyProperty, RejectedPlanIsRefusedBeforeRunning)
     auto plan = deadlockPlan();
     platform::MultiFpgaSim sim(plan, u250s(2, 50.0),
                                transport::qsfpAurora());
+    sim.setExecConfig(testenv::execConfig());
     try {
         sim.run(10);
         FAIL() << "expected the pre-flight gate to refuse the plan";

@@ -12,6 +12,13 @@
  * crash-consistent snapshots (`--snapshot-every` / `--snapshot-dir`)
  * and whole-run resume from a committed snapshot (`--resume`).
  *
+ * Four environment variables supply defaults for unset flags:
+ * FIREAXE_EVAL (--engine), FIREAXE_BATCH_DEPTH (--batch-depth),
+ * FIREAXE_SNAPSHOT_DIR (--snapshot-dir) and FIREAXE_STREAM
+ * (--stream). main() reads them once into the JobSpec, so a
+ * `--connect` submission carries the resolved values and the daemon's
+ * own environment never changes a result.
+ *
  * Output is `key value` lines on stdout (grep-friendly), plus an
  * optional `--json FILE` row for sweep tooling. Exit status: 0 ok,
  * 2 usage errors, 3 runtime/restore/verification failures, 4
@@ -59,7 +66,8 @@ usage(std::ostream &os, int status)
           "  --workers N         parallel worker threads (0 = auto)\n"
           "  --engine interpret|compiled\n"
           "                      evaluation engine (default: "
-          "FIREAXE_EVAL)\n"
+          "FIREAXE_EVAL,\n"
+          "                      else interpret)\n"
           "  --batch-depth N     depth-N token batching (default: "
           "FIREAXE_BATCH_DEPTH\n"
           "                      or 1); illegal boundaries clamp to "
@@ -67,7 +75,7 @@ usage(std::ostream &os, int status)
           "  --fault-rate R      inject faults at rate R per token\n"
           "  --seed S            fault-injection seed\n"
           "  --snapshot-every N  autosnapshot every N target cycles\n"
-          "  --snapshot-dir DIR  snapshot directory (also "
+          "  --snapshot-dir DIR  snapshot directory (default: "
           "FIREAXE_SNAPSHOT_DIR)\n"
           "  --resume            restore the committed snapshot in\n"
           "                      --snapshot-dir before running\n"
@@ -80,7 +88,7 @@ usage(std::ostream &os, int status)
           "token\n"
           "                      capacity (0 is statically invalid)\n"
           "  --json FILE         append a JSON result row to FILE\n"
-          "  --stream FILE       streaming telemetry JSONL (also "
+          "  --stream FILE       streaming telemetry JSONL (default: "
           "FIREAXE_STREAM);\n"
           "                      enables token tracing — analyze "
           "with fireaxe-trace\n"
@@ -108,19 +116,9 @@ parseU64(const std::string &flag, const std::string &text)
     return v;
 }
 
-/** Requested batch depth the run will use: the spec's explicit
- *  value, else the process-wide FIREAXE_BATCH_DEPTH default. */
-unsigned
-effectiveBatchDepth(const svc::JobSpec &spec)
-{
-    return spec.batchDepth ? spec.batchDepth
-                           : platform::defaultBatchDepth();
-}
-
 /** The uniform key-value report both modes print. */
 void
-printOutcome(const std::string &target, const svc::RunOutcome &o,
-             unsigned batch_depth)
+printOutcome(const std::string &target, const svc::RunOutcome &o)
 {
     std::cout << "target " << target << "\n"
               << "cycles " << o.result.targetCycles << "\n"
@@ -135,7 +133,7 @@ printOutcome(const std::string &target, const svc::RunOutcome &o,
               << "snapshot_wall_ms " << o.snapshotWallMs << "\n"
               << "restores " << o.restores << "\n"
               << "host_time_ns " << o.result.hostTimeNs << "\n"
-              << "batch_depth " << batch_depth << "\n"
+              << "batch_depth " << o.exec.batchDepth << "\n"
               << "sim_rate_mhz " << o.result.simRateMhz() << "\n"
               << "retransmits " << o.result.retransmits << "\n"
               << "deadlocked " << (o.result.deadlocked ? 1 : 0)
@@ -155,17 +153,12 @@ appendJsonRow(const std::string &json_path, const svc::JobSpec &spec,
 {
     // One JSON object per line, appended — sweep tooling treats the
     // file as JSONL. The identity prefix is the uniform one from
-    // obs/runid.hh.
-    std::string engine = spec.engine.empty()
-                             ? rtlsim::toString(
-                                   rtlsim::defaultEvalEngine())
-                             : spec.engine;
+    // obs/runid.hh, from the config the job ran under.
     std::ostringstream row;
     obs::JsonWriter w(row);
     w.beginObject();
     obs::addRunIdentity(w, "fireaxe.run.v1", spec.target, o.planHash,
-                        o.artifactHash, spec.backend, engine,
-                        spec.workers, effectiveBatchDepth(spec));
+                        o.artifactHash, o.exec);
     w.field("mode", std::string_view(spec.mode));
     w.field("cycles", o.result.targetCycles);
     w.field("resume_cycle", o.resumeCycle);
@@ -190,7 +183,8 @@ appendJsonRow(const std::string &json_path, const svc::JobSpec &spec,
  */
 int
 runConnected(const std::string &socket_path, svc::JobSpec spec,
-             const std::string &stream_file)
+             const std::string &stream_file,
+             const std::string &json_path)
 {
     // The daemon streams telemetry back over the protocol; the
     // client materializes the file locally.
@@ -254,6 +248,10 @@ runConnected(const std::string &socket_path, svc::JobSpec spec,
             o.artifactHash =
                 svc::parseHexHash(v.text("artifact_hash"));
             o.planHash = svc::parseHexHash(v.text("plan_hash"));
+            o.exec.workers = unsigned(v.u64("workers", 1));
+            if (std::string e = v.text("engine"); !e.empty())
+                o.exec.evalEngine = rtlsim::parseEvalEngine(e);
+            o.exec.batchDepth = unsigned(v.u64("batch_depth", 1));
             o.snapshots = v.u64("snapshots");
             o.restores = v.u64("restores");
             o.result.hostTimeNs = v.num("host_time_ns");
@@ -263,8 +261,9 @@ runConnected(const std::string &socket_path, svc::JobSpec spec,
             o.elabCacheHit = v.flag("elab_cache_hit");
             o.verifyCacheHit = v.flag("verify_cache_hit");
             o.programCacheHit = v.flag("program_cache_hit");
-            printOutcome(v.text("target", spec.target), o,
-                         effectiveBatchDepth(spec));
+            printOutcome(v.text("target", spec.target), o);
+            if (!json_path.empty())
+                appendJsonRow(json_path, spec, o);
             return o.result.deadlocked ? 4 : 0;
         }
         // ack / status lines: lifecycle noise, not results.
@@ -352,6 +351,20 @@ main(int argc, char **argv)
 
     if (spec.target.empty())
         return usage(std::cerr, 2);
+    // The documented environment defaults, resolved once, here.
+    auto env = [](const char *name) -> std::string {
+        const char *v = std::getenv(name);
+        return v ? v : "";
+    };
+    if (spec.engine.empty())
+        spec.engine = env("FIREAXE_EVAL");
+    if (spec.batchDepth == 0 && !env("FIREAXE_BATCH_DEPTH").empty())
+        spec.batchDepth = unsigned(parseU64(
+            "FIREAXE_BATCH_DEPTH", env("FIREAXE_BATCH_DEPTH")));
+    if (spec.snapshotDir.empty())
+        spec.snapshotDir = env("FIREAXE_SNAPSHOT_DIR");
+    if (stream_path.empty())
+        stream_path = env("FIREAXE_STREAM");
     std::string bad = spec.validate();
     if (!bad.empty()) {
         std::cerr << "fireaxe-run: " << bad << "\n";
@@ -363,17 +376,12 @@ main(int argc, char **argv)
     }
 
     if (!connect_path.empty())
-        return runConnected(connect_path, spec, stream_path);
+        return runConnected(connect_path, spec, stream_path,
+                            json_path);
 
-    // Direct mode: --stream (or FIREAXE_STREAM in the environment)
-    // turns on metrics + token tracing and exports a
-    // fireaxe.stream.v1 JSONL file for fireaxe-trace.
+    // Direct mode: --stream turns on metrics + token tracing and
+    // exports a fireaxe.stream.v1 JSONL file for fireaxe-trace.
     spec.streamPath = stream_path;
-    if (spec.streamPath.empty()) {
-        if (const char *env = std::getenv("FIREAXE_STREAM");
-            env && *env)
-            spec.streamPath = env;
-    }
 
     svc::RunOutcome o = svc::runJob(spec);
     if (!o.error.empty()) {
@@ -382,7 +390,7 @@ main(int argc, char **argv)
             std::cerr << o.verifyReport;
         return o.exitCode;
     }
-    printOutcome(spec.target, o, effectiveBatchDepth(spec));
+    printOutcome(spec.target, o);
     if (!json_path.empty())
         appendJsonRow(json_path, spec, o);
     return o.exitCode;

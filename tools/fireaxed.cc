@@ -13,6 +13,10 @@
  * configured with a snapshot directory), and every result is
  * delivered before the process exits 0.
  *
+ * The daemon reads no environment variable: a job's empty engine and
+ * batch_depth 0 run under ExecConfig's constant defaults (interpret,
+ * depth 1), and every result line records the config that ran.
+ *
  * Submit with `fireaxe-run --connect SOCKET --target ... `, or speak
  * the protocol directly with any line-oriented socket client.
  */
