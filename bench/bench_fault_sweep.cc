@@ -124,7 +124,7 @@ main(int argc, char **argv)
     // autosnapshot machinery; the golden cross-check then doubles as
     // evidence that snapshot cuts under fault injection do not
     // perturb the simulation.
-    platform::ExecConfig exec = bench::envExecConfig();
+    platform::ExecConfig exec = testenv::execConfig();
     args.applyRecovery(exec);
 
     const double rates[] = {0.0, 1e-4, 1e-3, 1e-2};

@@ -53,7 +53,7 @@ main(int argc, char **argv)
     // --snapshot-every/--snapshot-dir make every measured run carry
     // the autosnapshot machinery, so its rate tax shows up in the
     // sweep itself.
-    platform::ExecConfig exec = envExecConfig();
+    platform::ExecConfig exec = testenv::execConfig();
     args.applyRecovery(exec);
 
     for (double mhz : {10.0, 30.0, 50.0, 70.0, 90.0}) {

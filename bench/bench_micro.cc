@@ -200,7 +200,7 @@ runWorkerSweep(const std::vector<unsigned> &worker_counts,
                 "bit_exact");
 
     double seq_wall = 0.0;
-    const platform::ExecConfig seq_exec = bench::envExecConfig();
+    const platform::ExecConfig seq_exec = testenv::execConfig();
     auto seq = measure(seq_exec, seq_wall);
     std::printf("%-12s %8s %12.0f %10.2f %9s %9s\n", "sequential",
                 "-", seq.hostTimeNs, seq_wall, "1.00", "ref");
@@ -221,7 +221,7 @@ runWorkerSweep(const std::vector<unsigned> &worker_counts,
 
     for (unsigned w : worker_counts) {
         double wall = 0.0;
-        const platform::ExecConfig par_exec = bench::envExecConfig(w);
+        const platform::ExecConfig par_exec = testenv::execConfig(w);
         auto par = measure(par_exec, wall);
         bool exact = par.targetCycles == seq.targetCycles &&
                      par.hostTimeNs == seq.hostTimeNs;
@@ -325,7 +325,7 @@ runSnapshotSweep(const std::vector<uint64_t> &intervals,
     double base_wall = 0.0;
     uint64_t base_sig = 0, plan_hash = 0, content_hash = 0;
     platform::RunResult base{};
-    const platform::ExecConfig base_exec = bench::envExecConfig();
+    const platform::ExecConfig base_exec = testenv::execConfig();
     {
         platform::MultiFpgaSim sim(plan, fpgas,
                                    transport::qsfpAurora());
@@ -488,7 +488,7 @@ runResumeMeasurement(const std::string &dir, uint64_t cycles,
         std::vector<platform::FpgaSpec>(nparts,
                                         platform::alveoU250(50.0)),
         transport::qsfpAurora());
-    sim.setExecConfig(bench::envExecConfig());
+    sim.setExecConfig(testenv::execConfig());
     std::string err;
     auto t0 = std::chrono::steady_clock::now();
     if (!sim.restore(dir, err)) {
@@ -600,10 +600,10 @@ runEngineSweep(const std::vector<rtlsim::EvalEngine> &engines,
                         point.wallMs, point.cyclesPerSec, speedup,
                         gated, exact ? "yes" : "NO");
             bench::JsonRow row;
-            platform::ExecConfig exec;
-            exec.evalEngine = engine;
-            bench::addRunIdentity(row, "fireaxe.bench.v1",
-                                  design.name, 0, 0, exec);
+            obs::addRunIdentity(row.writer(), "fireaxe.bench.v1",
+                                design.name, 0, 0,
+                                {"monolithic", rtlsim::toString(engine),
+                                 1, 0});
             row.field("target_cycles", cycles)
                 .field("wall_ms", point.wallMs)
                 .field("cycles_per_sec", point.cyclesPerSec)
@@ -667,7 +667,7 @@ runTokenTraceSweep(const std::vector<uint64_t> &rates,
         uint64_t records = 0;
         uint64_t dropped = 0;
     };
-    const platform::ExecConfig exec = bench::envExecConfig();
+    const platform::ExecConfig exec = testenv::execConfig();
     auto runOnce = [&](const obs::TelemetryConfig *tcfg,
                        Measured &m) {
         platform::MultiFpgaSim sim(plan, fpgas,

@@ -26,6 +26,7 @@
 #include "rtlsim/simulator.hh"
 #include "target/bus_soc.hh"
 #include "transport/link.hh"
+#include "../tests/testenv.hh"
 
 namespace fireaxe::bench {
 
@@ -134,27 +135,8 @@ addRunIdentity(JsonRow &row, std::string_view schema,
                uint64_t artifact_hash, const platform::ExecConfig &exec)
 {
     obs::addRunIdentity(row.writer(), schema, target, plan_hash,
-                        artifact_hash, exec);
+                        artifact_hash, platform::execIdentity(exec));
     return row;
-}
-
-/**
- * The sweep benches' execution config with @p workers workers:
- * ExecConfig's constant defaults, except that FIREAXE_EVAL and
- * FIREAXE_BATCH_DEPTH, when set, pick the evaluation engine and the
- * batch depth (CI's batched worker sweep under TSan sets the depth).
- */
-inline platform::ExecConfig
-envExecConfig(unsigned workers = 1)
-{
-    platform::ExecConfig exec = platform::ExecConfig::parallel(workers);
-    if (const char *v = std::getenv("FIREAXE_EVAL"); v && *v)
-        exec.evalEngine = rtlsim::parseEvalEngine(v);
-    if (const char *v = std::getenv("FIREAXE_BATCH_DEPTH"); v && *v)
-        exec.batchDepth = unsigned(std::strtoul(v, nullptr, 10));
-    if (exec.batchDepth == 0)
-        exec.batchDepth = 1;
-    return exec;
 }
 
 /**
@@ -332,7 +314,7 @@ runTilePartitionSweep(unsigned total_tiles, unsigned tiles_out,
         {platform::alveoU250(bitstream_mhz),
          platform::alveoU250(bitstream_mhz)},
         link);
-    sim.setExecConfig(exec ? *exec : envExecConfig());
+    sim.setExecConfig(exec ? *exec : testenv::execConfig());
     auto result = sim.run(cycles);
 
     SweepPoint point;

@@ -3,38 +3,52 @@
  * The uniform run-identity prefix of every machine-readable result
  * row the tools and benches emit (fireaxe-run --json, bench --json,
  * the telemetry stream header, fireaxed result lines), so sweep
- * tooling can join rows across producers. The execution fields come
- * from the run's effective platform::ExecConfig and nowhere else.
+ * tooling can join rows across producers. The execution fields of a
+ * partitioned run come from its effective platform::ExecConfig and
+ * nowhere else (platform::execIdentity).
  */
 
 #ifndef FIREAXE_OBS_RUNID_HH
 #define FIREAXE_OBS_RUNID_HH
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "obs/json.hh"
-#include "platform/execconfig.hh"
 
 namespace fireaxe::obs {
 
 /**
- * Write the execution config of a run as flat fields into the object
- * @p w has open:
- *   backend     — "sequential" (one worker on the calling thread) or
- *                 "parallel"
- *   engine      — evaluation engine name
- *   workers     — ExecConfig::workers (0 = one per partition)
- *   batch_depth — requested token batch depth
+ * How a run executed, as its result rows name it. The partitioned
+ * executor fills it from its ExecConfig (platform::execIdentity), so
+ * obs never needs to know that config.
  */
-inline void
-addExecFields(JsonWriter &w, const platform::ExecConfig &exec)
+struct ExecIdentity
 {
-    w.field("backend",
-            exec.workers == 1 ? "sequential" : "parallel");
-    w.field("engine", rtlsim::toString(exec.evalEngine));
-    w.field("workers", uint64_t(exec.workers));
-    w.field("batch_depth", uint64_t(exec.batchDepth));
+    /** "sequential" (one worker on the calling thread), "parallel",
+     *  or "monolithic" (no partition plan: one flat simulator, with
+     *  plan_hash 0). */
+    std::string backend;
+    /** Evaluation engine name. */
+    std::string engine;
+    /** ExecConfig::workers (0 = one per partition); 1 for a
+     *  monolithic run. */
+    uint64_t workers = 1;
+    /** Requested token batch depth; 0 for a monolithic run, which
+     *  has no token channels. */
+    uint64_t batchDepth = 1;
+};
+
+/** Write @p exec as flat backend/engine/workers/batch_depth fields
+ *  into the object @p w has open. */
+inline void
+addExecFields(JsonWriter &w, const ExecIdentity &exec)
+{
+    w.field("backend", exec.backend);
+    w.field("engine", exec.engine);
+    w.field("workers", exec.workers);
+    w.field("batch_depth", exec.batchDepth);
 }
 
 /**
@@ -57,7 +71,7 @@ addExecFields(JsonWriter &w, const platform::ExecConfig &exec)
 inline void
 addRunIdentity(JsonWriter &w, std::string_view schema,
                std::string_view target, uint64_t plan_hash,
-               uint64_t artifact_hash, const platform::ExecConfig &exec)
+               uint64_t artifact_hash, const ExecIdentity &exec)
 {
     w.field("schema", schema);
     w.field("target", target);

@@ -4,7 +4,6 @@
 
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "obs/runid.hh"
 
 namespace fireaxe::obs {
 

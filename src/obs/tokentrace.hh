@@ -43,7 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "platform/execconfig.hh"
+#include "obs/runid.hh"
 
 namespace fireaxe::obs {
 
@@ -200,8 +200,8 @@ struct StreamRunInfo
     /** Design+plan content hash (platform::contentHash) — the same
      *  64-bit identity bench rows and the service cache key on. */
     uint64_t artifactHash = 0;
-    /** The run's effective execution config (obs/runid.hh). */
-    platform::ExecConfig exec;
+    /** How the run executes (obs/runid.hh). */
+    ExecIdentity exec;
     unsigned sampleEvery = 1;
     /** Index = partition id. */
     std::vector<std::string> partitions;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/runid.hh"
 #include "rtlsim/engine.hh"
 
 namespace fireaxe::platform {
@@ -81,6 +82,15 @@ struct ExecConfig
         return cfg;
     }
 };
+
+/** The run-identity fields (obs/runid.hh) of a run under @p exec. */
+inline obs::ExecIdentity
+execIdentity(const ExecConfig &exec)
+{
+    return {exec.workers == 1 ? "sequential" : "parallel",
+            rtlsim::toString(exec.evalEngine), exec.workers,
+            exec.batchDepth};
+}
 
 } // namespace fireaxe::platform
 

@@ -359,7 +359,7 @@ MultiFpgaSim::setupTelemetry()
             info.runLabel = cfg.runLabel;
             info.planHash = planHash();
             info.artifactHash = contentHash();
-            info.exec = execConfig_;
+            info.exec = execIdentity(execConfig_);
             info.sampleEvery = tt ? tt->sampleEvery() : 1;
             info.partitions = plan_.partitionNames;
             if (tt)
@@ -1475,10 +1475,11 @@ uint64_t
 runMonolithic(const firrtl::Circuit &circuit,
               const libdn::Driver &driver,
               const libdn::Monitor &monitor, uint64_t target_cycles,
-              const std::function<bool()> &stop)
+              const std::function<bool()> &stop,
+              rtlsim::EvalEngine engine)
 {
     firrtl::Circuit flat = passes::flattenAll(circuit);
-    rtlsim::Simulator sim(flat);
+    rtlsim::Simulator sim(flat, engine);
     uint64_t cycle = 0;
     for (; cycle < target_cycles; ++cycle) {
         if (driver)

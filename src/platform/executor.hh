@@ -602,13 +602,14 @@ class MultiFpgaSim
 /**
  * Convenience: run a monolithic (non-partitioned) simulation of a
  * circuit with the same driver/monitor interface, as the golden
- * reference. Returns the cycle count executed.
+ * reference, on evaluation engine @p engine. Returns the cycle count
+ * executed.
  */
-uint64_t runMonolithic(const firrtl::Circuit &circuit,
-                       const libdn::Driver &driver,
-                       const libdn::Monitor &monitor,
-                       uint64_t target_cycles,
-                       const std::function<bool()> &stop = nullptr);
+uint64_t runMonolithic(
+    const firrtl::Circuit &circuit, const libdn::Driver &driver,
+    const libdn::Monitor &monitor, uint64_t target_cycles,
+    const std::function<bool()> &stop = nullptr,
+    rtlsim::EvalEngine engine = rtlsim::EvalEngine::Interpret);
 
 } // namespace fireaxe::platform
 

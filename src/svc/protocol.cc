@@ -160,7 +160,7 @@ resultLine(uint64_t job, const std::string &target,
     w.value(hexHash(o.planHash));
     w.key("artifact_hash");
     w.value(hexHash(o.artifactHash));
-    obs::addExecFields(w, o.exec);
+    obs::addExecFields(w, platform::execIdentity(o.exec));
     w.key("deadlocked");
     w.value(o.result.deadlocked);
     w.key("stopped");
@@ -173,6 +173,10 @@ resultLine(uint64_t job, const std::string &target,
     w.value(o.result.retransmits);
     w.key("snapshots");
     w.value(o.snapshots);
+    w.key("snapshot_bytes");
+    w.value(o.snapshotBytes);
+    w.key("snapshot_wall_ms");
+    w.value(o.snapshotWallMs);
     w.key("restores");
     w.value(o.restores);
     w.key("elab_cache_hit");

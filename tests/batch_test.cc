@@ -570,9 +570,10 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
                   golden_sig);
         ASSERT_FALSE(obs.empty());
         for (const auto &[cycle, value] : obs) {
-            if (cycle < golden_obs.size())
+            if (cycle < golden_obs.size()) {
                 ASSERT_EQ(value, golden_obs[cycle])
                     << "resume divergence at cycle " << cycle;
+            }
         }
         fs::remove_all(dir);
     }

@@ -49,7 +49,7 @@ TEST(NocSoc, GeneratesAndSimulates)
         [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
             status.push_back(sim.peek("status"));
         },
-        500);
+        500, nullptr, testenv::evalEngine());
     ASSERT_EQ(status.size(), 500u);
     // Traffic flows: the subsystem heartbeat and tile checksums must
     // evolve over time.
@@ -65,7 +65,7 @@ TEST(NocSoc, SubsystemServesMemoryTraffic)
         [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
             heartbeat = sim.peek("subsys/hb");
         },
-        600);
+        600, nullptr, testenv::evalEngine());
     // Two tiles issuing a request every few cycles with a round-trip
     // through the ring: dozens of requests must have been served.
     EXPECT_GT(heartbeat, 20u);
@@ -255,7 +255,7 @@ TEST(BidirNoc, GeneratesAndServesTraffic)
         [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
             heartbeat = sim.peek("subsys/hb");
         },
-        800);
+        800, nullptr, testenv::evalEngine());
     EXPECT_GT(heartbeat, 30u);
 }
 
@@ -276,7 +276,7 @@ TEST(BidirNoc, ShortestPathBeatsUnidirectionalRing)
             [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
                 heartbeat = sim.peek("subsys/hb");
             },
-            1200);
+            1200, nullptr, testenv::evalEngine());
         return heartbeat;
     };
     EXPECT_GT(served(target::buildRingNocSoc(bi)),

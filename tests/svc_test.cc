@@ -210,6 +210,31 @@ TEST(SvcProtocol, ResultLineCarriesIdentityHashes)
               std::string::npos);
 }
 
+TEST(SvcProtocol, ResultLineCarriesExecAndSnapshotCost)
+{
+    // fireaxe-run --connect rebuilds its --json row from this line,
+    // so every field of that row must travel on it.
+    svc::RunOutcome o;
+    o.ok = true;
+    o.exec.workers = 2;
+    o.exec.evalEngine = rtlsim::EvalEngine::Compiled;
+    o.exec.batchDepth = 8;
+    o.snapshots = 3;
+    o.snapshotBytes = 4096;
+    o.snapshotWallMs = 1.5;
+    obs::JsonValue v;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(svc::resultLine(7, "fig2", o), v, error))
+        << error;
+    EXPECT_EQ(v.text("backend"), "parallel");
+    EXPECT_EQ(v.text("engine"), "compiled");
+    EXPECT_EQ(v.u64("workers"), 2u);
+    EXPECT_EQ(v.u64("batch_depth"), 8u);
+    EXPECT_EQ(v.u64("snapshots"), 3u);
+    EXPECT_EQ(v.u64("snapshot_bytes"), 4096u);
+    EXPECT_EQ(v.num("snapshot_wall_ms"), 1.5);
+}
+
 // --- artifact cache ------------------------------------------------
 
 TEST(SvcCache, HitMissAndLruEviction)

@@ -28,7 +28,8 @@ using namespace fireaxe::ripper;
 
 namespace {
 
-/** Run a monolithic accel SoC until done; return the done cycle. */
+/** Run a monolithic accel SoC until done, on the suite's engine
+ *  (testenv.hh); return the done cycle. */
 uint64_t
 monolithicDoneCycle(const firrtl::Circuit &soc, uint64_t limit)
 {
@@ -39,7 +40,7 @@ monolithicDoneCycle(const firrtl::Circuit &soc, uint64_t limit)
             if (done_cycle == 0 && sim.peek("done"))
                 done_cycle = cycle;
         },
-        limit);
+        limit, nullptr, testenv::evalEngine());
     return done_cycle;
 }
 

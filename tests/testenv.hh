@@ -1,15 +1,18 @@
 /**
  * @file
- * The test suites' one reader of the environment. The library reads
- * none: ExecConfig, Simulator and LIBDNModel default to constants.
- * The suites build their configs through these helpers instead, so
- * a whole battery re-runs as a differential pass under
+ * The one reader of the FIREAXE_* environment outside the library,
+ * which reads none: ExecConfig, Simulator and LIBDNModel default to
+ * constants. The test suites, the benches (bench/sweep_common.hh)
+ * and fireaxe-run build their configs through these helpers, so a
+ * whole battery re-runs as a differential pass under
  *
  *   FIREAXE_EVAL=compiled      every simulator on the bytecode engine
  *   FIREAXE_BATCH_DEPTH=N      every partitioned run at depth N
  *
  * and must pass bit-for-bit either way. A test that sets its own
- * engine or depth overrides these, as before.
+ * engine or depth overrides these, as before. A malformed value
+ * throws FatalError, so a mistyped variable fails the run instead of
+ * silently testing the defaults.
  */
 
 #ifndef FIREAXE_TESTS_TESTENV_HH
@@ -18,28 +21,44 @@
 #include <cstdlib>
 #include <string>
 
+#include "base/logging.hh"
 #include "platform/execconfig.hh"
 #include "rtlsim/engine.hh"
 #include "svc/jobspec.hh"
 
 namespace fireaxe::testenv {
 
-/** FIREAXE_EVAL when set, else the interpreter. */
+/** The value of environment variable @p name; "" when unset. */
+inline std::string
+value(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v ? v : "";
+}
+
+/** FIREAXE_EVAL when set, else the interpreter; fatal() on an
+ *  unknown engine name. */
 inline rtlsim::EvalEngine
 evalEngine()
 {
-    const char *v = std::getenv("FIREAXE_EVAL");
-    return v && *v ? rtlsim::parseEvalEngine(v)
-                   : rtlsim::EvalEngine::Interpret;
+    std::string v = value("FIREAXE_EVAL");
+    return v.empty() ? rtlsim::EvalEngine::Interpret
+                     : rtlsim::parseEvalEngine(v);
 }
 
-/** FIREAXE_BATCH_DEPTH when set to a positive integer, else 1. */
+/** FIREAXE_BATCH_DEPTH when set, else 1 (as is 0); fatal() unless
+ *  it is a decimal integer of at most nine digits. */
 inline unsigned
 batchDepth()
 {
-    const char *v = std::getenv("FIREAXE_BATCH_DEPTH");
-    unsigned long depth = v ? std::strtoul(v, nullptr, 10) : 0;
-    return depth ? unsigned(depth) : 1;
+    std::string v = value("FIREAXE_BATCH_DEPTH");
+    if (v.empty())
+        return 1;
+    if (v.size() > 9 ||
+        v.find_first_not_of("0123456789") != std::string::npos)
+        fatal("FIREAXE_BATCH_DEPTH needs an integer, got '", v, "'");
+    unsigned depth = unsigned(std::stoul(v));
+    return depth ? depth : 1;
 }
 
 /** ExecConfig with @p workers workers, evalEngine() and

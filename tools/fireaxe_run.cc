@@ -15,9 +15,11 @@
  * Four environment variables supply defaults for unset flags:
  * FIREAXE_EVAL (--engine), FIREAXE_BATCH_DEPTH (--batch-depth),
  * FIREAXE_SNAPSHOT_DIR (--snapshot-dir) and FIREAXE_STREAM
- * (--stream). main() reads them once into the JobSpec, so a
- * `--connect` submission carries the resolved values and the daemon's
- * own environment never changes a result.
+ * (--stream). main() reads them once into the JobSpec, through the
+ * same reader the test suites and benches use (tests/testenv.hh), so
+ * a `--connect` submission carries the resolved values and the
+ * daemon's own environment never changes a result. A malformed
+ * FIREAXE_EVAL or FIREAXE_BATCH_DEPTH is a usage error.
  *
  * Output is `key value` lines on stdout (grep-friendly), plus an
  * optional `--json FILE` row for sweep tooling. Exit status: 0 ok,
@@ -42,6 +44,7 @@
 #include "svc/protocol.hh"
 #include "svc/server.hh"
 #include "svc/targets.hh"
+#include "../tests/testenv.hh"
 
 using namespace fireaxe;
 
@@ -158,7 +161,8 @@ appendJsonRow(const std::string &json_path, const svc::JobSpec &spec,
     obs::JsonWriter w(row);
     w.beginObject();
     obs::addRunIdentity(w, "fireaxe.run.v1", spec.target, o.planHash,
-                        o.artifactHash, o.exec);
+                        o.artifactHash,
+                        platform::execIdentity(o.exec));
     w.field("mode", std::string_view(spec.mode));
     w.field("cycles", o.result.targetCycles);
     w.field("resume_cycle", o.resumeCycle);
@@ -253,6 +257,8 @@ runConnected(const std::string &socket_path, svc::JobSpec spec,
                 o.exec.evalEngine = rtlsim::parseEvalEngine(e);
             o.exec.batchDepth = unsigned(v.u64("batch_depth", 1));
             o.snapshots = v.u64("snapshots");
+            o.snapshotBytes = v.u64("snapshot_bytes");
+            o.snapshotWallMs = v.num("snapshot_wall_ms");
             o.restores = v.u64("restores");
             o.result.hostTimeNs = v.num("host_time_ns");
             o.result.retransmits = v.u64("retransmits");
@@ -352,19 +358,19 @@ main(int argc, char **argv)
     if (spec.target.empty())
         return usage(std::cerr, 2);
     // The documented environment defaults, resolved once, here.
-    auto env = [](const char *name) -> std::string {
-        const char *v = std::getenv(name);
-        return v ? v : "";
-    };
-    if (spec.engine.empty())
-        spec.engine = env("FIREAXE_EVAL");
-    if (spec.batchDepth == 0 && !env("FIREAXE_BATCH_DEPTH").empty())
-        spec.batchDepth = unsigned(parseU64(
-            "FIREAXE_BATCH_DEPTH", env("FIREAXE_BATCH_DEPTH")));
+    try {
+        if (spec.engine.empty())
+            spec.engine = rtlsim::toString(testenv::evalEngine());
+        if (spec.batchDepth == 0)
+            spec.batchDepth = testenv::batchDepth();
+    } catch (const FatalError &e) {
+        std::cerr << "fireaxe-run: " << e.what() << "\n";
+        return 2;
+    }
     if (spec.snapshotDir.empty())
-        spec.snapshotDir = env("FIREAXE_SNAPSHOT_DIR");
+        spec.snapshotDir = testenv::value("FIREAXE_SNAPSHOT_DIR");
     if (stream_path.empty())
-        stream_path = env("FIREAXE_STREAM");
+        stream_path = testenv::value("FIREAXE_STREAM");
     std::string bad = spec.validate();
     if (!bad.empty()) {
         std::cerr << "fireaxe-run: " << bad << "\n";
