@@ -87,7 +87,7 @@ runPoint(const firrtl::Circuit &soc,
                    });
     auto result = sim.run(cycles);
     if (metrics_os)
-        sim.writeMetricsJson(*metrics_os);
+        sim.telemetry()->registry()->writeJson(*metrics_os);
 
     FaultPoint point;
     point.planHash = sim.planHash();

@@ -554,7 +554,6 @@ class TokenChannel final
      * state.
      */
     void setReplayLogCapacity(size_t n);
-    size_t replayLogCapacity() const { return replayCap_; }
 
     /**
      * Rewind the consumer side to a recovery point: deliveries past
@@ -589,7 +588,6 @@ class TokenChannel final
      * the channel (and its fault schedule) already reflects them.
      */
     void suppressProducedTokens(uint64_t n) { suppress_ += n; }
-    uint64_t suppressedTokensLeft() const { return suppress_; }
 
   private:
     struct Entry

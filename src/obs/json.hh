@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -44,8 +45,10 @@ jsonEscape(std::ostream &os, std::string_view s)
     }
 }
 
-/** Format a double as a JSON number (inf/NaN become null, which
- *  keeps every exporter's output parseable). */
+/** Format a double as a JSON number: the shortest %.12g..%.17g text
+ *  that parses back to the same double, so every value round-trips
+ *  bit-exactly (inf/NaN become null, which keeps every exporter's
+ *  output parseable). */
 inline void
 jsonNumber(std::ostream &os, double v)
 {
@@ -54,7 +57,11 @@ jsonNumber(std::ostream &os, double v)
         return;
     }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
+    for (int prec = 12; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
     os << buf;
 }
 

@@ -137,7 +137,6 @@ StreamWriter::writeHeader(const StreamRunInfo &info)
     w.endArray();
     w.endObject();
     os_ << "\n";
-    ++lines_;
 }
 
 void
@@ -186,7 +185,6 @@ StreamWriter::writeTokens(const std::vector<TokenRecord> &records)
     w.endArray();
     w.endObject();
     os_ << "\n";
-    ++lines_;
 }
 
 void
@@ -208,7 +206,6 @@ StreamWriter::writeMetrics(const MetricsSnapshot &snap,
     w.endObject();
     w.endObject();
     os_ << "\n";
-    ++lines_;
 }
 
 void
@@ -230,7 +227,6 @@ StreamWriter::writeSummary(const StreamSummary &summary)
     w.value(summary.deadlocked);
     w.endObject();
     os_ << "\n";
-    ++lines_;
 }
 
 } // namespace fireaxe::obs

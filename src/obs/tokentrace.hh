@@ -236,11 +236,8 @@ class StreamWriter
                       double host_time_ns, uint64_t target_cycle);
     void writeSummary(const StreamSummary &summary);
 
-    uint64_t linesWritten() const { return lines_; }
-
   private:
     std::ostream &os_;
-    uint64_t lines_ = 0;
 };
 
 } // namespace fireaxe::obs

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <istream>
 #include <map>
-#include <ostream>
-#include <set>
 #include <sstream>
 
 #include "analyze/batching.hh"
 #include "base/logging.hh"
-#include "base/serial.hh"
 #include "par/engine.hh"
 #include "passes/flatten.hh"
-#include "recovery/snapshot.hh"
 #include "rtlsim/simulator.hh"
 #include "verify/verify.hh"
 
@@ -287,8 +280,17 @@ MultiFpgaSim::init()
         models_[ch.dstPart]->bindInput(in_slot, 0, chan);
     }
 
-    if (telemetry_)
-        setupTelemetry();
+    if (telemetry_) {
+        for (auto &cs : channels_)
+            cs.chan->setProbe(telemetry_->makeChannelProbe(
+                cs.chan->name(), cs.srcPart, cs.dstPart));
+        obs::StreamRunInfo info;
+        info.planHash = planHash();
+        info.artifactHash = contentHash();
+        info.exec = execIdentity(execConfig_);
+        info.partitions = plan_.partitionNames;
+        telemetry_->begin(std::move(info));
+    }
 
     if (plan_.mode == PartitionMode::Fast) {
         for (auto &model : models_)
@@ -305,114 +307,6 @@ MultiFpgaSim::init()
     initialized_ = true;
 }
 
-void
-MultiFpgaSim::setupTelemetry()
-{
-    // PartTelemetry holds atomics, so build the vector in place
-    // rather than copy-assigning from a prototype.
-    partTel_ = std::vector<PartTelemetry>(models_.size());
-    obs::MetricsRegistry *reg = telemetry_->registry();
-
-    for (size_t p = 0; p < models_.size(); ++p) {
-        if (reg) {
-            const std::string base =
-                "part." + plan_.partitionNames[p] + ".";
-            partTel_[p].fmrGauge = &reg->gauge(base + "fmr");
-            partTel_[p].fmrHist = &reg->histogram(
-                base + "fmr_window",
-                telemetry_->config().histogramReservoirCap);
-            partTel_[p].waitTicks = &reg->counter(base + "wait_ticks");
-        }
-    }
-    for (auto &cs : channels_) {
-        cs.chan->setProbe(telemetry_->makeChannelProbe(
-            cs.chan->name(), cs.srcPart, cs.dstPart));
-    }
-
-    // Streaming telemetry: open the JSONL sink and write the header
-    // once every channel is registered in the collector's table. A
-    // caller-owned streamSink (the daemon's per-job socket forwarder)
-    // takes precedence over opening a file path.
-    const obs::TelemetryConfig &cfg = telemetry_->config();
-    if (cfg.streamSink || !cfg.streamPath.empty()) {
-        std::unique_ptr<std::ofstream> os;
-        if (!cfg.streamSink) {
-            os = std::make_unique<std::ofstream>(cfg.streamPath);
-        }
-        if (os && !*os) {
-            warn("telemetry stream: cannot open '", cfg.streamPath,
-                 "' — streaming disabled");
-        } else {
-            std::ostream *sink = cfg.streamSink;
-            if (os) {
-                streamOs_ = std::move(os);
-                sink = streamOs_.get();
-            }
-            streamSink_ = sink;
-            stream_ = std::make_unique<obs::StreamWriter>(*sink);
-            streamEveryCycles_ = cfg.streamEveryCycles
-                                     ? cfg.streamEveryCycles
-                                     : 256;
-            nextStreamCycle_ = streamEveryCycles_;
-            obs::TokenTraceCollector *tt = telemetry_->tokenTrace();
-            obs::StreamRunInfo info;
-            info.runLabel = cfg.runLabel;
-            info.planHash = planHash();
-            info.artifactHash = contentHash();
-            info.exec = execIdentity(execConfig_);
-            info.sampleEvery = tt ? tt->sampleEvery() : 1;
-            info.partitions = plan_.partitionNames;
-            if (tt)
-                info.channels = tt->channels();
-            stream_->writeHeader(info);
-        }
-    }
-}
-
-void
-MultiFpgaSim::telemetryTick(size_t p, double now, bool progress,
-                            bool advanced)
-{
-    PartTelemetry &pt = partTel_[p];
-    pt.targetCycles.store(models_[p]->minTargetCycle(),
-                          std::memory_order_relaxed);
-
-    if (!progress) {
-        creditIdleTicks(p, 1, now);
-    } else {
-        // FAME-5: an advancing multi-threaded partition burns N host
-        // cycles for the target cycle; a merely-firing tick burns
-        // one.
-        pt.hostCycles.fetch_add(advanced ? plan_.fame5Threads[p] : 1,
-                                std::memory_order_relaxed);
-        // Close a pending wait (consecutive no-progress ticks
-        // merge into one).
-        if (pt.waitStartNs >= 0.0) {
-            pt.waitNs += now - pt.waitStartNs;
-            pt.waitStartNs = -1.0;
-        }
-    }
-
-    const obs::TelemetryConfig &cfg = telemetry_->config();
-    if (telemetry_->registry() && cfg.fmrSampleIntervalNs > 0.0 &&
-        now - pt.lastFmrSampleNs >= cfg.fmrSampleIntervalNs) {
-        pt.lastFmrSampleNs = now;
-        sampleFmr(p, now);
-    }
-}
-
-void
-MultiFpgaSim::creditIdleTicks(size_t p, uint64_t n, double first_edge)
-{
-    if (n == 0)
-        return;
-    PartTelemetry &pt = partTel_[p];
-    pt.hostCycles.fetch_add(n, std::memory_order_relaxed);
-    obs::add(pt.waitTicks, n);
-    if (pt.waitStartNs < 0.0)
-        pt.waitStartNs = first_edge;
-}
-
 par::Deadlines
 MultiFpgaSim::idleDeadlines(size_t p, double wake_ns, bool reports) const
 {
@@ -422,223 +316,14 @@ MultiFpgaSim::idleDeadlines(size_t p, double wake_ns, bool reports) const
         return d;
     const obs::TelemetryConfig &cfg = telemetry_->config();
     if (telemetry_->registry() && cfg.fmrSampleIntervalNs > 0.0) {
-        d.sampleFromNs = partTel_[p].lastFmrSampleNs;
+        d.sampleFromNs = telemetry_->fmrSampledAtNs(p);
         d.sampleEveryNs = cfg.fmrSampleIntervalNs;
     }
     if (reports && cfg.progressIntervalNs > 0.0) {
-        d.reportFromNs = lastReportNs_;
+        d.reportFromNs = telemetry_->reportedAtNs();
         d.reportEveryNs = cfg.progressIntervalNs;
     }
     return d;
-}
-
-void
-MultiFpgaSim::sampleFmr(size_t p, double now)
-{
-    obs::MetricsRegistry *reg = telemetry_->registry();
-    PartTelemetry &pt = partTel_[p];
-    uint64_t cycles = pt.targetCycles.load(std::memory_order_relaxed);
-    uint64_t host = pt.hostCycles.load(std::memory_order_relaxed);
-    uint64_t dt = cycles - pt.lastSampleTargetCycles;
-    uint64_t dh = host - pt.lastSampleHostCycles;
-    if (dt > 0) {
-        double fmr = double(dh) / double(dt);
-        pt.fmrGauge->set(fmr);
-        pt.fmrHist->observe(fmr);
-        pt.lastSampleTargetCycles = cycles;
-        pt.lastSampleHostCycles = host;
-    }
-    if (now > 0.0) {
-        // Aggregate over the published per-partition cycle counts —
-        // other partitions' models may be mid-tick on their own
-        // workers. The gauge is a running estimate; the exact final
-        // value is set by finalizeTelemetry.
-        reg->gauge("sim.sim_rate_mhz")
-            .set(double(publishedMinCycle()) / now * 1000.0);
-    }
-}
-
-uint64_t
-MultiFpgaSim::publishedMinCycle() const
-{
-    uint64_t m = partTel_[0].targetCycles.load(std::memory_order_relaxed);
-    for (const auto &tel : partTel_)
-        m = std::min(m, tel.targetCycles.load(std::memory_order_relaxed));
-    return m;
-}
-
-void
-MultiFpgaSim::reportProgress(double now, uint64_t target_cycles)
-{
-    uint64_t min_cycles = publishedMinCycle();
-    double pct = target_cycles
-                     ? 100.0 * double(min_cycles) / double(target_cycles)
-                     : 0.0;
-    double sim_mhz =
-        now > 0.0 ? double(min_cycles) / now * 1000.0 : 0.0;
-
-    // Mean FMR across partitions that have made progress.
-    double fmr_sum = 0.0;
-    int fmr_n = 0;
-    for (size_t p = 0; p < models_.size(); ++p) {
-        uint64_t cycles = partTel_[p].targetCycles.load(
-            std::memory_order_relaxed);
-        if (cycles > 0) {
-            fmr_sum += double(partTel_[p].hostCycles.load(
-                           std::memory_order_relaxed)) /
-                       double(cycles);
-            ++fmr_n;
-        }
-    }
-
-    // Wall-clock rate and ETA.
-    using namespace std::chrono;
-    double wall_s =
-        duration<double>(steady_clock::now() - wallStart_).count();
-    double wall_rate = wall_s > 0.0 ? double(min_cycles) / wall_s : 0.0;
-    double eta_s = (wall_rate > 0.0 && target_cycles > min_cycles)
-                       ? double(target_cycles - min_cycles) / wall_rate
-                       : 0.0;
-
-    size_t occ = 0, cap = 0;
-    for (const auto &cs : channels_) {
-        occ += cs.chan->size();
-        cap += cs.chan->capacity();
-    }
-
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "[fireaxe] cycle %llu/%llu (%.1f%%) sim %.3f MHz "
-                  "fmr %.2f wall %.0f cyc/s eta %.1fs chan %zu/%zu",
-                  (unsigned long long)min_cycles,
-                  (unsigned long long)target_cycles, pct, sim_mhz,
-                  fmr_n ? fmr_sum / fmr_n : 0.0, wall_rate, eta_s,
-                  occ, cap);
-    telemetry_->progressOut() << buf << std::endl;
-}
-
-void
-MultiFpgaSim::finalizeTelemetry(RunResult &result, double now)
-{
-    for (PartTelemetry &pt : partTel_) {
-        if (pt.waitStartNs >= 0.0) { // close any open wait
-            pt.waitNs += now - pt.waitStartNs;
-            pt.waitStartNs = -1.0;
-        }
-    }
-
-    obs::MetricsRegistry *reg = telemetry_->registry();
-    if (!reg)
-        return;
-    for (size_t p = 0; p < models_.size(); ++p) {
-        const PartTelemetry &pt = partTel_[p];
-        const std::string base =
-            "part." + plan_.partitionNames[p] + ".";
-        uint64_t cycles = models_[p]->minTargetCycle();
-        reg->gauge(base + "target_cycles").set(double(cycles));
-        reg->gauge(base + "fires").set(
-            double(models_[p]->totalFires()));
-        reg->gauge(base + "advances").set(
-            double(models_[p]->totalAdvances()));
-        uint64_t host =
-            pt.hostCycles.load(std::memory_order_relaxed);
-        reg->gauge(base + "host_cycles").set(double(host));
-        reg->gauge(base + "wait_ns").set(pt.waitNs);
-        // Activity-gating effectiveness of the partition's target
-        // simulator (nodes skipped is 0 under Interpret).
-        const rtlsim::Simulator &tsim = models_[p]->sim();
-        reg->gauge(base + "eval.nodes_evaluated")
-            .set(double(tsim.nodesEvaluated()));
-        reg->gauge(base + "eval.nodes_skipped")
-            .set(double(tsim.nodesSkipped()));
-        if (cycles > 0)
-            reg->gauge(base + "fmr").set(double(host) /
-                                         double(cycles));
-    }
-    reg->gauge("sim.host_time_ns").set(now);
-    reg->gauge("sim.target_cycles").set(double(result.targetCycles));
-    reg->gauge("sim.sim_rate_mhz").set(result.simRateMhz());
-    reg->gauge("sim.transient_stall_events")
-        .set(double(transientStallEvents_));
-    reg->gauge("sim.link_failovers")
-        .set(double(linkFailovers_.load(std::memory_order_relaxed)));
-    reg->gauge("sim.deadlocked").set(result.deadlocked ? 1.0 : 0.0);
-
-    // Dropped-record accounting: publish the lifetime drop total as a
-    // counter (delta-tracked, so repeated finalizes of a chunked run
-    // never double-count) — a truncated token trace becomes visible
-    // in every export.
-    if (obs::TokenTraceCollector *tt = telemetry_->tokenTrace()) {
-        obs::Counter &c = reg->counter("trace.token_records_dropped");
-        uint64_t total = tt->recordsDropped();
-        if (total > c.value())
-            c.add(total - c.value());
-    }
-
-    result.metrics = reg->snapshot();
-
-    // Stream tail: the remaining token records, a final metrics line
-    // (now carrying the end-of-run gauges, notably part.*.wait_ns),
-    // and the accounting summary. A chunked/resumed run appends one
-    // summary per finalize; the last one is authoritative.
-    if (stream_) {
-        streamFlush(now);
-        obs::StreamSummary summary;
-        summary.hostTimeNs = now;
-        summary.targetCycle = result.targetCycles;
-        summary.tokenRecords = streamedTokenRecords_;
-        if (const obs::TokenTraceCollector *tt =
-                telemetry_->tokenTrace())
-            summary.tokenRecordsDropped = tt->recordsDropped();
-        summary.deadlocked = result.deadlocked;
-        stream_->writeSummary(summary);
-        streamSink_->flush();
-    }
-}
-
-void
-MultiFpgaSim::streamFlush(double now)
-{
-    if (!stream_)
-        return;
-    uint64_t cycle = partTel_.empty() ? 0 : publishedMinCycle();
-    if (obs::TokenTraceCollector *tt = telemetry_->tokenTrace()) {
-        std::vector<obs::TokenRecord> records = tt->drainFired();
-        streamedTokenRecords_ += records.size();
-        stream_->writeTokens(records);
-    }
-    if (obs::MetricsRegistry *reg = telemetry_->registry())
-        stream_->writeMetrics(reg->snapshot(), now, cycle);
-}
-
-void
-MultiFpgaSim::maybeStreamFlush(double now)
-{
-    if (!stream_ || streamEveryCycles_ == 0 || partTel_.empty())
-        return;
-    uint64_t cycle = publishedMinCycle();
-    if (cycle < nextStreamCycle_)
-        return;
-    while (nextStreamCycle_ <= cycle)
-        nextStreamCycle_ += streamEveryCycles_;
-    streamFlush(now);
-}
-
-obs::MetricsSnapshot
-MultiFpgaSim::metricsSnapshot() const
-{
-    if (telemetry_ && telemetry_->registry())
-        return telemetry_->registry()->snapshot();
-    return {};
-}
-
-void
-MultiFpgaSim::writeMetricsJson(std::ostream &os) const
-{
-    FIREAXE_ASSERT(telemetry_ && telemetry_->registry(),
-                   "writeMetricsJson requires telemetry with metrics "
-                   "enabled");
-    telemetry_->registry()->writeJson(os);
 }
 
 RunResult
@@ -647,10 +332,8 @@ MultiFpgaSim::run(uint64_t target_cycles)
     if (!initialized_)
         init();
 
-    if (telemetry_ && !wallStartValid_) {
-        wallStart_ = std::chrono::steady_clock::now();
-        wallStartValid_ = true;
-    }
+    if (telemetry_)
+        telemetry_->startWallClock();
 
     // Autosnapshot: chunk the run at snapshot boundaries. Each chunk
     // ends at a quiesce point (the engine returned, its workers
@@ -737,8 +420,21 @@ MultiFpgaSim::finishRun(RunResult &result, double now)
     result.linkFailovers =
         linkFailovers_.load(std::memory_order_relaxed);
     result.degraded = result.linkFailovers > 0;
-    if (telemetry_)
-        finalizeTelemetry(result, now);
+    if (!telemetry_)
+        return;
+    obs::RunTotals totals;
+    totals.hostTimeNs = now;
+    totals.targetCycles = result.targetCycles;
+    totals.simRateMhz = result.simRateMhz();
+    totals.transientStallEvents = transientStallEvents_;
+    totals.linkFailovers = result.linkFailovers;
+    totals.deadlocked = result.deadlocked;
+    for (const auto &model : models_)
+        totals.partitions.push_back(
+            {model->minTargetCycle(), model->totalFires(),
+             model->totalAdvances(), model->sim().nodesEvaluated(),
+             model->sim().nodesSkipped()});
+    result.metrics = telemetry_->finish(totals);
 }
 
 RunResult
@@ -810,19 +506,21 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
                                : period[p];
 
         // Progress reports and stream flushes ride on the partitions
-        // of worker 0, so lastReportNs_ and the stream cursor stay
+        // of worker 0, so the report clock and the stream cursor stay
         // single-writer. With one worker that is every partition.
         if (telemetry_) {
-            telemetryTick(size_t(p), now, progress, advanced);
-            if (lead[size_t(p)]) {
-                maybeStreamFlush(now);
-                const obs::TelemetryConfig &tcfg =
-                    telemetry_->config();
-                if (tcfg.progressIntervalNs > 0.0 &&
-                    now - lastReportNs_ >= tcfg.progressIntervalNs) {
-                    lastReportNs_ = now;
-                    reportProgress(now, target_cycles);
+            // FAME-5: an advancing multi-threaded partition burns N
+            // host cycles for the target cycle; any other tick, one.
+            telemetry_->onTick(size_t(p), now, after, progress,
+                               advanced ? plan_.fame5Threads[p] : 1);
+            if (lead[size_t(p)] && telemetry_->onLeadTick(now)) {
+                size_t occ = 0, cap = 0;
+                for (const auto &cs : channels_) {
+                    occ += cs.chan->size();
+                    cap += cs.chan->capacity();
                 }
+                telemetry_->reportProgress(now, target_cycles, occ,
+                                           cap);
             }
         }
         // A failover retimes the channel and drops its batching; the
@@ -851,13 +549,16 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
     };
     if (telemetry_) {
         hooks.onIdle = [&](int p, uint64_t edges, double first_edge) {
-            creditIdleTicks(size_t(p), edges, first_edge);
+            telemetry_->onIdle(size_t(p), edges, first_edge);
         };
     }
     hooks.onTransientStall = [&](double) { ++transientStallEvents_; };
     hooks.onDeadlock = [&](double now) {
         result.deadlocked = true;
-        result.diagnosis = buildDiagnosis(now);
+        // Recomputes the pre-flight report when verification was off.
+        runPreflight();
+        result.diagnosis = diagnoseDeadlock(
+            now, liveRun(), plan_.partitionNames, preflight_);
         warn("multi-FPGA simulation deadlocked at host time ", now,
              " ns (no token progress for ", deadlock_window,
              " ns)\n", result.diagnosis.summary);
@@ -878,35 +579,6 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
 
 // --- coordinated recovery (src/recovery) --------------------------
 
-namespace {
-
-/** Length-prefixed raw byte block inside a shard stream. */
-void
-writeBlock(std::ostream &os, const std::string &payload)
-{
-    os << payload.size() << "\n" << payload;
-}
-
-/** The declared length is checked against the bytes left in the
- *  shard before it sizes the buffer. */
-bool
-readBlock(std::istringstream &is, std::string &payload)
-{
-    size_t n = 0;
-    is >> n;
-    if (!is || is.get() != '\n')
-        return false;
-    std::streamsize left = is.rdbuf()->in_avail();
-    if (left < 0 || n > size_t(left))
-        return false;
-    payload.resize(n);
-    is.read(payload.empty() ? nullptr : &payload[0],
-            std::streamsize(n));
-    return bool(is);
-}
-
-} // namespace
-
 uint64_t
 MultiFpgaSim::minCycleAll() const
 {
@@ -914,12 +586,6 @@ MultiFpgaSim::minCycleAll() const
     for (const auto &model : models_)
         m = std::min(m, model->minTargetCycle());
     return m;
-}
-
-uint64_t
-MultiFpgaSim::designHash() const
-{
-    return designContentHash(plan_);
 }
 
 uint64_t
@@ -934,48 +600,42 @@ MultiFpgaSim::contentHash() const
     return platform::contentHash(plan_);
 }
 
+recovery::LiveRun
+MultiFpgaSim::liveRun() const
+{
+    recovery::LiveRun run;
+    for (const auto &model : models_)
+        run.models.push_back(model.get());
+    for (const auto &cs : channels_)
+        run.channels.push_back(
+            {cs.chan.get(), cs.srcPart, cs.dstPart, cs.failedOver});
+    return run;
+}
+
+recovery::Manifest
+MultiFpgaSim::snapshotIdentity() const
+{
+    recovery::Manifest m;
+    m.designHash = designContentHash(plan_);
+    m.planHash = planHash();
+    m.engine = rtlsim::toString(execConfig_.evalEngine);
+    m.faultSeed = faults_.enabled() ? faults_.config().seed : 0;
+    m.numPartitions = models_.size();
+    m.numChannels = channels_.size();
+    return m;
+}
+
 recovery::RecoveryPoint
 MultiFpgaSim::acquireRecoveryPoint()
 {
     if (!initialized_)
         init();
-
     recovery::RecoveryPoint rp;
-    rp.valid = true;
+    recovery::captureCut(liveRun(), execConfig_.replayLogDepth, rp);
     rp.nowNs = now_;
     rp.nextTickNs = nextTick_;
     rp.transientStallEvents = transientStallEvents_;
     rp.linkFailovers = linkFailovers_.load(std::memory_order_relaxed);
-    rp.minTargetCycle = minCycleAll();
-
-    rp.partitions.reserve(models_.size());
-    for (const auto &model : models_) {
-        recovery::PartitionCut pc;
-        std::ostringstream sim_os;
-        model->sim().saveCheckpoint(sim_os);
-        pc.simCkpt = sim_os.str();
-        std::ostringstream fsm_os;
-        model->saveFsm(fsm_os);
-        pc.fsmCkpt = fsm_os.str();
-        pc.targetCycle = model->minTargetCycle();
-        rp.partitions.push_back(std::move(pc));
-    }
-
-    rp.channels.reserve(channels_.size());
-    for (auto &cs : channels_) {
-        // (Re)arm the replay log at every cut so restartPartition()
-        // can re-feed deliveries made after the *latest* cut.
-        cs.chan->setReplayLogCapacity(execConfig_.replayLogDepth);
-        recovery::ChannelCut cc;
-        std::ostringstream ch_os;
-        cs.chan->saveCkpt(ch_os);
-        cc.ckpt = ch_os.str();
-        cc.enqCount = cs.chan->tokensEnqueued();
-        cc.deqCount = cs.chan->tokensRetired();
-        cc.lastDelivered = cs.chan->lastDeliveredSeq();
-        cc.failedOver = cs.failedOver;
-        rp.channels.push_back(std::move(cc));
-    }
     return rp;
 }
 
@@ -999,51 +659,23 @@ MultiFpgaSim::retimeForCut(ChannelState &cs, bool cut_failed_over)
         cs.chan->setTiming(cs.baseSerNs, cs.baseLatencyNs,
                            cs.baseSerializer);
     }
+    cs.failedOver = cut_failed_over;
 }
 
 bool
 MultiFpgaSim::applyRecoveryPoint(const recovery::RecoveryPoint &rp,
                                  std::string &error)
 {
-    if (!rp.valid) {
-        error = "recovery point is not valid";
-        return false;
-    }
-    if (rp.partitions.size() != models_.size() ||
-        rp.channels.size() != channels_.size() ||
-        rp.nextTickNs.size() != models_.size()) {
-        error = "recovery point shape does not match this plan";
-        return false;
-    }
-    // Check every channel stream before any state changes: a
-    // malformed one (say, a token of the wrong length) must leave
-    // the executor untouched.
-    for (size_t c = 0; c < channels_.size(); ++c) {
-        std::istringstream ch_is(rp.channels[c].ckpt);
-        if (!channels_[c].chan->checkCkpt(ch_is, error))
-            return false;
-    }
-    for (size_t p = 0; p < models_.size(); ++p) {
-        std::istringstream sim_is(rp.partitions[p].simCkpt);
-        if (!models_[p]->sim().tryLoadCheckpoint(sim_is, error))
-            return false;
-        std::istringstream fsm_is(rp.partitions[p].fsmCkpt);
-        if (!models_[p]->tryLoadFsm(fsm_is, error))
-            return false;
-    }
-    for (size_t c = 0; c < channels_.size(); ++c) {
+    auto retime = [&](size_t c) {
         retimeForCut(channels_[c], rp.channels[c].failedOver);
-        std::istringstream ch_is(rp.channels[c].ckpt);
-        if (!channels_[c].chan->tryLoadCkpt(ch_is, error))
-            return false;
-        channels_[c].failedOver = rp.channels[c].failedOver;
-    }
+    };
+    if (!recovery::applyCut(liveRun(), rp, retime, error))
+        return false;
     now_ = rp.nowNs;
     nextTick_ = rp.nextTickNs;
     transientStallEvents_ = rp.transientStallEvents;
     linkFailovers_.store(rp.linkFailovers,
                          std::memory_order_relaxed);
-    error.clear();
     return true;
 }
 
@@ -1055,8 +687,9 @@ MultiFpgaSim::rollback(const recovery::RecoveryPoint &rp)
     std::string error;
     if (!applyRecoveryPoint(rp, error))
         fatal("rollback failed: ", error);
-    ++restoreCount_;
-    recordRecoveryMetrics();
+    ++recovery_.restores;
+    if (telemetry_)
+        telemetry_->recordRecovery(recovery_);
 }
 
 bool
@@ -1067,70 +700,15 @@ MultiFpgaSim::restartPartition(int part,
     FIREAXE_ASSERT(initialized_,
                    "restartPartition() before the run was "
                    "initialized");
-    if (!rp.valid || rp.partitions.size() != models_.size() ||
-        rp.channels.size() != channels_.size() ||
-        rp.nextTickNs.size() != models_.size()) {
-        error = "recovery point shape does not match this plan";
+    if (!recovery::restartPartition(liveRun(), part, rp, error))
         return false;
-    }
-    if (part < 0 || size_t(part) >= models_.size()) {
-        error = "no such partition";
-        return false;
-    }
-
-    // Pre-validate every inbound replay before mutating anything, so
-    // a stale cut (replay log outrun) leaves the world untouched.
-    for (size_t c = 0; c < channels_.size(); ++c) {
-        const ChannelState &cs = channels_[c];
-        if (cs.dstPart != part)
-            continue;
-        if (!cs.chan->canReplayFrom(rp.channels[c].deqCount)) {
-            error = "channel '" + cs.chan->name() +
-                    "': replay log no longer covers the recovery "
-                    "point (raise ExecConfig::replayLogDepth or "
-                    "restore the whole run)";
-            return false;
-        }
-    }
-
-    uint64_t crash_cycle = models_[part]->minTargetCycle();
-    std::istringstream sim_is(rp.partitions[part].simCkpt);
-    if (!models_[part]->sim().tryLoadCheckpoint(sim_is, error))
-        return false;
-    std::istringstream fsm_is(rp.partitions[part].fsmCkpt);
-    if (!models_[part]->tryLoadFsm(fsm_is, error))
-        return false;
-
-    for (size_t c = 0; c < channels_.size(); ++c) {
-        ChannelState &cs = channels_[c];
-        if (cs.dstPart == part) {
-            // Inbound: re-present everything delivered since the
-            // cut, ahead of the live queue. Producer-side state
-            // (sequence numbers, retransmit buffer, fault RNG,
-            // serializer clock) stays where the peers left it.
-            if (!cs.chan->replayFromLog(rp.channels[c].deqCount,
-                                        rp.channels[c].lastDelivered,
-                                        error))
-                return false; // unreachable after the pre-check
-        } else if (cs.srcPart == part) {
-            // Outbound: the channel already reflects every token the
-            // partition transmitted before the crash; swallow their
-            // re-production so re-execution converges exactly.
-            cs.chan->suppressProducedTokens(
-                cs.chan->tokensEnqueued() - rp.channels[c].enqCount);
-        }
-    }
-
-    // Observations below the crash cycle were already made.
-    models_[part]->suppressMonitorUntil(crash_cycle);
     // The partition re-ticks from its cut-time schedule; peers sit
     // at future ticks and stall on token dependencies until the
     // restarted partition catches back up.
-    nextTick_[part] = rp.nextTickNs[part];
-
-    ++partitionRestarts_;
-    recordRecoveryMetrics();
-    error.clear();
+    nextTick_[size_t(part)] = rp.nextTickNs[size_t(part)];
+    ++recovery_.partitionRestarts;
+    if (telemetry_)
+        telemetry_->recordRecovery(recovery_);
     return true;
 }
 
@@ -1139,63 +717,21 @@ MultiFpgaSim::snapshot(const std::string &dir, std::string &error)
 {
     auto wall0 = std::chrono::steady_clock::now();
     recovery::RecoveryPoint rp = acquireRecoveryPoint();
-
-    recovery::Manifest manifest;
-    manifest.designHash = designHash();
-    manifest.planHash = planHash();
-    manifest.engine = rtlsim::toString(execConfig_.evalEngine);
-    manifest.faultSeed =
-        faults_.enabled() ? faults_.config().seed : 0;
-    manifest.targetCycle = rp.minTargetCycle;
-    manifest.numPartitions = models_.size();
-    manifest.numChannels = channels_.size();
-
-    std::vector<std::string> shards;
-    shards.reserve(models_.size() + 1);
-    for (const auto &pc : rp.partitions) {
-        std::ostringstream os;
-        os << "fireaxe-part 1\n";
-        writeBlock(os, pc.simCkpt);
-        writeBlock(os, pc.fsmCkpt);
-        shards.push_back(os.str());
-    }
-    {
-        std::ostringstream os;
-        os << "fireaxe-exec 1\n";
-        // The second slot once held the retired run loop's
-        // last-progress time; it stays so older snapshots load.
-        os << doubleBits(rp.nowNs) << " " << doubleBits(rp.nowNs) << " "
-           << rp.transientStallEvents << " " << rp.linkFailovers
-           << "\n";
-        os << rp.nextTickNs.size();
-        for (double t : rp.nextTickNs)
-            os << " " << doubleBits(t);
-        os << "\n";
-        os << rp.channels.size() << "\n";
-        for (const auto &cc : rp.channels) {
-            os << (cc.failedOver ? 1 : 0) << " " << cc.enqCount
-               << " " << cc.deqCount << " " << cc.lastDelivered
-               << "\n";
-            writeBlock(os, cc.ckpt);
-        }
-        shards.push_back(os.str());
-    }
-
-    recovery::SnapshotStore store(dir);
     uint64_t bytes = 0;
-    if (!store.commit(manifest, shards, bytes, error))
+    recovery::SnapshotStore store(dir);
+    if (!store.write(rp, snapshotIdentity(), bytes, error))
         return false;
 
     double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - wall0)
             .count();
-    ++snapshotCount_;
-    lastSnapshotBytes_ = bytes;
-    lastSnapshotWallMs_ = wall_ms;
-    totalSnapshotWallMs_ += wall_ms;
-    recordRecoveryMetrics();
-    error.clear();
+    ++recovery_.snapshots;
+    recovery_.lastSnapshotBytes = bytes;
+    recovery_.lastSnapshotWallMs = wall_ms;
+    recovery_.totalSnapshotWallMs += wall_ms;
+    if (telemetry_)
+        telemetry_->recordRecovery(recovery_);
     return true;
 }
 
@@ -1204,232 +740,15 @@ MultiFpgaSim::restore(const std::string &dir, std::string &error)
 {
     if (!initialized_)
         init();
-
-    recovery::SnapshotStore store(dir);
-    recovery::Manifest manifest;
-    if (!store.loadManifest(manifest, error))
-        return false;
-    if (manifest.designHash != designHash()) {
-        error = "snapshot in '" + dir +
-                "' was taken of a different design";
-        return false;
-    }
-    if (manifest.planHash != planHash()) {
-        error = "snapshot in '" + dir +
-                "' was taken under a different partition plan";
-        return false;
-    }
-    if (manifest.numPartitions != models_.size() ||
-        manifest.numChannels != channels_.size()) {
-        error = "snapshot in '" + dir +
-                "' does not match this plan's shape";
-        return false;
-    }
-    // manifest.engine is informational only: both evaluation engines
-    // are bit-exact, so cross-engine restore is legal by design.
-
-    // Pull (and CRC-verify) every shard before touching any state.
-    std::vector<std::string> shards(manifest.shards.size());
-    for (size_t i = 0; i < shards.size(); ++i)
-        if (!store.readShard(manifest, i, shards[i], error))
-            return false;
-
     recovery::RecoveryPoint rp;
-    rp.valid = true;
-    rp.partitions.resize(models_.size());
-    for (size_t p = 0; p < models_.size(); ++p) {
-        std::istringstream is(shards[p]);
-        std::string magic;
-        unsigned version = 0;
-        is >> magic >> version;
-        if (magic != "fireaxe-part" || version != 1 ||
-            !readBlock(is, rp.partitions[p].simCkpt) ||
-            !readBlock(is, rp.partitions[p].fsmCkpt)) {
-            error = "malformed partition shard '" +
-                    manifest.shards[p].file + "'";
-            return false;
-        }
-    }
-    {
-        std::istringstream is(shards.back());
-        std::string magic;
-        unsigned version = 0;
-        is >> magic >> version;
-        uint64_t now_b = 0, unused_b = 0;
-        size_t nticks = 0;
-        is >> now_b >> unused_b >> rp.transientStallEvents >>
-            rp.linkFailovers >> nticks;
-        if (magic != "fireaxe-exec" || version != 1 || !is ||
-            nticks != models_.size()) {
-            error = "malformed executor shard";
-            return false;
-        }
-        rp.nowNs = bitsToDouble(now_b);
-        rp.nextTickNs.resize(nticks);
-        for (auto &t : rp.nextTickNs) {
-            uint64_t b = 0;
-            is >> b;
-            t = bitsToDouble(b);
-        }
-        size_t nchans = 0;
-        is >> nchans;
-        if (!is || nchans != channels_.size()) {
-            error = "malformed executor shard";
-            return false;
-        }
-        rp.channels.resize(nchans);
-        for (auto &cc : rp.channels) {
-            unsigned failed_over = 0;
-            is >> failed_over >> cc.enqCount >> cc.deqCount >>
-                cc.lastDelivered;
-            cc.failedOver = failed_over != 0;
-            if (!is || is.get() != '\n' ||
-                !readBlock(is, cc.ckpt)) {
-                error = "malformed executor shard";
-                return false;
-            }
-        }
-    }
-
-    if (!applyRecoveryPoint(rp, error))
+    if (!recovery::SnapshotStore(dir).read(snapshotIdentity(), rp,
+                                           error) ||
+        !applyRecoveryPoint(rp, error))
         return false;
-    ++restoreCount_;
-    recordRecoveryMetrics();
-    error.clear();
+    ++recovery_.restores;
+    if (telemetry_)
+        telemetry_->recordRecovery(recovery_);
     return true;
-}
-
-void
-MultiFpgaSim::recordRecoveryMetrics()
-{
-    if (!telemetry_ || !telemetry_->registry())
-        return;
-    obs::MetricsRegistry *reg = telemetry_->registry();
-    reg->gauge("recovery.snapshots").set(double(snapshotCount_));
-    reg->gauge("recovery.last_snapshot_bytes")
-        .set(double(lastSnapshotBytes_));
-    reg->gauge("recovery.last_snapshot_wall_ms")
-        .set(lastSnapshotWallMs_);
-    reg->gauge("recovery.total_snapshot_wall_ms")
-        .set(totalSnapshotWallMs_);
-    reg->gauge("recovery.restores").set(double(restoreCount_));
-    reg->gauge("recovery.partition_restarts")
-        .set(double(partitionRestarts_));
-}
-
-std::ostream &
-operator<<(std::ostream &os, const ChannelDiagnosis &cd)
-{
-    os << "channel '" << cd.name << "' (partition " << cd.srcPart
-       << " -> " << cd.dstPart << "): occupancy " << cd.occupancy
-       << "/" << cd.capacity << ", " << cd.tokensEnqueued
-       << " enqueued, " << cd.tokensRetired << " retired";
-    if (cd.headVisible)
-        os << ", head visible";
-    if (cd.starved)
-        os << ", starved";
-    return os;
-}
-
-std::ostream &
-operator<<(std::ostream &os, const PartitionDiagnosis &pd)
-{
-    os << "partition '" << pd.name << "' at target cycle "
-       << pd.targetCycle << " (" << pd.fires << " fires, "
-       << pd.advances << " advances)";
-    if (!pd.waitingInputs.empty()) {
-        os << ", waiting on:";
-        for (const std::string &ch : pd.waitingInputs)
-            os << " " << ch;
-    }
-    if (!pd.unfiredOutputs.empty()) {
-        os << ", unfired:";
-        for (const std::string &ch : pd.unfiredOutputs)
-            os << " " << ch;
-    }
-    return os;
-}
-
-std::ostream &
-operator<<(std::ostream &os, const DeadlockDiagnosis &diag)
-{
-    os << "deadlock diagnosis at host time " << diag.hostTimeNs
-       << " ns:\n";
-    for (const auto &pd : diag.partitions)
-        os << "  " << pd << "\n";
-    for (const auto &cd : diag.channels) {
-        if (!cd.starved)
-            continue;
-        os << "  stuck " << cd << "\n";
-    }
-    for (const auto &finding : diag.staticFindings)
-        os << "  " << finding << "\n";
-    return os;
-}
-
-DeadlockDiagnosis
-MultiFpgaSim::buildDiagnosis(double now)
-{
-    DeadlockDiagnosis diag;
-    diag.valid = true;
-    diag.hostTimeNs = now;
-
-    for (const auto &cs : channels_) {
-        ChannelDiagnosis cd;
-        cd.name = cs.chan->name();
-        cd.srcPart = cs.srcPart;
-        cd.dstPart = cs.dstPart;
-        cd.occupancy = cs.chan->size();
-        cd.capacity = cs.chan->capacity();
-        cd.headVisible = cs.chan->headReady(now);
-        cd.tokensEnqueued = cs.chan->tokensEnqueued();
-        cd.tokensRetired = cs.chan->tokensRetired();
-        diag.channels.push_back(std::move(cd));
-    }
-
-    for (size_t p = 0; p < models_.size(); ++p) {
-        PartitionDiagnosis pd;
-        pd.name = plan_.partitionNames[p];
-        pd.targetCycle = models_[p]->minTargetCycle();
-        pd.fires = models_[p]->totalFires();
-        pd.advances = models_[p]->totalAdvances();
-        libdn::LIBDNModel::FsmState fsm =
-            models_[p]->fsmState(now);
-        pd.waitingInputs = std::move(fsm.waitingInputs);
-        pd.unfiredOutputs = std::move(fsm.unfiredOutputs);
-        diag.partitions.push_back(std::move(pd));
-    }
-
-    // A channel is "stuck" when some partition's fireFSM waits on it
-    // and no token is visible at its head.
-    std::set<std::string> stuck;
-    for (const auto &pd : diag.partitions)
-        for (const std::string &ch : pd.waitingInputs)
-            stuck.insert(ch);
-    for (auto &cd : diag.channels) {
-        if (stuck.count(cd.name) && !cd.headVisible) {
-            cd.starved = true;
-            diag.stuckChannels.push_back(cd.name);
-        }
-    }
-
-    // Cross-reference the static verifier: if the plan carries a
-    // statically provable defect, say which check would have refused
-    // it before the run (it did not only when the policy was not
-    // Enforce). Recomputes lazily when verification was off.
-    runPreflight();
-    for (const auto &d : preflight_.diagnostics()) {
-        if (d.severity != verify::Severity::Error)
-            continue;
-        diag.staticFindings.push_back("static check " + d.code +
-                                      " would have caught this: " +
-                                      d.render());
-    }
-
-    std::ostringstream os;
-    os << diag;
-    diag.summary = os.str();
-    return diag;
 }
 
 libdn::LIBDNModel &

@@ -26,7 +26,6 @@
 #define FIREAXE_PLATFORM_EXECUTOR_HH
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -38,9 +37,10 @@
 #include "libdn/model.hh"
 #include "obs/telemetry.hh"
 #include "par/engine.hh"
+#include "platform/diagnosis.hh"
 #include "platform/execconfig.hh"
 #include "platform/fpga.hh"
-#include "recovery/recovery.hh"
+#include "recovery/snapshot.hh"
 #include "ripper/partition.hh"
 #include "rtlsim/vcd.hh"
 #include "transport/fault.hh"
@@ -80,70 +80,6 @@ enum class VerifyPolicy
     /** Skip the pre-flight checks entirely. */
     Off,
 };
-
-/** One channel's state at the moment of a deadlock diagnosis. */
-struct ChannelDiagnosis
-{
-    std::string name;
-    int srcPart = 0;
-    int dstPart = 0;
-    size_t occupancy = 0;
-    size_t capacity = 0;
-    /** A token is visible at the head right now. */
-    bool headVisible = false;
-    uint64_t tokensEnqueued = 0;
-    uint64_t tokensRetired = 0;
-    /** Empty channel whose consumer is blocked on it. */
-    bool starved = false;
-};
-
-/** One partition's LI-BDN FSM state at the moment of a diagnosis. */
-struct PartitionDiagnosis
-{
-    std::string name;
-    uint64_t targetCycle = 0;
-    uint64_t fires = 0;    ///< output-channel FSM firings
-    uint64_t advances = 0; ///< fireFSM target-cycle advances
-    std::vector<std::string> waitingInputs;
-    std::vector<std::string> unfiredOutputs;
-};
-
-/**
- * Structured explanation of a genuine LI-BDN deadlock, emitted when
- * the executor's watchdog rules out transient link stalls and
- * in-flight retransmissions.
- */
-struct DeadlockDiagnosis
-{
-    bool valid = false;
-    double hostTimeNs = 0.0;
-    std::vector<ChannelDiagnosis> channels;
-    std::vector<PartitionDiagnosis> partitions;
-    /** Names of the starved channels blocking progress. */
-    std::vector<std::string> stuckChannels;
-    /**
-     * Cross-reference to the static verifier: each entry cites an
-     * Error-severity diagnostic the pre-flight checks raised (or
-     * would have raised, when verification was off) for this plan,
-     * e.g. "static check LBDN003 would have caught this: ...".
-     * Empty when the deadlock has no statically visible cause.
-     */
-    std::vector<std::string> staticFindings;
-    /** Human-readable one-stop summary. */
-    std::string summary;
-};
-
-/** One-line rendering: name, route, occupancy, token counts,
- *  visibility/starvation flags. */
-std::ostream &operator<<(std::ostream &os, const ChannelDiagnosis &cd);
-/** One-line rendering: name, target cycle, fire/advance counts,
- *  waited-on inputs and unfired outputs. */
-std::ostream &operator<<(std::ostream &os,
-                         const PartitionDiagnosis &pd);
-/** Multi-line rendering of the full diagnosis (the same text stored
- *  in DeadlockDiagnosis::summary). */
-std::ostream &operator<<(std::ostream &os,
-                         const DeadlockDiagnosis &diag);
 
 /** Outcome of a co-simulation run. */
 struct RunResult
@@ -211,27 +147,15 @@ class MultiFpgaSim
     void setFaultModel(const transport::FaultConfig &cfg);
 
     /**
-     * Enable telemetry: a metrics registry (per-channel token
-     * latency and reliability counters, per-partition FMR and
-     * sim-rate sampling), an optional periodic progress reporter,
-     * and an optional JSONL stream of causal token records (see
-     * obs/tokentrace.hh; `fireaxe-trace --chrome` renders it as a
-     * Chrome trace). Must be called before init(). Telemetry is
-     * observe-only: the simulated token stream and all results are
-     * bit-identical with and without it.
+     * Enable telemetry (obs::Telemetry: metrics, progress reports,
+     * the JSONL token stream). Must be called before init().
+     * Telemetry is observe-only: the simulated token stream and all
+     * results are bit-identical with and without it.
      */
     void setTelemetry(const obs::TelemetryConfig &cfg);
 
     /** The telemetry bundle; null unless setTelemetry was called. */
     obs::Telemetry *telemetry() { return telemetry_.get(); }
-
-    /** Snapshot of the live metrics registry (empty snapshot when
-     *  metrics are not enabled). */
-    obs::MetricsSnapshot metricsSnapshot() const;
-
-    /** Export the metrics registry as JSON; requires telemetry with
-     *  metrics enabled. */
-    void writeMetricsJson(std::ostream &os) const;
 
     /** Attach a driver for a partition's external input ports; must
      *  be called before init(). */
@@ -350,14 +274,10 @@ class MultiFpgaSim
     // every channel is out of concurrent mode. run()'s autosnapshot
     // chunking calls snapshot() at exactly such points.
 
-    /**
-     * Capture a consistent cut of the whole run: every partition's
-     * simulator + LI-BDN FSM state, every channel's in-flight /
-     * retransmit / fault-RNG state, and the executor's host-time
-     * state. Also (re)arms the per-channel replay logs
-     * (ExecConfig::replayLogDepth) so restartPartition() can replay
-     * deliveries made after this cut.
-     */
+    /** Capture a consistent cut of the whole run
+     *  (recovery::captureCut, replay logs of
+     *  ExecConfig::replayLogDepth) plus the executor's host-time
+     *  state. */
     recovery::RecoveryPoint acquireRecoveryPoint();
 
     /**
@@ -368,55 +288,41 @@ class MultiFpgaSim
      */
     void rollback(const recovery::RecoveryPoint &point);
 
-    /**
-     * Restart a single condemned partition from a cut while its
-     * peers keep their state: partition @p part's simulator and FSM
-     * rewind to the cut, its inbound channels re-present the
-     * deliveries made since from their replay logs, its outbound
-     * channels swallow the re-produced tokens (the channels already
-     * reflect them), and monitor callbacks stay suppressed until the
-     * partition passes its pre-crash cycle — peers naturally stall
-     * on token dependencies until it catches up. Fails (false,
-     * diagnostic in @p error, nothing changed) when a replay log no
-     * longer covers the cut.
-     */
+    /** Restart partition @p part from a cut while its peers keep
+     *  their state (recovery::restartPartition); peers stall on
+     *  token dependencies until it catches up. */
     bool restartPartition(int part,
                           const recovery::RecoveryPoint &point,
                           std::string &error);
 
     /**
-     * Durably persist a recovery point into @p dir with the
-     * crash-consistent commit protocol of recovery::SnapshotStore
-     * (per-partition CRC-framed shards, content-addressed manifest,
-     * atomic rename commit — a crash mid-snapshot never damages the
-     * previous one).
+     * Durably persist a recovery point into @p dir: capture, then
+     * recovery::SnapshotStore::write (per-partition CRC-framed
+     * shards, content-addressed manifest, atomic rename commit — a
+     * crash mid-snapshot never damages the previous one).
      */
     bool snapshot(const std::string &dir, std::string &error);
 
     /**
-     * Restore the committed snapshot in @p dir (after validating its
-     * manifest against this plan's design and structure hashes).
-     * Cross-engine and cross-worker-count restores are legal: both
-     * eval engines and every worker count are bit-exact. Resuming a
-     * restored run reproduces the uninterrupted run's results
-     * exactly — including under active fault injection, whose RNG
-     * substreams are part of the cut.
+     * Restore the committed snapshot in @p dir: SnapshotStore::read
+     * (which validates its manifest against this plan's design and
+     * structure hashes), then apply. Any engine or worker count may
+     * resume any snapshot, and the resumed run reproduces the
+     * uninterrupted run's results exactly, faults included.
      */
     bool restore(const std::string &dir, std::string &error);
 
     /** Snapshots committed by this instance (run() autosnapshots
      *  plus explicit snapshot() calls). */
-    uint64_t snapshotCount() const { return snapshotCount_; }
+    uint64_t snapshotCount() const { return recovery_.snapshots; }
     /** Bytes of the most recent committed snapshot. */
-    uint64_t lastSnapshotBytes() const { return lastSnapshotBytes_; }
-    /** Wall-clock pause of the most recent snapshot (ms). */
-    double lastSnapshotWallMs() const { return lastSnapshotWallMs_; }
+    uint64_t lastSnapshotBytes() const { return recovery_.lastSnapshotBytes; }
     /** Cumulative wall-clock time spent snapshotting (ms). */
-    double totalSnapshotWallMs() const { return totalSnapshotWallMs_; }
+    double totalSnapshotWallMs() const { return recovery_.totalSnapshotWallMs; }
     /** Whole-run restores applied (restore() + rollback()). */
-    uint64_t restoreCount() const { return restoreCount_; }
+    uint64_t restoreCount() const { return recovery_.restores; }
     /** Single-partition restarts applied. */
-    uint64_t partitionRestarts() const { return partitionRestarts_; }
+    uint64_t partitionRestarts() const { return recovery_.partitionRestarts; }
 
     /**
      * Verify each partition fits its FPGA (FAME-5-adjusted);
@@ -452,72 +358,18 @@ class MultiFpgaSim
         double baseLatencyNs = 0.0;
     };
 
-    /** Per-partition telemetry state (only used when telemetry_).
-     *  All fields are written by the partition's worker; the two
-     *  atomics are additionally *read* cross-thread by sim-rate
-     *  sampling and progress reporting. */
-    struct PartTelemetry
-    {
-        /** Host cycles charged to this partition so far. */
-        std::atomic<uint64_t> hostCycles{0};
-        /** Target cycles completed, republished every telemetry
-         *  tick so other threads can aggregate without touching the
-         *  partition's model. */
-        std::atomic<uint64_t> targetCycles{0};
-        /** Host time the current wait for tokens began; < 0 =
-         *  none. */
-        double waitStartNs = -1.0;
-        /** Total host time spent waiting for tokens (ns). */
-        double waitNs = 0.0;
-        // FMR sampling window state (per partition, so parallel
-        // workers sample independently at their own host times).
-        double lastFmrSampleNs = 0.0;
-        uint64_t lastSampleHostCycles = 0;
-        uint64_t lastSampleTargetCycles = 0;
-        // Cached registry handles (null when metrics disabled).
-        obs::Gauge *fmrGauge = nullptr;
-        obs::Histogram *fmrHist = nullptr;
-        obs::Counter *waitTicks = nullptr;
-    };
-
     /** Run the static verifier over the plan once, caching the
      *  report (used by init's gate and the deadlock diagnosis). */
     void runPreflight();
     /** Run analyze::annotateBatchDepths over the plan copy exactly
      *  once (no-op when already annotated). */
     void ensureBatchAnnotation();
-    DeadlockDiagnosis buildDiagnosis(double now);
-    /** Wire probes / handles; called from init() when telemetry_. */
-    void setupTelemetry();
-    /** Per-event-loop-iteration telemetry hook. */
-    void telemetryTick(size_t p, double now, bool progress,
-                       bool advanced);
-    /** Charge @p n host edges on which partition @p p made no
-     *  progress, the first at @p first_edge: host cycles, wait ticks
-     *  and the wait for tokens they open. Used for each tick
-     *  without progress and for the edges the engine skips. */
-    void creditIdleTicks(size_t p, uint64_t n, double first_edge);
     /** When sleeping partition @p p must tick again although its
      *  channels stay unchanged: its @p wake_ns, and with telemetry its
      *  next FMR sample and, if it @p reports (runs on worker 0), the
      *  next progress report. The engine adds the watchdog. */
     par::Deadlines idleDeadlines(size_t p, double wake_ns,
                                  bool reports) const;
-    /** Periodic FMR sample for partition @p p plus the sim-rate
-     *  gauge; runs on the partition's owning thread. */
-    void sampleFmr(size_t p, double now);
-    /** Minimum published target cycle across partitions (any thread). */
-    uint64_t publishedMinCycle() const;
-    /** One progress-report line to the configured sink. */
-    void reportProgress(double now, uint64_t target_cycles);
-    /** Final gauges + snapshot into @p result. */
-    void finalizeTelemetry(RunResult &result, double now);
-    /** Streaming telemetry: emit a tokens + metrics chunk when the
-     *  slowest partition crossed the next stream boundary. Called
-     *  only after ticks of worker 0's partitions (single writer). */
-    void maybeStreamFlush(double now);
-    /** Unconditional stream chunk (drain + tokens + metrics line). */
-    void streamFlush(double now);
     /** Shared result tail: fault-stat aggregation, degradation
      *  flags, telemetry finalization. */
     void finishRun(RunResult &result, double now);
@@ -528,10 +380,14 @@ class MultiFpgaSim
     /** One engine run to @p target_cycles with the selected worker
      *  count (no autosnapshot chunking). */
     RunResult runOnce(uint64_t target_cycles);
-    /** FNV-1a over the printed partition circuits. */
-    uint64_t designHash() const;
     /** Minimum target cycle across partitions. */
     uint64_t minCycleAll() const;
+    /** The live models and channels, as a cut or diagnosis sees
+     *  them. */
+    recovery::LiveRun liveRun() const;
+    /** The snapshot identity of this run: design and plan hash,
+     *  engine, fault seed, partition and channel counts. */
+    recovery::Manifest snapshotIdentity() const;
     /** Reattach channel @p cs's link serializer to match a cut's
      *  failed-over flag before loading its checkpoint. */
     void retimeForCut(ChannelState &cs, bool cut_failed_over);
@@ -540,8 +396,6 @@ class MultiFpgaSim
      *  cannot hold. */
     bool applyRecoveryPoint(const recovery::RecoveryPoint &point,
                             std::string &error);
-    /** Publish recovery gauges (when telemetry with metrics). */
-    void recordRecoveryMetrics();
 
     ripper::PartitionPlan plan_;
     VerifyPolicy verifyPolicy_ = VerifyPolicy::Enforce;
@@ -571,32 +425,13 @@ class MultiFpgaSim
     std::atomic<bool> stopRequested_{false};
     ExecConfig execConfig_;
     std::unique_ptr<obs::Telemetry> telemetry_;
-    std::vector<PartTelemetry> partTel_;
-    // Streaming telemetry state (setupTelemetry opens the sink; the
-    // single-writer seams below are the only mutators after that).
-    std::unique_ptr<std::ostream> streamOs_;
-    /** The active stream sink: streamOs_.get() for a file stream,
-     *  or the caller-owned TelemetryConfig::streamSink. */
-    std::ostream *streamSink_ = nullptr;
-    std::unique_ptr<obs::StreamWriter> stream_;
-    uint64_t streamEveryCycles_ = 0;
-    uint64_t nextStreamCycle_ = 0;
-    uint64_t streamedTokenRecords_ = 0;
-    double lastReportNs_ = 0.0;
-    std::chrono::steady_clock::time_point wallStart_;
-    bool wallStartValid_ = false;
     bool initialized_ = false;
     // Host-time state persists across run() calls, so simulations
     // can be resumed with a larger target-cycle goal.
     std::vector<double> nextTick_;
     double now_ = 0.0;
     // Recovery bookkeeping (see the recovery section above).
-    uint64_t snapshotCount_ = 0;
-    uint64_t lastSnapshotBytes_ = 0;
-    double lastSnapshotWallMs_ = 0.0;
-    double totalSnapshotWallMs_ = 0.0;
-    uint64_t restoreCount_ = 0;
-    uint64_t partitionRestarts_ = 0;
+    obs::RecoveryStats recovery_;
 };
 
 /**

@@ -6,10 +6,40 @@
 #include <sstream>
 
 #include "base/crc32.hh"
+#include "base/serial.hh"
 
 namespace fireaxe::recovery {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/** Length-prefixed raw byte block inside a shard stream. */
+void
+writeBlock(std::ostream &os, const std::string &payload)
+{
+    os << payload.size() << "\n" << payload;
+}
+
+/** The declared length is checked against the bytes left in the
+ *  shard before it sizes the buffer. */
+bool
+readBlock(std::istringstream &is, std::string &payload)
+{
+    size_t n = 0;
+    is >> n;
+    if (!is || is.get() != '\n')
+        return false;
+    std::streamsize left = is.rdbuf()->in_avail();
+    if (left < 0 || n > size_t(left))
+        return false;
+    payload.resize(n);
+    is.read(payload.empty() ? nullptr : &payload[0],
+            std::streamsize(n));
+    return bool(is);
+}
+
+} // namespace
 
 uint64_t
 fnv1a(const std::string &bytes)
@@ -216,6 +246,153 @@ SnapshotStore::readShard(const Manifest &manifest, size_t idx,
     if (crc32Bytes(payload.data(), payload.size()) != si.crc) {
         error = "snapshot shard " + si.file + " failed its CRC check";
         return false;
+    }
+    error.clear();
+    return true;
+}
+
+bool
+SnapshotStore::write(const RecoveryPoint &rp, Manifest manifest,
+                     uint64_t &bytes_out, std::string &error)
+{
+    manifest.targetCycle = rp.minTargetCycle;
+    std::vector<std::string> shards;
+    shards.reserve(rp.partitions.size() + 1);
+    for (const auto &pc : rp.partitions)
+        shards.push_back(encodePartitionShard(pc));
+    shards.push_back(encodeExecShard(rp));
+    return commit(manifest, shards, bytes_out, error);
+}
+
+bool
+SnapshotStore::read(const Manifest &expect, RecoveryPoint &rp,
+                    std::string &error) const
+{
+    Manifest manifest;
+    if (!loadManifest(manifest, error))
+        return false;
+    if (manifest.designHash != expect.designHash) {
+        error = "snapshot in '" + dir_ +
+                "' was taken of a different design";
+        return false;
+    }
+    if (manifest.planHash != expect.planHash) {
+        error = "snapshot in '" + dir_ +
+                "' was taken under a different partition plan";
+        return false;
+    }
+    if (manifest.numPartitions != expect.numPartitions ||
+        manifest.numChannels != expect.numChannels) {
+        error = "snapshot in '" + dir_ +
+                "' does not match this plan's shape";
+        return false;
+    }
+
+    // Pull (and CRC-verify) every shard before decoding any.
+    std::vector<std::string> shards(manifest.shards.size());
+    for (size_t i = 0; i < shards.size(); ++i)
+        if (!readShard(manifest, i, shards[i], error))
+            return false;
+
+    RecoveryPoint out;
+    out.valid = true;
+    out.partitions.resize(manifest.numPartitions);
+    for (size_t p = 0; p < manifest.numPartitions; ++p)
+        if (!decodePartitionShard(shards[p], manifest.shards[p].file,
+                                  out.partitions[p], error))
+            return false;
+    if (!decodeExecShard(shards.back(), manifest.numPartitions,
+                         manifest.numChannels, out, error))
+        return false;
+    rp = std::move(out);
+    error.clear();
+    return true;
+}
+
+std::string
+encodePartitionShard(const PartitionCut &pc)
+{
+    std::ostringstream os;
+    os << "fireaxe-part 1\n";
+    writeBlock(os, pc.simCkpt);
+    writeBlock(os, pc.fsmCkpt);
+    return os.str();
+}
+
+bool
+decodePartitionShard(const std::string &bytes, const std::string &name,
+                     PartitionCut &pc, std::string &error)
+{
+    std::istringstream is(bytes);
+    std::string magic;
+    unsigned version = 0;
+    is >> magic >> version;
+    if (magic != "fireaxe-part" || version != 1 ||
+        !readBlock(is, pc.simCkpt) || !readBlock(is, pc.fsmCkpt)) {
+        error = "malformed partition shard '" + name + "'";
+        return false;
+    }
+    return true;
+}
+
+std::string
+encodeExecShard(const RecoveryPoint &rp)
+{
+    std::ostringstream os;
+    os << "fireaxe-exec 1\n";
+    // The second slot once held the retired run loop's last-progress
+    // time; it stays so older snapshots load.
+    os << doubleBits(rp.nowNs) << " " << doubleBits(rp.nowNs) << " "
+       << rp.transientStallEvents << " " << rp.linkFailovers << "\n";
+    os << rp.nextTickNs.size();
+    for (double t : rp.nextTickNs)
+        os << " " << doubleBits(t);
+    os << "\n";
+    os << rp.channels.size() << "\n";
+    for (const auto &cc : rp.channels) {
+        os << (cc.failedOver ? 1 : 0) << " " << cc.enqCount << " "
+           << cc.deqCount << " " << cc.lastDelivered << "\n";
+        writeBlock(os, cc.ckpt);
+    }
+    return os.str();
+}
+
+bool
+decodeExecShard(const std::string &bytes, size_t num_partitions,
+                size_t num_channels, RecoveryPoint &rp,
+                std::string &error)
+{
+    error = "malformed executor shard";
+    std::istringstream is(bytes);
+    std::string magic;
+    unsigned version = 0;
+    is >> magic >> version;
+    uint64_t now_b = 0, unused_b = 0;
+    size_t nticks = 0;
+    is >> now_b >> unused_b >> rp.transientStallEvents >>
+        rp.linkFailovers >> nticks;
+    if (magic != "fireaxe-exec" || version != 1 || !is ||
+        nticks != num_partitions)
+        return false;
+    rp.nowNs = bitsToDouble(now_b);
+    rp.nextTickNs.resize(nticks);
+    for (auto &t : rp.nextTickNs) {
+        uint64_t b = 0;
+        is >> b;
+        t = bitsToDouble(b);
+    }
+    size_t nchans = 0;
+    is >> nchans;
+    if (!is || nchans != num_channels)
+        return false;
+    rp.channels.resize(nchans);
+    for (auto &cc : rp.channels) {
+        unsigned failed_over = 0;
+        is >> failed_over >> cc.enqCount >> cc.deqCount >>
+            cc.lastDelivered;
+        cc.failedOver = failed_over != 0;
+        if (!is || is.get() != '\n' || !readBlock(is, cc.ckpt))
+            return false;
     }
     error.clear();
     return true;

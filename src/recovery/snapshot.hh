@@ -22,6 +22,13 @@
  * hash, plan hash, evaluation engine, fault seed and target cycle the
  * snapshot was taken under — so a stale or foreign snapshot is
  * rejected with a structured error before any state is touched.
+ *
+ * This module also owns the shard payloads: a partition shard is
+ * `fireaxe-part 1` and two length-prefixed blocks (simulator, then
+ * FSM checkpoint); the executor shard is `fireaxe-exec 1`, the host
+ * clock, stall and failover counts, next ticks, then per channel its
+ * counters and checkpoint block. SnapshotStore::write/read move a
+ * whole RecoveryPoint to and from a directory.
  */
 
 #ifndef FIREAXE_RECOVERY_SNAPSHOT_HH
@@ -30,6 +37,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "recovery/recovery.hh"
 
 namespace fireaxe::recovery {
 
@@ -101,12 +110,53 @@ class SnapshotStore
     bool readShard(const Manifest &manifest, size_t idx,
                    std::string &payload, std::string &error) const;
 
+    /**
+     * Commit @p rp as a new generation under the identity in
+     * @p manifest (design and plan hash, engine, fault seed,
+     * partition and channel counts); the target cycle is @p rp's.
+     */
+    bool write(const RecoveryPoint &rp, Manifest manifest,
+               uint64_t &bytes_out, std::string &error);
+
+    /**
+     * Read the committed snapshot into @p rp after checking its
+     * manifest against @p expect's design hash, plan hash and
+     * partition and channel counts. Every shard is CRC-checked
+     * before any is decoded. (The engine is informational: both
+     * evaluation engines are bit-exact.)
+     */
+    bool read(const Manifest &expect, RecoveryPoint &rp,
+              std::string &error) const;
+
   private:
     std::string shardPath(const std::string &file) const;
     std::string manifestPath() const;
 
     std::string dir_;
 };
+
+/** Partition shard payload of @p pc. */
+std::string encodePartitionShard(const PartitionCut &pc);
+
+/** Decode a partition shard into @p pc; false with "malformed
+ *  partition shard '<name>'" on any framing error. */
+bool decodePartitionShard(const std::string &bytes,
+                          const std::string &name, PartitionCut &pc,
+                          std::string &error);
+
+/** Executor shard payload: @p rp's host-time fields and channels. */
+std::string encodeExecShard(const RecoveryPoint &rp);
+
+/**
+ * Decode an executor shard of a run with @p num_partitions partitions
+ * and @p num_channels channels into @p rp's host-time fields and
+ * channels; false with "malformed executor shard" on any framing
+ * error. No count or length read from @p bytes sizes a buffer before
+ * it is checked against these counts or the bytes left.
+ */
+bool decodeExecShard(const std::string &bytes, size_t num_partitions,
+                     size_t num_channels, RecoveryPoint &rp,
+                     std::string &error);
 
 } // namespace fireaxe::recovery
 

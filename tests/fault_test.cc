@@ -709,19 +709,18 @@ TEST(Fault, DiagnosisPrettyPrinters)
     EXPECT_NE(os.str().find("partition 'p0'"), std::string::npos);
     EXPECT_NE(os.str().find("stuck channel"), std::string::npos);
 
-    // Per-partition printer: FSM counters and waited-on inputs.
-    std::ostringstream pos;
-    pos << diag.partitions.at(0);
-    EXPECT_NE(pos.str().find("partition 'p0'"), std::string::npos);
-    EXPECT_NE(pos.str().find("waiting on:"), std::string::npos);
-    EXPECT_NE(pos.str().find("unfired:"), std::string::npos);
-
-    // Per-channel printer: route, occupancy and starvation flag.
-    std::ostringstream cos;
-    cos << diag.channels.at(0);
-    EXPECT_NE(cos.str().find("channel 'c01'"), std::string::npos);
-    EXPECT_NE(cos.str().find("occupancy 0/"), std::string::npos);
-    EXPECT_NE(cos.str().find("starved"), std::string::npos);
+    // The partition line carries the FSM counters and waited-on
+    // inputs; the stuck-channel line the route, occupancy and
+    // starvation flag.
+    const std::string text = os.str();
+    EXPECT_NE(text.find("partition 'p0' at target cycle"),
+              std::string::npos);
+    EXPECT_NE(text.find("waiting on:"), std::string::npos);
+    EXPECT_NE(text.find("unfired:"), std::string::npos);
+    EXPECT_NE(text.find("stuck channel 'c01'"), std::string::npos);
+    EXPECT_NE(text.find("occupancy 0/"), std::string::npos);
+    EXPECT_NE(text.find("starved"), std::string::npos);
+    EXPECT_TRUE(diag.channels.at(0).starved);
 }
 
 TEST(Fault, DeterministicScheduleIsReproducible)

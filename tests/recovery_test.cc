@@ -525,10 +525,10 @@ namespace {
  * Rewrite the committed snapshot in @p dir so that one queued token
  * of the first channel holding a multi-word token, and its
  * retransmit copy, lose their last payload word. The token CRC, the
- * channel block length and the shard CRC are all recomputed, so only
- * the token length is wrong. Returns the channel and the token's
- * original word count (an empty name when no channel had such a
- * token).
+ * channel block length and the shard CRC are all recomputed (the
+ * shard through recovery's own codec), so only the token length is
+ * wrong. Returns the channel and the token's original word count (an
+ * empty name when no channel had such a token).
  */
 struct CutToken
 {
@@ -546,7 +546,10 @@ cutQueuedTokenWord(const std::string &dir)
     std::vector<std::string> shards(m.shards.size());
     for (size_t i = 0; i < shards.size(); ++i)
         EXPECT_TRUE(store.readShard(m, i, shards[i], error)) << error;
-    std::string &exec = shards.back();
+    recovery::RecoveryPoint rp;
+    EXPECT_TRUE(recovery::decodeExecShard(shards.back(), m.numPartitions,
+                                          m.numChannels, rp, error))
+        << error;
 
     // One checkpoint entry line: words, payload, ready, seq, crc,
     // verified, enqueue time.
@@ -577,13 +580,9 @@ cutQueuedTokenWord(const std::string &dir)
         return os.str();
     };
 
-    for (size_t at = exec.find("fireaxe-chan 3\n"); at != std::string::npos;
-         at = exec.find("fireaxe-chan 3\n", at + 1)) {
-        // The block's byte length is on the line before it.
-        size_t len_start = exec.rfind('\n', at - 2) + 1;
-        size_t len = std::stoul(exec.substr(len_start, at - len_start));
+    for (recovery::ChannelCut &cc : rp.channels) {
         std::vector<std::string> lines;
-        std::istringstream bs(exec.substr(at, len));
+        std::istringstream bs(cc.ckpt);
         for (std::string l; std::getline(bs, l);)
             lines.push_back(l);
         // Line 9 is the queue depth, then its entries, then the
@@ -603,11 +602,10 @@ cutQueuedTokenWord(const std::string &dir)
                 lines[i] = print(l);
             }
         }
-        std::string block;
+        cc.ckpt.clear();
         for (const auto &l : lines)
-            block += l + "\n";
-        exec.replace(len_start, at + len - len_start,
-                     std::to_string(block.size()) + "\n" + block);
+            cc.ckpt += l + "\n";
+        shards.back() = recovery::encodeExecShard(rp);
         uint64_t bytes = 0;
         EXPECT_TRUE(store.commit(m, shards, bytes, error)) << error;
         return cut;
@@ -776,31 +774,17 @@ TEST(Restore, ChannelStallSlotIsIgnored)
         std::vector<std::string> shards(m.shards.size());
         for (size_t i = 0; i < shards.size(); ++i)
             ASSERT_TRUE(store.readShard(m, i, shards[i], error)) << error;
-        // "fireaxe-exec 1\n<clocks>\n<next ticks>\n<channels>\n"
-        // then per channel "<counters>\n<block length>\n<block>",
-        // the block a "fireaxe-chan 3" checkpoint whose fourth line
-        // is the link timing, ending with the retired slot.
-        std::istringstream is(shards.back());
-        std::ostringstream os;
-        std::string line;
-        for (int i = 0; i < 3; ++i) {
-            std::getline(is, line);
-            os << line << "\n";
-        }
-        size_t nchan = 0;
-        is >> nchan;
-        is.get();
-        ASSERT_GT(nchan, 0u);
-        os << nchan << "\n";
-        for (size_t c = 0; c < nchan; ++c) {
-            std::getline(is, line);
-            os << line << "\n";
-            size_t len = 0;
-            is >> len;
-            is.get();
-            std::string block(len, '\0');
-            is.read(block.data(), std::streamsize(len));
-            ASSERT_TRUE(is);
+        recovery::RecoveryPoint rp;
+        ASSERT_TRUE(recovery::decodeExecShard(shards.back(),
+                                              m.numPartitions,
+                                              m.numChannels, rp, error))
+            << error;
+        ASSERT_GT(rp.channels.size(), 0u);
+        // Each channel block is a "fireaxe-chan 3" checkpoint whose
+        // fourth line is the link timing, ending with the retired
+        // slot.
+        for (recovery::ChannelCut &cc : rp.channels) {
+            std::string &block = cc.ckpt;
             ASSERT_EQ(block.rfind("fireaxe-chan 3\n", 0), 0u);
             size_t at = 0;
             for (int l = 0; l < 3; ++l)
@@ -810,10 +794,8 @@ TEST(Restore, ChannelStallSlotIsIgnored)
             ASSERT_EQ(block.substr(slot, eol - slot), "0");
             block.replace(slot, eol - slot,
                           std::to_string(std::bit_cast<uint64_t>(1e300)));
-            os << block.size() << "\n" << block;
         }
-        ASSERT_EQ(is.peek(), EOF);
-        shards.back() = os.str();
+        shards.back() = recovery::encodeExecShard(rp);
         uint64_t bytes = 0;
         ASSERT_TRUE(store.commit(m, shards, bytes, error)) << error;
     }
@@ -845,10 +827,6 @@ TEST(Restore, ChannelStallSlotIsIgnored)
     }
     fs::remove_all(dir);
 }
-
-// ---------------------------------------------------------------
-// Autosnapshot: chunked run() with unchanged results
-// ---------------------------------------------------------------
 
 TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
 {
@@ -895,6 +873,171 @@ TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
     EXPECT_LT(peakRssKb() - peak0, 64u * 1024);
     fs::remove_all(dir);
 }
+
+// ---------------------------------------------------------------
+// Shard codec: pure decoder against malformed input
+// ---------------------------------------------------------------
+
+namespace {
+
+/** Offset and length of one decimal length or count field. */
+struct Field
+{
+    size_t at = 0;
+    size_t len = 0;
+};
+
+/** The token ending at the next space or newline after @p at. */
+Field
+fieldAt(const std::string &s, size_t at)
+{
+    return {at, s.find_first_of(" \n", at) - at};
+}
+
+/** Start of the line after the one holding @p at. */
+size_t
+nextLine(const std::string &s, size_t at)
+{
+    return s.find('\n', at) + 1;
+}
+
+/** A block's length field at @p at; advances @p at past the block. */
+Field
+blockField(const std::string &s, size_t &at)
+{
+    Field f = fieldAt(s, at);
+    at = nextLine(s, at) + std::stoul(s.substr(f.at, f.len));
+    return f;
+}
+
+/** The executor shard's tick count, channel count and every channel
+ *  block length. */
+std::vector<Field>
+execShardFields(const std::string &s)
+{
+    size_t at = nextLine(s, nextLine(s, 0)); // past magic and clocks
+    std::vector<Field> fields{fieldAt(s, at)};
+    at = nextLine(s, at);
+    fields.push_back(fieldAt(s, at));
+    size_t nchans = std::stoul(s.substr(at, fields.back().len));
+    at = nextLine(s, at);
+    for (size_t c = 0; c < nchans; ++c) {
+        at = nextLine(s, at); // the channel's counters
+        fields.push_back(blockField(s, at));
+    }
+    EXPECT_EQ(at, s.size());
+    return fields;
+}
+
+/** A partition shard's simulator and FSM block lengths. */
+std::vector<Field>
+partitionShardFields(const std::string &s)
+{
+    size_t at = nextLine(s, 0); // past the magic
+    std::vector<Field> fields{blockField(s, at)};
+    fields.push_back(blockField(s, at));
+    EXPECT_EQ(at, s.size());
+    return fields;
+}
+
+/** Every mutant of @p shard the decoder must refuse: each prefix
+ *  ending on a line boundary, and each field of @p fields raised to
+ *  one past the bytes left after it and to 3e9. */
+std::vector<std::string>
+malformedVariants(const std::string &shard,
+                  const std::vector<Field> &fields)
+{
+    std::vector<std::string> out{std::string()};
+    for (size_t i = 0; i + 1 < shard.size(); ++i)
+        if (shard[i] == '\n')
+            out.push_back(shard.substr(0, i + 1));
+    for (const Field &f : fields) {
+        size_t left = shard.size() - nextLine(shard, f.at);
+        for (uint64_t v : {uint64_t(left) + 1, uint64_t(3000000000)}) {
+            std::string m = shard;
+            m.replace(f.at, f.len, std::to_string(v));
+            out.push_back(std::move(m));
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SnapshotCodec, DecoderRefusesTruncatedAndOverlongShards)
+{
+    // One real cut: a depth-8 faulty run of the bus SoC.
+    auto soc = fourTileSoc();
+    auto plan = threeWayPlan(soc);
+    ExecConfig exec = testenv::execConfig();
+    exec.batchDepth = 8;
+    std::string dir = tempDir();
+    std::string error;
+    {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
+                         transport::qsfpAurora());
+        sim.setFaultModel(transport::FaultConfig::uniform(2e-3, 42));
+        sim.setExecConfig(exec);
+        ASSERT_GT(sim.run(200).retransmits, 0u);
+        ASSERT_TRUE(sim.snapshot(dir, error)) << error;
+    }
+    recovery::SnapshotStore store(dir);
+    recovery::Manifest m;
+    ASSERT_TRUE(store.loadManifest(m, error)) << error;
+    std::vector<std::string> shards(m.shards.size());
+    for (size_t i = 0; i < shards.size(); ++i)
+        ASSERT_TRUE(store.readShard(m, i, shards[i], error)) << error;
+    fs::remove_all(dir);
+
+    // Decoding and re-encoding reproduces the committed bytes.
+    recovery::RecoveryPoint rp;
+    rp.partitions.resize(m.numPartitions);
+    for (size_t p = 0; p < m.numPartitions; ++p) {
+        ASSERT_TRUE(recovery::decodePartitionShard(
+            shards[p], m.shards[p].file, rp.partitions[p], error))
+            << error;
+        EXPECT_EQ(recovery::encodePartitionShard(rp.partitions[p]),
+                  shards[p]);
+    }
+    const std::string &exec_shard = shards.back();
+    ASSERT_TRUE(recovery::decodeExecShard(exec_shard, m.numPartitions,
+                                          m.numChannels, rp, error))
+        << error;
+    EXPECT_EQ(recovery::encodeExecShard(rp), exec_shard);
+
+    // Every malformed variant fails with a structured error, and no
+    // declared length sizes a buffer before it is checked.
+    uint64_t peak0 = peakRssKb();
+    ASSERT_GT(peak0, 0u);
+    size_t cases = 0;
+    for (const std::string &bad :
+         malformedVariants(exec_shard, execShardFields(exec_shard))) {
+        recovery::RecoveryPoint out;
+        error.clear();
+        EXPECT_FALSE(recovery::decodeExecShard(bad, m.numPartitions,
+                                               m.numChannels, out, error))
+            << "accepted a " << bad.size() << "-byte variant";
+        EXPECT_EQ(error, "malformed executor shard");
+        ++cases;
+    }
+    const std::string &part = shards[0];
+    for (const std::string &bad :
+         malformedVariants(part, partitionShardFields(part))) {
+        recovery::PartitionCut out;
+        error.clear();
+        EXPECT_FALSE(recovery::decodePartitionShard(bad, "part0", out,
+                                                    error))
+            << "accepted a " << bad.size() << "-byte variant";
+        EXPECT_EQ(error, "malformed partition shard 'part0'");
+        ++cases;
+    }
+    EXPECT_GT(cases, 2 * m.numChannels);
+    EXPECT_LT(peakRssKb() - peak0, 64u * 1024);
+}
+
+// ---------------------------------------------------------------
+// Autosnapshot: chunked run() with unchanged results
+// ---------------------------------------------------------------
 
 TEST(Autosnapshot, PeriodicSnapshotsDoNotPerturbTheRun)
 {

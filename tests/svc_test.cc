@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstdio>
@@ -222,6 +223,13 @@ TEST(SvcProtocol, ResultLineCarriesExecAndSnapshotCost)
     o.snapshots = 3;
     o.snapshotBytes = 4096;
     o.snapshotWallMs = 1.5;
+    // bus-soc's 2,000-cycle host time at fault rate 1e-3, one ulp up:
+    // %.12g prints it as 2406850, so only the shortest round-trip
+    // text carries it exactly.
+    o.result.hostTimeNs = std::nextafter(2406850.0, 3e6);
+    char rounded[32];
+    std::snprintf(rounded, sizeof(rounded), "%.12g", o.result.hostTimeNs);
+    ASSERT_NE(std::strtod(rounded, nullptr), o.result.hostTimeNs);
     obs::JsonValue v;
     std::string error;
     ASSERT_TRUE(obs::parseJson(svc::resultLine(7, "fig2", o), v, error))
@@ -233,6 +241,8 @@ TEST(SvcProtocol, ResultLineCarriesExecAndSnapshotCost)
     EXPECT_EQ(v.u64("snapshots"), 3u);
     EXPECT_EQ(v.u64("snapshot_bytes"), 4096u);
     EXPECT_EQ(v.num("snapshot_wall_ms"), 1.5);
+    EXPECT_EQ(std::bit_cast<uint64_t>(v.num("host_time_ns")),
+              std::bit_cast<uint64_t>(o.result.hostTimeNs));
 }
 
 // --- artifact cache ------------------------------------------------

@@ -135,7 +135,11 @@ printOutcome(const std::string &target, const svc::RunOutcome &o)
               << "snapshot_bytes " << o.snapshotBytes << "\n"
               << "snapshot_wall_ms " << o.snapshotWallMs << "\n"
               << "restores " << o.restores << "\n"
-              << "host_time_ns " << o.result.hostTimeNs << "\n"
+              << "host_time_ns ";
+    // The JSON formatter's shortest round-trip text: the printed
+    // host time parses back to the same double.
+    obs::jsonNumber(std::cout, o.result.hostTimeNs);
+    std::cout << "\n"
               << "batch_depth " << o.exec.batchDepth << "\n"
               << "sim_rate_mhz " << o.result.simRateMhz() << "\n"
               << "retransmits " << o.result.retransmits << "\n"
