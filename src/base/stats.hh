@@ -133,14 +133,6 @@ class Distribution
 
     double max() const { return exact_.max(); }
 
-    void
-    reset()
-    {
-        samples_.clear();
-        exact_.reset();
-        rng_.reseed(kReservoirSeed);
-    }
-
     /** The retained reservoir (all samples while exact()). */
     const std::vector<double> &samples() const { return samples_; }
 

@@ -34,14 +34,6 @@ TokenChannel::drawFault(Rng &rng) const
 bool
 TokenChannel::tryEnq(const Token &token, double ready_time)
 {
-    if (suppress_ > 0) {
-        // Restarted-producer replay: this token was already
-        // transmitted before the crash and every producer-side
-        // effect (sequence number, serializer slot, fault draws,
-        // retransmit-buffer entry) is already in the channel.
-        --suppress_;
-        return true;
-    }
     // Untimed path (reset seeding): no link, no faults — but the
     // token still enters the sequence/ack machinery so delivery
     // bookkeeping stays consistent.
@@ -65,11 +57,6 @@ TokenChannel::tryEnq(const Token &token, double ready_time)
 bool
 TokenChannel::tryEnqTimed(const Token &token, double now)
 {
-    if (suppress_ > 0) {
-        // See tryEnq: the channel already reflects this token.
-        --suppress_;
-        return true;
-    }
     producerNowNs_ = std::max(producerNowNs_, now);
     if (full())
         return false;
@@ -203,10 +190,6 @@ void
 TokenChannel::poll(double now) const
 {
     consumerNowNs_ = std::max(consumerNowNs_, now);
-    // Replayed deliveries (single-partition restart) sit ahead of
-    // the live queue and are already verified in-order tokens.
-    if (replaying())
-        return;
     while (!queue_.empty()) {
         Entry &e = queue_.front();
         if (e.readyTime > now)
@@ -300,37 +283,17 @@ bool
 TokenChannel::headReady(double now) const
 {
     poll(now);
-    if (replaying())
-        return replayHead().readyTime <= now;
     return !queue_.empty() && queue_.front().readyTime <= now;
 }
 
 void
 TokenChannel::deq()
 {
-    if (replaying()) {
-        // Re-delivery of a logged token during a single-partition
-        // restart: the physical queue and the producer's retransmit
-        // buffer already account for it (its seq precedes the
-        // rolled-forward acknowledgment horizon), so only the
-        // consumer's delivery counters move — and nothing is
-        // published to the producer's pop accounting. The entry is
-        // already in its log slot: re-logging it is a cursor step.
-        lastDelivered_ = replayHead().seq;
-        ++deqCount_;
-        ++replayEnd_;
-        replayLen_ = std::min(replayLen_ + 1, replayCap_);
-        replayPending_.store(
-            replayPending_.load(std::memory_order_relaxed) - 1,
-            std::memory_order_release);
-        return;
-    }
     FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
                    "' deq of empty queue");
     lastDelivered_ = queue_.front().seq;
     if (nak_.pendingSeq != 0 && lastDelivered_ >= nak_.pendingSeq)
         nak_ = {}; // the NAKed token's recovery completed
-    logDelivered(queue_.front());
     queue_.popFront();
     ++deqCount_;
     // Delivery is the in-process acknowledgment: retire the
@@ -340,77 +303,6 @@ TokenChannel::deq()
         rtxBuf_.popFront();
     if (concurrent_)
         logPop(consumerNowNs_);
-}
-
-void
-TokenChannel::logDelivered(const Entry &e)
-{
-    if (replayCap_ == 0)
-        return;
-    if (replayLog_.size() < replayCap_)
-        replayLog_.push_back(e); // the ring is still filling
-    else
-        replayAt(replayEnd_) = e; // reuses the slot's payload buffer
-    ++replayEnd_;
-    replayLen_ = std::min(replayLen_ + 1, replayCap_);
-}
-
-void
-TokenChannel::setReplayLogCapacity(size_t n)
-{
-    if (n == replayCap_)
-        return;
-    // Lay the ring out afresh from position 0: the newest n logged
-    // deliveries, then any replay still pending.
-    size_t keep = std::min(replayLen_, n);
-    size_t pending = replayPending_.load(std::memory_order_relaxed);
-    std::vector<Entry> slots;
-    slots.reserve(keep + pending);
-    for (uint64_t pos = replayEnd_ - keep; pos < replayEnd_ + pending;
-         ++pos)
-        slots.push_back(std::move(replayAt(pos)));
-    replayLog_ = std::move(slots);
-    replayEnd_ = keep;
-    replayLen_ = keep;
-    replayCap_ = n;
-}
-
-bool
-TokenChannel::replayFromLog(uint64_t cut_deq_count,
-                            uint64_t cut_last_delivered,
-                            std::string &error)
-{
-    FIREAXE_ASSERT(!concurrent_, "channel '", name_,
-                   "' replayFromLog requires a quiesce point");
-    if (replaying()) {
-        error = "channel '" + name_ +
-                "': a replay is already in progress";
-        return false;
-    }
-    if (cut_deq_count > deqCount_) {
-        error = "channel '" + name_ +
-                "': recovery point is ahead of the channel";
-        return false;
-    }
-    uint64_t n = deqCount_ - cut_deq_count;
-    if (n > replayLen_) {
-        error = "channel '" + name_ + "': replay log holds " +
-                std::to_string(replayLen_) + " of the " +
-                std::to_string(n) +
-                " deliveries since the recovery point (raise "
-                "the replay log depth or restore the whole run)";
-        return false;
-    }
-    // Rewind the log cursor over the since-the-cut suffix: those
-    // entries become the pending replay, and re-delivering them
-    // converges the log back to its pre-restart contents.
-    replayEnd_ -= n;
-    replayLen_ -= n;
-    replayPending_.store(size_t(n), std::memory_order_release);
-    deqCount_ = cut_deq_count;
-    lastDelivered_ = cut_last_delivered;
-    error.clear();
-    return true;
 }
 
 void
@@ -476,9 +368,12 @@ TokenChannel::saveCkpt(std::ostream &os) const
     };
     os << "fireaxe-chan 3\n";
     os << name_ << " " << widthBits_ << " " << capacity_ << "\n";
+    // The sixth and seventh slots held the retired single-partition
+    // restart's suppress count and replay-log capacity: they are
+    // written as 0 and ignored on read, so older snapshots still
+    // resume.
     os << enqCount_ << " " << deqCount_ << " " << qPushes_ << " "
-       << nextSeq_ << " " << lastDelivered_ << " " << suppress_ << " "
-       << replayCap_ << " "
+       << nextSeq_ << " " << lastDelivered_ << " 0 0 "
        << (failed_.load(std::memory_order_relaxed) ? 1 : 0) << " "
        << (faultsActive_.load(std::memory_order_relaxed) ? 1 : 0)
        << "\n";
@@ -591,16 +486,16 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
                     std::to_string(width) + " bits, capacity " +
                     std::to_string(capacity) + ")");
 
+    // Every retired slot is read into `retired` and dropped.
     uint64_t enq = 0, deq = 0, pushes = 0, next_seq = 0,
-             last_delivered = 0, suppress = 0;
-    size_t replay_cap = 0;
+             last_delivered = 0, retired = 0;
     unsigned failed = 0, faults_active = 0;
     is >> enq >> deq >> pushes >> next_seq >> last_delivered >>
-        suppress >> replay_cap >> failed >> faults_active;
+        retired >> retired >> failed >> faults_active;
     uint64_t ser_b = 0, lat_b = 0, depart_b = 0, pnow_b = 0,
-             cnow_b = 0, batch_pos = 0, retired_b = 0;
+             cnow_b = 0, batch_pos = 0;
     is >> ser_b >> lat_b >> depart_b >> pnow_b >> cnow_b >>
-        batch_pos >> retired_b;
+        batch_pos >> retired;
     NakRecovery nak;
     uint64_t resend_b = 0, backoff_b = 0;
     is >> nak.pendingSeq >> resend_b >> nak.backoffTries >> backoff_b;
@@ -635,8 +530,6 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
     qPushes_ = pushes;
     nextSeq_ = next_seq;
     lastDelivered_ = last_delivered;
-    suppress_ = suppress;
-    replayCap_ = replay_cap;
     failed_.store(failed != 0, std::memory_order_relaxed);
     faultsActive_.store(faults_active != 0, std::memory_order_relaxed);
     serTime_.store(bitsToDouble(ser_b), std::memory_order_relaxed);
@@ -658,12 +551,6 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
         rtxBuf_.popFront();
     for (auto &e : rtx_entries)
         rtxBuf_.pushBack(std::move(e));
-    // Restart-replay state is transient and never part of a durable
-    // cut: a restore starts with a clean replay pipeline.
-    replayLog_.clear();
-    replayEnd_ = 0;
-    replayLen_ = 0;
-    replayPending_.store(0, std::memory_order_relaxed);
     error.clear();
     return true;
 }

@@ -156,19 +156,8 @@ class TokenChannel final
         return queue_.size() >= capacity_;
     }
 
-    bool
-    empty() const
-    {
-        return replayPending_.load(std::memory_order_acquire) == 0 &&
-               queue_.empty();
-    }
-
-    size_t
-    size() const
-    {
-        return replayPending_.load(std::memory_order_acquire) +
-               queue_.size();
-    }
+    bool empty() const { return queue_.empty(); }
+    size_t size() const { return queue_.size(); }
 
     size_t capacity() const { return capacity_; }
 
@@ -397,8 +386,6 @@ class TokenChannel final
     double
     headReadyTime() const
     {
-        if (replaying())
-            return replayHead().readyTime;
         if (queue_.empty())
             return std::numeric_limits<double>::infinity();
         return queue_.front().readyTime;
@@ -407,8 +394,6 @@ class TokenChannel final
     const Token &
     head() const
     {
-        if (replaying())
-            return replayHead().payload;
         FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
                        "' head of empty queue");
         return queue_.front().payload;
@@ -420,8 +405,6 @@ class TokenChannel final
     double
     headEnqueueTime() const
     {
-        if (replaying())
-            return replayHead().enqTime;
         FIREAXE_ASSERT(!queue_.empty(), "channel '", name_,
                        "' headEnqueueTime of empty queue");
         return queue_.front().enqTime;
@@ -455,8 +438,7 @@ class TokenChannel final
     }
 
     /** Highest sequence number (1-based) delivered in order
-     *  (consumer side); recorded in recovery cuts for
-     *  single-partition restart. */
+     *  (consumer side). */
     uint64_t lastDeliveredSeq() const { return lastDelivered_; }
 
     /** Tokens enqueued over the channel's lifetime (statistics). */
@@ -543,52 +525,6 @@ class TokenChannel final
      *  check every channel before it commits any state. */
     bool checkCkpt(std::istream &is, std::string &error) const;
 
-    // --- single-partition restart (src/recovery) ------------------
-
-    /**
-     * Keep the last @p n delivered tokens in a bounded replay log so
-     * a condemned consumer partition can be restarted from a cut and
-     * re-fed its inbound stream (0 disables; shrinking trims the
-     * oldest entries). The log is a ring of reused entries: once it
-     * has filled, logging a delivery allocates nothing. Consumer-side
-     * state.
-     */
-    void setReplayLogCapacity(size_t n);
-
-    /**
-     * Rewind the consumer side to a recovery point: deliveries past
-     * @p cut_deq_count are re-presented from the replay log (in
-     * order, ahead of the live queue), and the delivery counters
-     * rewind to the cut. Producer-side state — sequence numbers,
-     * retransmit buffer, fault RNG, serializer — stays at its
-     * current (post-cut) position, which is exactly what the
-     * restarted consumer's re-execution converges to. Fails (false,
-     * diagnostic in @p error, channel unchanged) when the log no
-     * longer covers the cut. Only legal at a quiesce point.
-     */
-    bool replayFromLog(uint64_t cut_deq_count,
-                       uint64_t cut_last_delivered,
-                       std::string &error);
-
-    /** Would replayFromLog(@p cut_deq_count, ...) succeed? Lets the
-     *  executor pre-validate every inbound channel of a condemned
-     *  partition before mutating any of them. */
-    bool
-    canReplayFrom(uint64_t cut_deq_count) const
-    {
-        return !replaying() && cut_deq_count <= deqCount_ &&
-               deqCount_ - cut_deq_count <= replayLen_;
-    }
-
-    /**
-     * Suppress the next @p n accepted tokens on the producer side:
-     * tryEnq/tryEnqTimed report success without touching any channel
-     * state. Used when a restarted producer partition re-executes
-     * cycles whose tokens were already transmitted before the crash —
-     * the channel (and its fault schedule) already reflects them.
-     */
-    void suppressProducedTokens(uint64_t n) { suppress_ += n; }
-
   private:
     struct Entry
     {
@@ -662,28 +598,6 @@ class TokenChannel final
         e.verified = false;
         e.enqTime = enq_time;
     }
-    /** Append one delivered token to the bounded replay log. */
-    void logDelivered(const Entry &e);
-
-    /** The replay log entry at logical position @p pos. */
-    Entry &
-    replayAt(uint64_t pos)
-    {
-        return replayLog_[pos % replayLog_.size()];
-    }
-    const Entry &
-    replayAt(uint64_t pos) const
-    {
-        return replayLog_[pos % replayLog_.size()];
-    }
-    /** Is a restart replay re-presenting logged deliveries? */
-    bool
-    replaying() const
-    {
-        return replayPending_.load(std::memory_order_relaxed) != 0;
-    }
-    /** Next replayed delivery (replaying() must hold). */
-    const Entry &replayHead() const { return replayAt(replayEnd_); }
 
     std::string name_;
     unsigned widthBits_;
@@ -751,27 +665,6 @@ class TokenChannel final
     mutable double consumerNowNs_ = 0.0;
     /** Producer-side cumulative queue pops folded in from the log. */
     mutable uint64_t accQueuePops_ = 0;
-
-    // --- single-partition restart state ---------------------------
-    // All consumer-side except suppress_ (producer-side); both are
-    // SPSC-clean under the parallel engine.
-    //
-    // The replay log is a ring over logical positions: position p
-    // lives in replayLog_[p % replayLog_.size()]. The replayLen_
-    // entries before replayEnd_ are the newest logged deliveries;
-    // the replayPending_ entries from replayEnd_ on are deliveries
-    // being re-presented ahead of queue_ after a restart (re-delivery
-    // advances replayEnd_ over them, so the log converges back to its
-    // pre-restart contents without copying). Until the ring first
-    // fills, replayLog_ grows by one entry per delivery.
-    std::vector<Entry> replayLog_;
-    uint64_t replayEnd_ = 0;
-    size_t replayLen_ = 0;
-    /** Also read by size()/empty() from other threads. */
-    std::atomic<size_t> replayPending_{0};
-    size_t replayCap_ = 0;
-    /** Producer-side count of enqueues to swallow (restart). */
-    uint64_t suppress_ = 0;
 };
 
 using ChannelPtr = std::shared_ptr<TokenChannel>;

@@ -264,7 +264,7 @@ LIBDNModel::threadTick(ThreadState &th, double now)
     bool all_fired = std::all_of(th.fired.begin(), th.fired.end(),
                                  [](bool b) { return b; });
     if (all_in && all_fired) {
-        if (monitor_ && th.cycle >= monitorSuppressUntil_)
+        if (monitor_)
             monitor_(*sim_, thread_id, th.cycle);
         for (auto &ch : th.inChans)
             ch->retire(now, th.cycle);

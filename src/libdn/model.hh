@@ -200,16 +200,6 @@ class LIBDNModel
      */
     bool tryLoadFsm(std::istream &is, std::string &error);
 
-    /**
-     * Single-partition restart: skip the monitor callback while this
-     * model re-executes target cycles below @p cycle (they were
-     * already observed before the crash). Applies to every thread.
-     */
-    void suppressMonitorUntil(uint64_t cycle)
-    {
-        monitorSuppressUntil_ = cycle;
-    }
-
   private:
     struct ThreadState
     {
@@ -250,9 +240,6 @@ class LIBDNModel
     uint64_t advances_ = 0;
     uint64_t ticks_ = 0;
     bool forceOutputDeps_ = false;
-    /** Monitor callbacks are skipped below this target cycle
-     *  (single-partition restart re-execution). */
-    uint64_t monitorSuppressUntil_ = 0;
 };
 
 } // namespace fireaxe::libdn

@@ -96,34 +96,6 @@ MetricsSnapshot::writeJson(std::ostream &os) const
     os << "\n";
 }
 
-void
-MetricsSnapshot::writeCsv(std::ostream &os) const
-{
-    os << "path,kind,value,count,mean,min,max,p50,p90,p95,p99\n";
-    for (const auto &[path, v] : values) {
-        os << path << ',' << kindName(v.kind) << ',';
-        if (v.kind == MetricKind::Counter)
-            os << v.count;
-        else
-            jsonNumber(os, v.value);
-        os << ',' << v.count << ',';
-        jsonNumber(os, v.mean);
-        os << ',';
-        jsonNumber(os, v.min);
-        os << ',';
-        jsonNumber(os, v.max);
-        os << ',';
-        jsonNumber(os, v.p50);
-        os << ',';
-        jsonNumber(os, v.p90);
-        os << ',';
-        jsonNumber(os, v.p95);
-        os << ',';
-        jsonNumber(os, v.p99);
-        os << '\n';
-    }
-}
-
 MetricsRegistry::Metric &
 MetricsRegistry::resolve(const std::string &path, MetricKind kind,
                          size_t reservoir_cap)
@@ -210,24 +182,6 @@ void
 MetricsRegistry::writeJson(std::ostream &os) const
 {
     snapshot().writeJson(os);
-}
-
-void
-MetricsRegistry::writeCsv(std::ostream &os) const
-{
-    snapshot().writeCsv(os);
-}
-
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    for (auto &[path, m] : metrics_) {
-        m.counter.reset();
-        m.gauge.reset();
-        if (m.histogram)
-            m.histogram->reset();
-    }
 }
 
 } // namespace fireaxe::obs

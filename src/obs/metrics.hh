@@ -61,8 +61,6 @@ class Counter
         return v_.load(std::memory_order_relaxed);
     }
 
-    void reset() { v_.store(0, std::memory_order_relaxed); }
-
   private:
     std::atomic<uint64_t> v_{0};
 };
@@ -76,7 +74,6 @@ class Gauge
     {
         return v_.load(std::memory_order_relaxed);
     }
-    void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
   private:
     std::atomic<double> v_{0.0};
@@ -146,13 +143,6 @@ class Histogram
     }
 
     size_t reservoirCap() const { return dist_.reservoirCap(); }
-
-    void
-    reset()
-    {
-        std::lock_guard<std::mutex> lock(mtx_);
-        dist_.reset();
-    }
 
   private:
     mutable std::mutex mtx_;
@@ -231,8 +221,6 @@ struct MetricsSnapshot
      *  caller has already opened — lets other exporters (the
      *  telemetry stream) embed the snapshot without the envelope. */
     void writeValues(JsonWriter &w) const;
-    /** CSV: path,kind,value,count,mean,min,max,p50,p90,p95,p99. */
-    void writeCsv(std::ostream &os) const;
 };
 
 /**
@@ -274,11 +262,6 @@ class MetricsRegistry
 
     MetricsSnapshot snapshot() const;
     void writeJson(std::ostream &os) const;
-    void writeCsv(std::ostream &os) const;
-
-    /** Reset every metric's value (registrations are kept and the
-     *  handles stay valid). */
-    void reset();
 
   private:
     struct Metric

@@ -327,8 +327,6 @@ Telemetry::recordRecovery(const RecoveryStats &stats)
     registry_->gauge("recovery.total_snapshot_wall_ms")
         .set(stats.totalSnapshotWallMs);
     registry_->gauge("recovery.restores").set(double(stats.restores));
-    registry_->gauge("recovery.partition_restarts")
-        .set(double(stats.partitionRestarts));
 }
 
 } // namespace fireaxe::obs

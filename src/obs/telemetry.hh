@@ -107,7 +107,6 @@ struct RecoveryStats
     double lastSnapshotWallMs = 0.0;
     double totalSnapshotWallMs = 0.0;
     uint64_t restores = 0;
-    uint64_t partitionRestarts = 0;
 };
 
 class Telemetry

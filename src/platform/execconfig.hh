@@ -54,13 +54,6 @@ struct ExecConfig
     /** Autosnapshot directory; empty disables autosnapshots. */
     std::string snapshotDir;
     /**
-     * Per-channel delivered-token replay log depth backing
-     * restartPartition() (entries retained past each recovery
-     * point). 0 disables the logs (and with them single-partition
-     * restart); whole-run rollback/restore is unaffected.
-     */
-    size_t replayLogDepth = 1024;
-    /**
      * Depth-N token batching (latency hiding): a partition may run
      * up to N target cycles ahead across a fully registered cut and
      * ship the N tokens as one framed link transaction (one

@@ -183,20 +183,13 @@ MultiFpgaSim::init()
     if (execConfig_.batchDepth > 1)
         ensureBatchAnnotation();
 
-    if (verifyPolicy_ != VerifyPolicy::Off) {
+    if (verifyPolicy_ == VerifyPolicy::Enforce) {
         runPreflight();
-        if (preflight_.hasErrors()) {
-            if (verifyPolicy_ == VerifyPolicy::Enforce) {
-                fatal("pre-flight static verification rejected the "
-                      "partition plan:\n",
-                      preflight_.renderText(),
-                      "(setVerifyPolicy(VerifyPolicy::WarnOnly/Off) "
-                      "to override)");
-            }
-            warn("pre-flight static verification found errors "
-                 "(running anyway):\n",
-                 preflight_.renderText());
-        }
+        if (preflight_.hasErrors())
+            fatal("pre-flight static verification rejected the "
+                  "partition plan:\n",
+                  preflight_.renderText(),
+                  "(setVerifyPolicy(VerifyPolicy::Off) to override)");
     }
 
     vcdStreams_.resize(plan_.partitions.size(), nullptr);
@@ -631,7 +624,7 @@ MultiFpgaSim::acquireRecoveryPoint()
     if (!initialized_)
         init();
     recovery::RecoveryPoint rp;
-    recovery::captureCut(liveRun(), execConfig_.replayLogDepth, rp);
+    recovery::captureCut(liveRun(), rp);
     rp.nowNs = now_;
     rp.nextTickNs = nextTick_;
     rp.transientStallEvents = transientStallEvents_;
@@ -690,26 +683,6 @@ MultiFpgaSim::rollback(const recovery::RecoveryPoint &rp)
     ++recovery_.restores;
     if (telemetry_)
         telemetry_->recordRecovery(recovery_);
-}
-
-bool
-MultiFpgaSim::restartPartition(int part,
-                               const recovery::RecoveryPoint &rp,
-                               std::string &error)
-{
-    FIREAXE_ASSERT(initialized_,
-                   "restartPartition() before the run was "
-                   "initialized");
-    if (!recovery::restartPartition(liveRun(), part, rp, error))
-        return false;
-    // The partition re-ticks from its cut-time schedule; peers sit
-    // at future ticks and stall on token dependencies until the
-    // restarted partition catches back up.
-    nextTick_[size_t(part)] = rp.nextTickNs[size_t(part)];
-    ++recovery_.partitionRestarts;
-    if (telemetry_)
-        telemetry_->recordRecovery(recovery_);
-    return true;
 }
 
 bool

@@ -74,9 +74,6 @@ enum class VerifyPolicy
     /** fatal() with the rendered report on any Error finding
      *  (default): a statically rejectable plan never runs. */
     Enforce,
-    /** Print the findings and run anyway (--no-verify semantics with
-     *  a paper trail). */
-    WarnOnly,
     /** Skip the pre-flight checks entirely. */
     Off,
 };
@@ -244,24 +241,17 @@ class MultiFpgaSim
      * acquireRecoveryPoint() produce a resumable cut, exactly as
      * between ordinary run() calls. The request is sticky (a run()
      * issued after requestStop() stops immediately, so a drain never
-     * races a job that was about to start); clearStopRequest()
-     * re-arms the instance for further execution.
+     * races a job that was about to start).
      */
     void requestStop()
     {
         stopRequested_.store(true, std::memory_order_relaxed);
     }
 
-    /** A requestStop() is pending (not yet cleared). */
+    /** A requestStop() is pending. */
     bool stopRequested() const
     {
         return stopRequested_.load(std::memory_order_relaxed);
-    }
-
-    /** Re-arm after a drain so run() makes progress again. */
-    void clearStopRequest()
-    {
-        stopRequested_.store(false, std::memory_order_relaxed);
     }
 
     /** Access a partition model (valid after init()). */
@@ -275,9 +265,7 @@ class MultiFpgaSim
     // chunking calls snapshot() at exactly such points.
 
     /** Capture a consistent cut of the whole run
-     *  (recovery::captureCut, replay logs of
-     *  ExecConfig::replayLogDepth) plus the executor's host-time
-     *  state. */
+     *  (recovery::captureCut) plus the executor's host-time state. */
     recovery::RecoveryPoint acquireRecoveryPoint();
 
     /**
@@ -287,13 +275,6 @@ class MultiFpgaSim
      * are plain values — hold as many as you like, discard in O(1).
      */
     void rollback(const recovery::RecoveryPoint &point);
-
-    /** Restart partition @p part from a cut while its peers keep
-     *  their state (recovery::restartPartition); peers stall on
-     *  token dependencies until it catches up. */
-    bool restartPartition(int part,
-                          const recovery::RecoveryPoint &point,
-                          std::string &error);
 
     /**
      * Durably persist a recovery point into @p dir: capture, then
@@ -321,8 +302,6 @@ class MultiFpgaSim
     double totalSnapshotWallMs() const { return recovery_.totalSnapshotWallMs; }
     /** Whole-run restores applied (restore() + rollback()). */
     uint64_t restoreCount() const { return recovery_.restores; }
-    /** Single-partition restarts applied. */
-    uint64_t partitionRestarts() const { return recovery_.partitionRestarts; }
 
     /**
      * Verify each partition fits its FPGA (FAME-5-adjusted);

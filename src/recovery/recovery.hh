@@ -8,13 +8,12 @@
  * joined and every channel has left concurrent mode). It holds, per
  * partition, the simulator checkpoint and LI-BDN FSM state, and per
  * channel the full in-flight/retransmit/fault-RNG state — everything
- * needed to rewind the world, durably persist it (recovery::
- * SnapshotStore), or restart a single condemned partition while its
- * peers keep their state.
+ * needed to rewind the world or durably persist it (recovery::
+ * SnapshotStore).
  *
  * This module owns the cut over the LI-BDN models and token channels
- * (capture, check-before-commit apply, single-partition restart); the
- * executor adds only its own host-time fields and link retiming.
+ * (capture, check-before-commit apply); the executor adds only its
+ * own host-time fields and link retiming.
  *
  * A recovery point is a plain value: a caller may hold several cuts
  * at once and discard them in O(1).
@@ -42,12 +41,6 @@ struct ChannelCut
 {
     /** Full channel checkpoint (TokenChannel::saveCkpt format). */
     std::string ckpt;
-    /** Producer-side tokens accepted over the channel's lifetime. */
-    uint64_t enqCount = 0;
-    /** Consumer-side tokens delivered over the channel's lifetime. */
-    uint64_t deqCount = 0;
-    /** Highest sequence number delivered in order. */
-    uint64_t lastDelivered = 0;
     /** The executor had failed this channel over to the fallback
      *  transport at the cut. */
     bool failedOver = false;
@@ -96,13 +89,10 @@ struct LiveRun
 
 /**
  * Capture every partition's simulator and FSM state and every
- * channel's checkpoint into @p rp (marking it valid), and (re)arm each
- * channel's replay log with @p replay_log_depth entries so
- * restartPartition() can re-feed deliveries made after this cut. The
- * executor fills the host-time fields.
+ * channel's checkpoint into @p rp (marking it valid). The executor
+ * fills the host-time fields.
  */
-void captureCut(const LiveRun &run, size_t replay_log_depth,
-                RecoveryPoint &rp);
+void captureCut(const LiveRun &run, RecoveryPoint &rp);
 
 /**
  * Load @p rp's partition and channel state into @p run. Every channel
@@ -113,18 +103,6 @@ void captureCut(const LiveRun &run, size_t replay_log_depth,
 bool applyCut(const LiveRun &run, const RecoveryPoint &rp,
               const std::function<void(size_t)> &retime,
               std::string &error);
-
-/**
- * Restart partition @p part from @p rp while its peers keep their
- * state: its simulator and FSM rewind to the cut, its inbound
- * channels re-present the deliveries made since from their replay
- * logs, its outbound channels swallow the re-produced tokens, and its
- * monitor stays suppressed until it passes its pre-crash cycle. Fails
- * (false, diagnostic in @p error, nothing changed) when a replay log
- * no longer covers the cut.
- */
-bool restartPartition(const LiveRun &run, int part,
-                      const RecoveryPoint &rp, std::string &error);
 
 /** Content hash of one partition circuit (printed FIRRTL text). */
 uint64_t hashCircuit(const firrtl::Circuit &circuit);

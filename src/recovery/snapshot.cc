@@ -348,10 +348,12 @@ encodeExecShard(const RecoveryPoint &rp)
     for (double t : rp.nextTickNs)
         os << " " << doubleBits(t);
     os << "\n";
+    // After each channel's failover flag, three slots held the
+    // retired single-partition restart's enqueue, delivery and
+    // last-delivered counts: written as 0, ignored on read.
     os << rp.channels.size() << "\n";
     for (const auto &cc : rp.channels) {
-        os << (cc.failedOver ? 1 : 0) << " " << cc.enqCount << " "
-           << cc.deqCount << " " << cc.lastDelivered << "\n";
+        os << (cc.failedOver ? 1 : 0) << " 0 0 0\n";
         writeBlock(os, cc.ckpt);
     }
     return os.str();
@@ -388,8 +390,8 @@ decodeExecShard(const std::string &bytes, size_t num_partitions,
     rp.channels.resize(nchans);
     for (auto &cc : rp.channels) {
         unsigned failed_over = 0;
-        is >> failed_over >> cc.enqCount >> cc.deqCount >>
-            cc.lastDelivered;
+        uint64_t retired = 0;
+        is >> failed_over >> retired >> retired >> retired;
         cc.failedOver = failed_over != 0;
         if (!is || is.get() != '\n' || !readBlock(is, cc.ckpt))
             return false;

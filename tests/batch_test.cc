@@ -627,36 +627,30 @@ TEST(TokenPath, SteadyStateTokensAllocateNothing)
 {
     for (size_t capacity : {1, 4, 16}) {
         for (unsigned depth : {1u, 8u}) {
-            for (size_t replay : {0, 1024}) {
-                SCOPED_TRACE("capacity " + std::to_string(capacity) +
-                             " depth " + std::to_string(depth) +
-                             " replay " + std::to_string(replay));
-                libdn::TokenChannel ch("steady", 256, capacity);
-                ch.setTiming(10.0, 100.0);
-                if (depth > 1)
-                    ch.configureBatching(depth, 2.5, 40.0);
-                ch.setReplayLogCapacity(replay);
-                libdn::Token token(4);
-                double now = 0.0;
-                uint64_t wrong = 0;
-                auto rounds = [&](uint64_t first, uint64_t n) {
-                    for (uint64_t i = first; i < first + n; ++i) {
-                        token[i % 4] = i;
-                        ch.enqTimed(token, now);
-                        now = std::max(now, ch.headReadyTime());
-                        if (!ch.headReady(now) || ch.head() != token)
-                            ++wrong;
-                        ch.deq();
-                    }
-                };
-                // Warm-up: every ring slot and replay-log entry gets
-                // its payload buffer.
-                rounds(0, 2 * replay + 64);
-                uint64_t n = allocationsIn(
-                    [&] { rounds(2 * replay + 64, 10000); });
-                EXPECT_EQ(wrong, 0u);
-                EXPECT_EQ(n, 0u);
-            }
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         " depth " + std::to_string(depth));
+            libdn::TokenChannel ch("steady", 256, capacity);
+            ch.setTiming(10.0, 100.0);
+            if (depth > 1)
+                ch.configureBatching(depth, 2.5, 40.0);
+            libdn::Token token(4);
+            double now = 0.0;
+            uint64_t wrong = 0;
+            auto rounds = [&](uint64_t first, uint64_t n) {
+                for (uint64_t i = first; i < first + n; ++i) {
+                    token[i % 4] = i;
+                    ch.enqTimed(token, now);
+                    now = std::max(now, ch.headReadyTime());
+                    if (!ch.headReady(now) || ch.head() != token)
+                        ++wrong;
+                    ch.deq();
+                }
+            };
+            // Warm-up: every ring slot gets its payload buffer.
+            rounds(0, 64);
+            uint64_t n = allocationsIn([&] { rounds(64, 10000); });
+            EXPECT_EQ(wrong, 0u);
+            EXPECT_EQ(n, 0u);
         }
     }
 }

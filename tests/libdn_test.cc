@@ -62,44 +62,6 @@ TEST(Channel, TimedEnqueueAppliesSerializationAndLatency)
     EXPECT_EQ(ch.retransmitBufferSize(), 0u);
 }
 
-TEST(Channel, ReplayRingRedeliversAcrossWrapAndResize)
-{
-    // Deliver 20 tokens through an 8-entry replay ring (it wraps),
-    // rewind 5 deliveries, shrink the ring to 3 mid-replay, and
-    // re-deliver: the replay keeps every pending token in order and
-    // the ring then covers exactly the newest 3 deliveries.
-    TokenChannel ch("r", 64, 4);
-    ch.setReplayLogCapacity(8);
-    for (uint64_t i = 0; i < 20; ++i) {
-        ch.enq({i}, 0.0);
-        ch.deq();
-    }
-    std::string error;
-    EXPECT_FALSE(ch.canReplayFrom(11)); // 9 back: beyond the ring
-    ASSERT_TRUE(ch.replayFromLog(15, 15, error)) << error;
-    EXPECT_EQ(ch.size(), 5u);
-    ch.setReplayLogCapacity(3);
-    for (uint64_t i = 15; i < 20; ++i) {
-        ASSERT_TRUE(ch.headReady(0.0));
-        EXPECT_EQ(ch.head()[0], i);
-        ch.deq();
-    }
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.tokensRetired(), 20u);
-    EXPECT_EQ(ch.lastDeliveredSeq(), 20u);
-    EXPECT_TRUE(ch.canReplayFrom(17));
-    EXPECT_FALSE(ch.canReplayFrom(16));
-    // Live deliveries keep logging after the replay.
-    ch.enq({20}, 0.0);
-    ch.deq();
-    ASSERT_TRUE(ch.replayFromLog(18, 18, error)) << error;
-    for (uint64_t i = 18; i < 21; ++i) {
-        ASSERT_TRUE(ch.headReady(0.0));
-        EXPECT_EQ(ch.head()[0], i);
-        ch.deq();
-    }
-}
-
 TEST(Channel, SharedSerializerSerializesAcrossChannels)
 {
     auto ser = std::make_shared<libdn::LinkSerializer>();

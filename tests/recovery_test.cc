@@ -5,8 +5,8 @@
  * SnapshotStore commit protocol (torn writes, corrupted shards,
  * stale generations), whole-run snapshot/restore bit-exactness
  * across backends, worker counts and eval engines (including under
- * fault injection), the acquire/rollback recovery-point seam, and
- * single-partition restart with inbound-token replay.
+ * fault injection), resuming a snapshot an earlier build wrote, and
+ * the acquire/rollback recovery-point seam.
  *
  * The recurring assertion shape: an interrupted-and-recovered run
  * must be indistinguishable — per-cycle monitor observations and
@@ -32,6 +32,7 @@
 #include "recovery/snapshot.hh"
 #include "ripper/partition.hh"
 #include "rtlsim/engine.hh"
+#include "svc/jobrunner.hh"
 #include "target/bus_soc.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
@@ -73,9 +74,8 @@ threeWayPlan(const firrtl::Circuit &soc)
 
 /** Per-cycle observation map of one partition's full signal-table
  *  hash. A map (not a vector) so an interrupted run's suffix can be
- *  compared against a golden full run cycle-by-cycle, and so a
- *  re-executed cycle with a *different* value is caught even if
- *  monitor suppression were broken. */
+ *  compared against a golden full run cycle-by-cycle, and so a cycle
+ *  re-executed after a rollback with a *different* value is caught. */
 using CycleTrace = std::map<uint64_t, uint64_t>;
 
 libdn::Monitor
@@ -742,13 +742,40 @@ TEST(Restore, ExecShardSecondSlotIsIgnored)
     fs::remove_all(dir);
 }
 
+namespace {
+
+/** Replace field @p field (0-based, space-separated) of line @p line
+ *  (0-based) of @p text with @p value; returns the old field. */
+std::string
+replaceField(std::string &text, size_t line, size_t field,
+             const std::string &value)
+{
+    size_t at = 0;
+    for (size_t l = 0; l < line; ++l)
+        at = text.find('\n', at) + 1;
+    for (size_t f = 0; f < field; ++f)
+        at = text.find(' ', at) + 1;
+    size_t end = text.find_first_of(" \n", at);
+    std::string old = text.substr(at, end - at);
+    text.replace(at, end - at, value);
+    return old;
+}
+
+} // namespace
+
 TEST(Restore, ChannelStallSlotIsIgnored)
 {
-    // Every channel checkpoint's timing line ends with a slot that
-    // once held the stop-and-wait horizon of a retired epoch mode;
-    // it is written as 0 and older snapshots still carry it. Whatever
-    // it holds, here a far-future time on every channel of a depth-8
-    // faulty run, a resume must equal the uninterrupted run.
+    // Slots that retired features once filled are written as 0, and
+    // older snapshots still carry them:
+    //  - every channel checkpoint's timing line ends with the
+    //    stop-and-wait horizon of a retired epoch mode;
+    //  - its counter line holds single-partition restart's suppress
+    //    count and replay-log capacity;
+    //  - the executor shard holds that restart's enqueue, delivery
+    //    and last-delivered counts per channel.
+    // Whatever they hold, here a far-future time, a suppress count of
+    // 5, a 2^40-entry log and junk counts on every channel of a
+    // depth-8 faulty run, a resume must equal the uninterrupted run.
     auto soc = fourTileSoc();
     auto plan = threeWayPlan(soc);
     auto faults = transport::FaultConfig::uniform(2e-3, 42);
@@ -780,22 +807,43 @@ TEST(Restore, ChannelStallSlotIsIgnored)
                                               m.numChannels, rp, error))
             << error;
         ASSERT_GT(rp.channels.size(), 0u);
-        // Each channel block is a "fireaxe-chan 3" checkpoint whose
-        // fourth line is the link timing, ending with the retired
-        // slot.
+        // Each channel block is a "fireaxe-chan 3" checkpoint. Line 2
+        // is "enq deq pushes next_seq last_delivered suppress
+        // replay_cap failed faults_active"; line 3 is the link
+        // timing, ending with the stall slot.
         for (recovery::ChannelCut &cc : rp.channels) {
             std::string &block = cc.ckpt;
             ASSERT_EQ(block.rfind("fireaxe-chan 3\n", 0), 0u);
-            size_t at = 0;
-            for (int l = 0; l < 3; ++l)
-                at = block.find('\n', at) + 1;
-            size_t eol = block.find('\n', at);
-            size_t slot = block.rfind(' ', eol) + 1;
-            ASSERT_EQ(block.substr(slot, eol - slot), "0");
-            block.replace(slot, eol - slot,
-                          std::to_string(std::bit_cast<uint64_t>(1e300)));
+            ASSERT_EQ(replaceField(block, 2, 5, "5"), "0");
+            ASSERT_EQ(replaceField(block, 2, 6,
+                                   std::to_string(uint64_t(1) << 40)),
+                      "0");
+            ASSERT_EQ(replaceField(block, 3, 6,
+                                  std::to_string(
+                                      std::bit_cast<uint64_t>(1e300))),
+                      "0");
         }
-        shards.back() = recovery::encodeExecShard(rp);
+        // The shard text after its four header lines is, per channel,
+        // "<failed over> <enq> <deq> <last delivered>\n<length>\n"
+        // and the block.
+        std::string exec = recovery::encodeExecShard(rp);
+        size_t at = 0;
+        for (int l = 0; l < 4; ++l)
+            at = exec.find('\n', at) + 1;
+        for (size_t c = 0; c < rp.channels.size(); ++c) {
+            size_t slots = exec.find(' ', at) + 1;
+            size_t eol = exec.find('\n', at);
+            ASSERT_EQ(exec.substr(slots, eol - slots), "0 0 0");
+            std::string junk =
+                "18446744073709551615 7 " + std::to_string(c + 12345);
+            exec.replace(slots, eol - slots, junk);
+            at = slots + junk.size() + 1;
+            size_t len_end = exec.find('\n', at);
+            at = len_end + 1 +
+                 std::stoull(exec.substr(at, len_end - at));
+        }
+        ASSERT_EQ(at, exec.size());
+        shards.back() = exec;
         uint64_t bytes = 0;
         ASSERT_TRUE(store.commit(m, shards, bytes, error)) << error;
     }
@@ -826,6 +874,50 @@ TEST(Restore, ChannelStallSlotIsIgnored)
                   golden.signature);
     }
     fs::remove_all(dir);
+}
+
+TEST(Restore, CheckedInSnapshotResumesBitExactly)
+{
+    // tests/data/bussoc-d8-faults-c3000 was written by an earlier
+    // build, with `fireaxe-run --target bus-soc --batch-depth 8
+    // --fault-rate 1e-3 --seed 1 --cycles 3000 --snapshot-every 3000`.
+    // Its retired slots still hold that build's replay-log capacity
+    // and restart counts. Resumed to 6,000 cycles under either worker
+    // count, it must equal an uninterrupted run hashed from 3,000.
+    svc::JobSpec spec = testenv::jobSpec("bus-soc");
+    spec.batchDepth = 8;
+    spec.faultRate = 1e-3;
+    spec.seed = 1;
+    spec.cycles = 6000;
+    spec.hashFrom = 3000;
+    svc::RunOutcome golden = svc::runJob(spec);
+    ASSERT_TRUE(golden.ok) << golden.error;
+    EXPECT_GT(golden.result.retransmits, 0u);
+
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        std::string dir = tempDir();
+        fs::copy(FIREAXE_TEST_DATA_DIR "/bussoc-d8-faults-c3000", dir);
+        svc::JobSpec resume = spec;
+        resume.hashFrom = 0;
+        resume.backend = "parallel";
+        resume.workers = workers;
+        resume.snapshotDir = dir;
+        resume.resume = true;
+        svc::RunOutcome o = svc::runJob(resume);
+        ASSERT_TRUE(o.ok) << o.error;
+        EXPECT_EQ(o.exec.workers, workers);
+        EXPECT_EQ(o.restores, 1u);
+        EXPECT_EQ(o.resumeCycle, 3000u);
+        EXPECT_EQ(o.hashFrom, 3000u);
+        EXPECT_EQ(o.result.targetCycles, golden.result.targetCycles);
+        EXPECT_EQ(o.traceHash, golden.traceHash);
+        EXPECT_EQ(o.finalSig, golden.finalSig);
+        EXPECT_EQ(std::bit_cast<uint64_t>(o.result.hostTimeNs),
+                  std::bit_cast<uint64_t>(golden.result.hostTimeNs));
+        EXPECT_EQ(o.result.retransmits, golden.result.retransmits);
+        fs::remove_all(dir);
+    }
 }
 
 TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
@@ -1083,7 +1175,7 @@ TEST(Autosnapshot, PeriodicSnapshotsDoNotPerturbTheRun)
 }
 
 // ---------------------------------------------------------------
-// Recovery points: rollback and single-partition restart
+// Recovery points: rollback
 // ---------------------------------------------------------------
 
 TEST(RecoveryPoint, RollbackReplaysBitExactly)
@@ -1117,102 +1209,6 @@ TEST(RecoveryPoint, RollbackReplaysBitExactly)
     EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
               sig_first);
     EXPECT_EQ(trace.size(), first.size());
-}
-
-namespace {
-
-void
-restartScenario(const ExecConfig &exec)
-{
-    auto soc = fourTileSoc();
-    GoldenRun golden = goldenRun(soc, exec, 400);
-    ASSERT_FALSE(golden.result.deadlocked);
-
-    auto plan = threeWayPlan(soc);
-    MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
-                     transport::qsfpAurora());
-    sim.setExecConfig(exec);
-    CycleTrace trace0, trace1;
-    sim.setMonitor(0, recorder(trace0));
-    sim.setMonitor(1, recorder(trace1));
-
-    auto r1 = sim.run(150);
-    ASSERT_FALSE(r1.deadlocked);
-    recovery::RecoveryPoint rp = sim.acquireRecoveryPoint();
-    ASSERT_TRUE(rp.valid);
-
-    auto r2 = sim.run(250);
-    ASSERT_FALSE(r2.deadlocked);
-
-    // Partition 1 "crashes" at cycle ~250 and restarts from the
-    // cycle-150 cut; its inbound channels replay the deliveries made
-    // in between, its peers keep their state and naturally stall
-    // until it catches up.
-    std::string error;
-    ASSERT_TRUE(sim.restartPartition(1, rp, error)) << error;
-    EXPECT_EQ(sim.partitionRestarts(), 1u);
-    EXPECT_LE(sim.model(1).minTargetCycle(), 160u);
-
-    auto r3 = sim.run(400);
-    ASSERT_FALSE(r3.deadlocked);
-    settle(sim, 425);
-    EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
-              golden.signature);
-    // Monitor suppression: the re-executed cycles were already
-    // observed, so the trace has exactly the golden observations —
-    // no duplicates, no gaps, no divergence.
-    expectTraceSubset(golden.trace0, trace0);
-    expectTraceSubset(golden.trace1, trace1);
-    EXPECT_EQ(trace0.size(), golden.trace0.size());
-    EXPECT_EQ(trace1.size(), golden.trace1.size());
-}
-
-} // namespace
-
-TEST(RecoveryPoint, RestartPartitionSequential)
-{
-    restartScenario(testenv::execConfig());
-}
-
-TEST(RecoveryPoint, RestartPartitionParallel)
-{
-    restartScenario(testenv::execConfig(4));
-}
-
-TEST(RecoveryPoint, RestartPartitionCompiledEngine)
-{
-    ExecConfig exec = testenv::execConfig();
-    exec.evalEngine = rtlsim::EvalEngine::Compiled;
-    restartScenario(exec);
-}
-
-TEST(RecoveryPoint, RestartFailsCleanlyWhenReplayLogOutrun)
-{
-    auto soc = fourTileSoc();
-    auto plan = threeWayPlan(soc);
-    MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 50.0),
-                     transport::qsfpAurora());
-    ExecConfig exec = testenv::execConfig();
-    exec.replayLogDepth = 4; // far too shallow for 200 cycles
-    sim.setExecConfig(exec);
-
-    sim.run(100);
-    recovery::RecoveryPoint rp = sim.acquireRecoveryPoint();
-    sim.run(300);
-
-    std::string error;
-    EXPECT_FALSE(sim.restartPartition(1, rp, error));
-    EXPECT_NE(error.find("replay log"), std::string::npos) << error;
-    EXPECT_EQ(sim.partitionRestarts(), 0u);
-
-    // The failed restart touched nothing: the run continues to the
-    // same state as an undisturbed one.
-    GoldenRun golden = goldenRun(soc, testenv::execConfig(), 500);
-    auto r = sim.run(500);
-    ASSERT_FALSE(r.deadlocked);
-    settle(sim, 525);
-    EXPECT_EQ(stateSignature(sim, plan.partitions.size()),
-              golden.signature);
 }
 
 TEST(RecoveryPoint, RollbackAcrossFailoverReattachesTheLink)
