@@ -9,6 +9,30 @@
 
 namespace fireaxe::par {
 
+namespace {
+
+// A worker whose attempt fails retries kSpinRetries times with a CPU
+// relax hint, then kYieldRetries times after yielding its time slice,
+// and only then parks; the count restarts whenever its clock moves.
+// Parking costs a futex sleep and a wakeup per handoff, which on a
+// short-lookahead cut (several handoffs per target cycle) outweighs
+// the work between them. The yield stage is what lets a spinning
+// worker give way to a descheduled peer on an oversubscribed host.
+constexpr unsigned kSpinRetries = 16;
+constexpr unsigned kYieldRetries = 8;
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+} // namespace
+
 ParallelEngine::ParallelEngine(EngineConfig cfg, EngineHooks hooks,
                                std::vector<ChannelDesc> channels)
     : cfg_(std::move(cfg)), hooks_(std::move(hooks)),
@@ -49,10 +73,13 @@ ParallelEngine::ParallelEngine(EngineConfig cfg, EngineHooks hooks,
     clock_ = std::make_unique<std::atomic<double>[]>(size_t(nparts_));
     suspect_ =
         std::make_unique<std::atomic<bool>[]>(size_t(nparts_));
+    doneAt_ = std::make_unique<std::atomic<double>[]>(size_t(nparts_));
     for (int p = 0; p < nparts_; ++p) {
         double start = cfg_.startTickNs[size_t(p)];
         clock_[size_t(p)].store(start, std::memory_order_relaxed);
         suspect_[size_t(p)].store(false, std::memory_order_relaxed);
+        doneAt_[size_t(p)].store(Deadlines::kInf,
+                                 std::memory_order_relaxed);
         parts_[size_t(p)].nextTick = start;
         parts_[size_t(p)].lastProgress = start;
     }
@@ -65,6 +92,8 @@ ParallelEngine::gatesOpen(int p, double T, bool &saw_full) const
     // earlier edge, so only cross-worker channels are gated.
     const Part &me = parts_[size_t(p)];
     saw_full = false;
+    if (me.reached && !beforeEnd(p, T))
+        return false;
     for (const ChannelDesc *cd : me.crossIn) {
         // A visible token pins the head: nothing the producer does
         // later can change what this tick sees on the channel.
@@ -106,6 +135,25 @@ ParallelEngine::gatesOpen(int p, double T, bool &saw_full) const
         return false; // wait for the consumer to catch up
     }
     return true;
+}
+
+bool
+ParallelEngine::beforeEnd(int p, double T) const
+{
+    // The run ends at the last target-reaching tick. In (time,
+    // index) order that tick comes no earlier than any partition's
+    // own target-reaching tick, or its published clock while it has
+    // not reached the target; once all have, the latest of these is
+    // the end. Load the clock first: a new clock implies a visible
+    // doneAt_.
+    for (int q = 0; q < nparts_; ++q) {
+        double t = clock_[size_t(q)].load(std::memory_order_acquire);
+        t = std::min(t,
+                     doneAt_[size_t(q)].load(std::memory_order_relaxed));
+        if (before(T, p, t, q))
+            return true;
+    }
+    return false;
 }
 
 void
@@ -290,9 +338,11 @@ ParallelEngine::tryTick(int p)
 
     if (r.reachedTarget && !me.reached) {
         me.reached = true;
-        me.doneTime = T;
-        if (doneCount_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            nparts_) {
+        doneAt_[size_t(p)].store(T, std::memory_order_relaxed);
+        int reached = doneCount_.fetch_add(1, std::memory_order_acq_rel) + 1;
+        // A lone worker has ticked every edge before this one; several
+        // end one by one once each has (see workerMain).
+        if (reached == nparts_ && workers_ == 1) {
             std::unique_lock<std::mutex> lk(mtx_);
             finish(lk);
         }
@@ -442,6 +492,8 @@ ParallelEngine::workerMain(unsigned w)
 
     Rng jitter(cfg_.stressSeed ^
                (0x9E3779B97F4A7C15ULL * (uint64_t(w) + 1)));
+    unsigned misses = 0; // failed attempts since the clock last moved
+    bool ended = false;
 
     while (!done_.load(std::memory_order_acquire)) {
         if (pauseReq_.load(std::memory_order_acquire)) {
@@ -452,11 +504,15 @@ ParallelEngine::workerMain(unsigned w)
             }
             continue;
         }
+        if (ended) { // wait for the last worker to finish the run
+            parkUntil(wakeGen_.load(std::memory_order_acquire));
+            continue;
+        }
 
-        // Capture the wake generation BEFORE evaluating any gate: a
-        // publication racing with the attempt bumps the generation
-        // and turns the park below into a no-op instead of a lost
-        // wakeup.
+        // Capture the wake generation BEFORE evaluating any gate, on
+        // every retry: a publication racing with the attempt bumps
+        // the generation and turns the park below into a no-op
+        // instead of a lost wakeup.
         uint64_t gen = wakeGen_.load(std::memory_order_acquire);
         // Only the worker's earliest partition may tick, so the other
         // side of a same-worker channel has ticked every earlier edge.
@@ -473,6 +529,7 @@ ParallelEngine::workerMain(unsigned w)
             }
         }
         if (moved) {
+            misses = 0;
             // Only p's clock moved, and only forward: slide it back
             // into order.
             size_t k = 0;
@@ -481,7 +538,30 @@ ParallelEngine::workerMain(unsigned w)
             mine[k] = p;
         } else if (!done_.load(std::memory_order_acquire) &&
                    !pauseReq_.load(std::memory_order_acquire)) {
-            parkUntil(gen);
+            // Every partition reached the target and this worker's
+            // earliest one is past the last target-reaching tick:
+            // like a one-worker run, it ticks nothing after it.
+            if (doneCount_.load(std::memory_order_acquire) == nparts_ &&
+                !beforeEnd(p, parts_[size_t(p)].nextTick)) {
+                ended = true;
+                unsigned n =
+                    endedWorkers_.fetch_add(1, std::memory_order_acq_rel);
+                if (n + 1 == workers_) {
+                    std::unique_lock<std::mutex> lk(mtx_);
+                    finish(lk);
+                }
+                continue;
+            }
+            // Retry from the loop top, which also checks pauseReq_.
+            if (misses < kSpinRetries) {
+                cpuRelax();
+                ++misses;
+            } else if (misses < kSpinRetries + kYieldRetries) {
+                std::this_thread::yield();
+                ++misses;
+            } else {
+                parkUntil(gen);
+            }
         }
     }
 }
@@ -521,9 +601,10 @@ ParallelEngine::run()
     // nondecreasing host time there and the target-reaching tick of
     // the laggard partition is its last event.
     double ht = cfg_.startTimeNs;
-    for (const Part &part : parts_) {
-        if (part.reached)
-            ht = std::max(ht, part.doneTime);
+    for (int p = 0; p < nparts_; ++p) {
+        double done = doneAt_[size_t(p)].load(std::memory_order_relaxed);
+        if (std::isfinite(done))
+            ht = std::max(ht, done);
     }
     if (res.stopped)
         ht = std::max(ht, stopTimeNs_);

@@ -29,12 +29,24 @@
  *    channels enter concurrent mode, so a one-worker run has no pop
  *    log, gate or published-clock bound at all.
  *  - Workers self-pace dataflow-style, each taking its partitions
- *    earliest first: a partition whose gates fail parks on a
- *    condition variable and is woken by a generation counter that
- *    every clock publication bumps (one per tick, or one per run of
- *    skipped edges). The partition with the lexicographically
+ *    earliest first. A worker whose gates fail retries a fixed,
+ *    small number of times (first with a CPU relax hint, then after
+ *    yielding its time slice) and only then parks on a condition
+ *    variable, woken by a generation counter that every clock
+ *    publication bumps (one per tick, or one per run of skipped
+ *    edges); the retry count restarts whenever its clock moves.
+ *    Every attempt captures the generation before it reads a gate,
+ *    so no wakeup is lost. The partition with the lexicographically
  *    smallest (clock, index) can always proceed, so the pool never
  *    parks entirely before completion.
+ *  - A run ends where the reference order ends, at the last
+ *    target-reaching tick. A partition past the target ticks only
+ *    before, in (time, index) order, some other partition's clock
+ *    or target-reaching tick, and a worker stops only once its
+ *    earliest partition is past the end. Every partition has then
+ *    ticked exactly the edges a one-worker run ticks, so the state
+ *    a run() returns in (the cut an autosnapshot captures) does not
+ *    depend on the worker count or on thread timing.
  *  - Next-event time advance: a partition whose last tick made no
  *    progress (and found no cross-worker output full) is asleep. Its
  *    following ticks are certain to change nothing until an input
@@ -189,9 +201,9 @@ struct EngineHooks
 struct EngineConfig
 {
     /** Worker threads; 0 = min(partitions, hardware_concurrency).
-     *  Explicit values are honored beyond the core count (workers
-     *  park when idle, so oversubscription is benign). One worker
-     *  runs on the calling thread. */
+     *  Explicit values are honored beyond the core count: a waiting
+     *  worker yields before it parks, so a descheduled peer gets
+     *  the core back. One worker runs on the calling thread. */
     unsigned workers = 0;
     /** Per-partition logical no-progress window before the partition
      *  is suspected of deadlock (ns); <= 0 disables the watchdog. */
@@ -268,7 +280,6 @@ class ParallelEngine
         /** Same-worker outputs full when the partition fell asleep. */
         unsigned fullLocal = 0;
         bool reached = false;
-        double doneTime = 0.0;
 
         unsigned
         fullNow() const
@@ -305,6 +316,9 @@ class ParallelEngine
     /** Whether @p p may tick at @p T; @p saw_full: some cross-worker
      *  output is full at @p T. */
     bool gatesOpen(int p, double T, bool &saw_full) const;
+    /** Whether (@p T, @p p) comes before some partition's clock or
+     *  target-reaching tick, and so before the run's end. */
+    bool beforeEnd(int p, double T) const;
     void publish(int p, double next_tick);
     void parkUntil(uint64_t gen);
     void pausePark(std::unique_lock<std::mutex> &lk);
@@ -337,6 +351,11 @@ class ParallelEngine
     int pausedCount_ = 0; ///< guarded by mtx_
     std::unique_ptr<std::atomic<double>[]> clock_;
     std::unique_ptr<std::atomic<bool>[]> suspect_;
+    /** Host time of each partition's target-reaching tick; +inf
+     *  until it reached the target. */
+    std::unique_ptr<std::atomic<double>[]> doneAt_;
+    /** Workers past the last target-reaching tick. */
+    std::atomic<unsigned> endedWorkers_{0};
     std::atomic<int> suspectCount_{0};
     std::atomic<int> doneCount_{0};
     std::atomic<bool> deadlocked_{false};

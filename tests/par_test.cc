@@ -10,10 +10,12 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -221,6 +223,17 @@ finalStateSignature(MultiFpgaSim &sim, size_t nparts)
     return h;
 }
 
+double
+processCpuSeconds()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto secs = [](const timeval &tv) {
+        return double(tv.tv_sec) + double(tv.tv_usec) * 1e-6;
+    };
+    return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -352,7 +365,7 @@ TEST(ParFault, ChannelStreamsAreDeterministicAndIndependent)
 }
 
 // ---------------------------------------------------------------
-// Engine unit behaviour (no channels: gates always open)
+// Engine unit behaviour
 // ---------------------------------------------------------------
 
 TEST(ParEngine, FreeRunningPartitionsReachTargetAtMaxDoneTime)
@@ -404,6 +417,49 @@ TEST(ParEngine, StopRequestEndsAllPartitions)
     par::EngineResult res = engine.run();
     EXPECT_TRUE(res.stopped);
     EXPECT_FALSE(res.deadlocked);
+}
+
+TEST(ParEngine, WaitingWorkerParksWhenItsPeerIsSlow)
+{
+    // Partition 0 consumes from partition 1 over a 1 ns lookahead, so
+    // each of its 10 ns ticks waits for one of partition 1's, which
+    // take ~2 ms of wall time. A worker that retries without a bound
+    // burns a core for the whole run; one that parks costs almost
+    // nothing while it waits.
+    const int kTicks = 30;
+    libdn::TokenChannel chan("p1_to_p0", 64, 4);
+    par::EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.startTickNs = {0.0, 0.0};
+    std::vector<std::atomic<int>> ticks(2);
+    par::EngineHooks hooks;
+    hooks.onTick = [&](int p, double) {
+        int n = ticks[size_t(p)].fetch_add(1) + 1;
+        if (p == 1 && n <= kTicks)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        par::TickResult r;
+        r.nextDeltaNs = 10.0;
+        r.progressed = true;
+        r.reachedTarget = n >= kTicks;
+        return r;
+    };
+    par::ParallelEngine engine(cfg, hooks,
+                               {{&chan, 1, 0, /*lookaheadNs=*/1.0}});
+    ASSERT_EQ(engine.workerCount(), 2u);
+
+    double cpu0 = processCpuSeconds();
+    auto wall0 = std::chrono::steady_clock::now();
+    par::EngineResult res = engine.run();
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - wall0)
+                      .count();
+    double cpu = processCpuSeconds() - cpu0;
+
+    EXPECT_FALSE(res.deadlocked);
+    EXPECT_GE(ticks[0].load(), kTicks);
+    EXPECT_GE(wall, kTicks * 0.002);
+    EXPECT_LT(cpu, 0.5 * wall) << "cpu " << cpu << " s, wall " << wall
+                               << " s";
 }
 
 // ---------------------------------------------------------------
@@ -656,6 +712,38 @@ TEST(ParExec, ResumeContinuesBitExactly)
     for (size_t i = 0; i < n; ++i)
         ASSERT_EQ(trace[i], seq.trace[i])
             << "divergence at cycle " << i;
+}
+
+TEST(ParExec, RunBoundariesAreTheSameCutAtEveryWorkerCount)
+{
+    // big-core at depth 8 with one-token channels, so the
+    // cross-worker output-credit gate decides most handoffs. A run()
+    // boundary (where autosnapshots are taken) must leave every
+    // partition where a one-worker run does: a partition left behind
+    // another's pops would see them early in the next segment and
+    // fire early, which moves host time.
+    const svc::TargetInfo *t = svc::findTarget("big-core");
+    firrtl::Circuit circuit = t->build();
+    PartitionPlan plan = partition(circuit, t->spec(circuit));
+    for (auto &ch : plan.channels)
+        ch.capacity = 1;
+    auto segmented = [&](unsigned workers) {
+        MultiFpgaSim sim(plan, u250s(plan.partitions.size(), 100.0),
+                         transport::qsfpAurora());
+        ExecConfig exec = testenv::execConfig(workers);
+        exec.batchDepth = 8;
+        sim.setExecConfig(exec);
+        std::vector<double> host;
+        for (uint64_t cycles = 256; cycles <= 1024; cycles += 256) {
+            RunResult r = sim.run(cycles);
+            EXPECT_FALSE(r.deadlocked);
+            host.push_back(r.hostTimeNs);
+        }
+        return host;
+    };
+    std::vector<double> ref = segmented(1);
+    for (int rep = 0; rep < 3; ++rep)
+        EXPECT_EQ(segmented(2), ref) << "repeat " << rep;
 }
 
 TEST(ParExec, TokenStreamingStaysBitExactAcrossWorkers)
