@@ -19,6 +19,16 @@
  * tick counts check that idle edges are skipped, and the progress-line
  * counts that a one-worker run reports on the edges the
  * tick-every-edge order does.
+ *
+ * The oracle's own results on the shipped-target grid are pinned in
+ * tests/data/elision.golden, so a change that moves every run alike
+ * (the hash fold, say) fails too. A change that means to move a
+ * modelled result regenerates the file, one process, in place:
+ *
+ *   FIREAXE_UPDATE_GOLDEN=1 build/tests/elision_test \
+ *       --gtest_filter='ShippedTargets*'
+ *
+ * and the diff of the file is what review reads.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +38,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iomanip>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -280,7 +292,8 @@ describe(const Case &c)
     return os.str();
 }
 
-void
+/** Returns the oracle's results. */
+Observed
 checkAgainstOracle(const Case &c)
 {
     SCOPED_TRACE(describe(c));
@@ -294,6 +307,64 @@ checkAgainstOracle(const Case &c)
     expectSame(ref, two, false);
     EXPECT_EQ(two.result.transientStallEvents,
               one.result.transientStallEvents);
+    return ref;
+}
+
+const std::string kGolden = FIREAXE_TEST_DATA_DIR "/elision.golden";
+
+/** "target depth faults": what a golden line starts with. */
+std::string
+goldenKey(const Case &c)
+{
+    std::ostringstream os;
+    os << c.target << ' ' << c.depth << ' ' << c.faultRate;
+    return os.str();
+}
+
+/** The key, target cycles, then trace hash, final-state signature and
+ *  host time's bit pattern in hex, then retransmits. */
+std::string
+goldenLine(const Case &c, const Observed &o)
+{
+    std::ostringstream os;
+    os << goldenKey(c) << ' ' << o.result.targetCycles << std::hex
+       << std::setfill('0') << ' ' << std::setw(16) << o.traceHash
+       << ' ' << std::setw(16) << o.finalSig << ' ' << std::setw(16)
+       << std::bit_cast<uint64_t>(o.result.hostTimeNs) << std::dec
+       << ' ' << o.result.retransmits;
+    return os.str();
+}
+
+/** Diff @p got against its golden line; with FIREAXE_UPDATE_GOLDEN=1,
+ *  write it there instead. */
+void
+checkGolden(const Case &c, const Observed &got)
+{
+    SCOPED_TRACE(describe(c));
+    std::vector<std::string> lines;
+    std::ifstream in(kGolden);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    in.close();
+    const std::string key = goldenKey(c) + ' ';
+    auto at = std::find_if(lines.begin(), lines.end(),
+                           [&](const std::string &line) {
+                               return line.starts_with(key);
+                           });
+    if (!testenv::updateGolden()) {
+        ASSERT_NE(at, lines.end()) << "no '" << key << "' line in "
+                                   << kGolden;
+        EXPECT_EQ(goldenLine(c, got), *at) << "observed vs " << kGolden;
+        return;
+    }
+    if (at == lines.end())
+        lines.push_back(goldenLine(c, got));
+    else
+        *at = goldenLine(c, got);
+    std::ofstream out(kGolden, std::ios::trunc);
+    for (const std::string &line : lines)
+        out << line << '\n';
+    ASSERT_TRUE(out.flush()) << kGolden;
 }
 
 class ElisionOracle : public testing::TestWithParam<const char *>
@@ -346,8 +417,10 @@ expectTicksAtMostOneIn(const Observed &o, uint64_t every)
 TEST_P(ElisionOracle, EngineMatchesTickEveryEdge)
 {
     for (unsigned depth : {1u, 32u})
-        for (double rate : {0.0, 1e-3})
-            checkAgainstOracle({GetParam(), depth, rate});
+        for (double rate : {0.0, 1e-3}) {
+            Case c{GetParam(), depth, rate};
+            checkGolden(c, checkAgainstOracle(c));
+        }
 }
 
 INSTANTIATE_TEST_SUITE_P(ShippedTargets, ElisionOracle,

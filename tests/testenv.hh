@@ -10,7 +10,12 @@
  *   FIREAXE_BATCH_DEPTH=N      every partitioned run at depth N
  *
  * and must pass bit-for-bit either way. A test that sets its own
- * engine or depth overrides these, as before. A malformed value
+ * engine or depth overrides these, as before. One more variable is
+ * not a differential pass:
+ *
+ *   FIREAXE_UPDATE_GOLDEN=1    golden-file tests rewrite their file
+ *
+ * A malformed value
  * throws FatalError, so a mistyped variable fails the run instead of
  * silently testing the defaults.
  */
@@ -59,6 +64,18 @@ batchDepth()
         fatal("FIREAXE_BATCH_DEPTH needs an integer, got '", v, "'");
     unsigned depth = unsigned(std::stoul(v));
     return depth ? depth : 1;
+}
+
+/** FIREAXE_UPDATE_GOLDEN=1: a golden-file test writes what it
+ *  observed into its file instead of diffing against it; fatal()
+ *  on any other value. */
+inline bool
+updateGolden()
+{
+    std::string v = value("FIREAXE_UPDATE_GOLDEN");
+    if (!v.empty() && v != "1")
+        fatal("FIREAXE_UPDATE_GOLDEN needs 1, got '", v, "'");
+    return v == "1";
 }
 
 /** ExecConfig with @p workers workers, evalEngine() and
