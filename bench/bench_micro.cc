@@ -52,8 +52,7 @@
 
 #include "sweep_common.hh"
 
-#include "recovery/snapshot.hh"
-
+#include "base/fnv1a.hh"
 #include "obs/telemetry.hh"
 #include "passes/flatten.hh"
 #include "platform/executor.hh"
@@ -261,12 +260,12 @@ runWorkerSweep(const std::vector<unsigned> &worker_counts,
 uint64_t
 finalStateSignature(platform::MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.minTargetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+            h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
     return h;
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fnv1a.hh"
 #include "base/logging.hh"
 #include "obs/json.hh"
 #include "obs/runid.hh"
@@ -367,10 +368,10 @@ runEvalEngineMeasurement(const firrtl::Circuit &flat,
                            : 0.0;
     point.nodesEvaluated = sim.nodesEvaluated();
     point.nodesSkipped = sim.nodesSkipped();
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvBasis;
     for (size_t i = 0; i < sim.numSignals(); ++i) {
         h ^= sim.peekIdx(int(i));
-        h *= 1099511628211ull;
+        h *= kFnvPrime;
     }
     point.signature = h;
     return point;

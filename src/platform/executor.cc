@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "analyze/batching.hh"
+#include "base/fnv1a.hh"
 #include "base/logging.hh"
 #include "par/engine.hh"
 #include "passes/flatten.hh"
@@ -22,9 +23,9 @@ using ripper::PartitionMode;
 uint64_t
 designContentHash(const ripper::PartitionPlan &plan)
 {
-    uint64_t h = recovery::fnv1a("fireaxe-design");
+    uint64_t h = fnv1a("fireaxe-design");
     for (const auto &circuit : plan.partitions)
-        h = recovery::fnv1aMix(h, recovery::hashCircuit(circuit));
+        h = fnv1aMix(h, recovery::hashCircuit(circuit));
     return h;
 }
 
@@ -42,13 +43,13 @@ planStructureHash(const ripper::PartitionPlan &plan)
         os << ch.name << " " << ch.srcPart << " " << ch.dstPart
            << " " << ch.widthBits << " " << ch.capacity << " "
            << ch.maxBatchDepth << "\n";
-    return recovery::fnv1a(os.str());
+    return fnv1a(os.str());
 }
 
 uint64_t
 contentHash(const ripper::PartitionPlan &plan)
 {
-    return recovery::fnv1aMix(designContentHash(plan),
+    return fnv1aMix(designContentHash(plan),
                               planStructureHash(plan));
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "base/fnv1a.hh"
 #include "firrtl/printer.hh"
 #include "libdn/channel.hh"
 #include "libdn/model.hh"

@@ -42,11 +42,6 @@
 
 namespace fireaxe::recovery {
 
-/** FNV-1a over raw bytes (content addressing for design/plan). */
-uint64_t fnv1a(const std::string &bytes);
-/** Fold one more 64-bit value into a running FNV-1a hash. */
-uint64_t fnv1aMix(uint64_t h, uint64_t v);
-
 /** One shard file of a committed generation. */
 struct ShardInfo
 {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "base/fnv1a.hh"
 #include "platform/fpga.hh"
-#include "recovery/snapshot.hh"
 #include "rtlsim/engine.hh"
 #include "svc/targets.hh"
 #include "transport/fault.hh"
@@ -22,8 +22,6 @@ elapsedNs(std::chrono::steady_clock::time_point t0)
                std::chrono::steady_clock::now() - t0)
         .count();
 }
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 
 } // namespace
 
@@ -174,7 +172,7 @@ JobRunner::execute(std::ostream *stream_sink)
         // owning thread). Cycles below hashFrom stay excluded
         // symmetrically in resumed and golden runs.
         outcome_.hashFrom = spec_.hashFrom;
-        traceHash_.assign(nparts, kFnvOffset);
+        traceHash_.assign(nparts, kFnvBasis);
         for (size_t p = 0; p < nparts; ++p) {
             sim_->setMonitor(
                 int(p), [this, p](rtlsim::Simulator &s,
@@ -182,10 +180,10 @@ JobRunner::execute(std::ostream *stream_sink)
                     if (cycle < outcome_.hashFrom)
                         return;
                     uint64_t h = traceHash_[p];
-                    h = recovery::fnv1aMix(h, cycle);
-                    h = recovery::fnv1aMix(h, thread);
+                    h = fnv1aMix(h, cycle);
+                    h = fnv1aMix(h, thread);
                     for (size_t i = 0; i < s.numSignals(); ++i)
-                        h = recovery::fnv1aMix(h, s.peekIdx(int(i)));
+                        h = fnv1aMix(h, s.peekIdx(int(i)));
                     traceHash_[p] = h;
                 });
         }
@@ -252,18 +250,18 @@ JobRunner::execute(std::ostream *stream_sink)
                 outcome_.error = "drain snapshot failed: " + error;
         }
 
-        uint64_t trace = kFnvOffset;
+        uint64_t trace = kFnvBasis;
         for (size_t p = 0; p < nparts; ++p)
-            trace = recovery::fnv1aMix(trace, traceHash_[p]);
+            trace = fnv1aMix(trace, traceHash_[p]);
         outcome_.traceHash = trace;
 
-        uint64_t final_sig = kFnvOffset;
+        uint64_t final_sig = kFnvBasis;
         for (size_t p = 0; p < nparts; ++p) {
             const auto &m = sim_->model(int(p));
             final_sig =
-                recovery::fnv1aMix(final_sig, m.minTargetCycle());
+                fnv1aMix(final_sig, m.minTargetCycle());
             for (size_t i = 0; i < m.sim().numSignals(); ++i)
-                final_sig = recovery::fnv1aMix(
+                final_sig = fnv1aMix(
                     final_sig, m.sim().peekIdx(int(i)));
         }
         outcome_.finalSig = final_sig;

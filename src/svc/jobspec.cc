@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "recovery/snapshot.hh"
+#include "base/fnv1a.hh"
 #include "svc/targets.hh"
 
 namespace fireaxe::svc {
@@ -35,10 +35,10 @@ JobSpec::validate() const
 uint64_t
 JobSpec::elabSignature() const
 {
-    uint64_t h = recovery::fnv1a("fireaxe-elab");
-    h = recovery::fnv1aMix(h, recovery::fnv1a(target));
-    h = recovery::fnv1aMix(h, recovery::fnv1a(mode));
-    h = recovery::fnv1aMix(h, uint64_t(int64_t(channelCapacity)));
+    uint64_t h = fnv1a("fireaxe-elab");
+    h = fnv1aMix(h, fnv1a(target));
+    h = fnv1aMix(h, fnv1a(mode));
+    h = fnv1aMix(h, uint64_t(int64_t(channelCapacity)));
     return h;
 }
 

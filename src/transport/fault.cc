@@ -1,20 +1,18 @@
 #include "transport/fault.hh"
 
+#include "base/fnv1a.hh"
+
 namespace fireaxe::transport {
 
 namespace {
 
-/** FNV-1a over the channel name, so each channel gets a stable,
- *  order-independent stream. */
+/** FNV-1a of a channel name, so each channel gets a stable,
+ *  order-independent stream. It starts from the standard basis, not
+ *  kFnvBasis: that value seeds every fault draw. */
 uint64_t
-fnv1a(const std::string &s)
+nameHash(const std::string &s)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return fnv1a(s, 0xcbf29ce484222325ULL);
 }
 
 } // namespace
@@ -22,7 +20,7 @@ fnv1a(const std::string &s)
 Rng
 FaultModel::channelRng(const std::string &channel_name) const
 {
-    return Rng(cfg_.seed ^ fnv1a(channel_name));
+    return Rng(cfg_.seed ^ nameHash(channel_name));
 }
 
 Rng
@@ -31,8 +29,8 @@ FaultModel::channelRng(const std::string &channel_name,
 {
     // Chain the hashes instead of hashing the concatenation so that
     // ("ab","c") and ("a","bc") land on different streams.
-    uint64_t h = fnv1a(channel_name);
-    h = h * 0x100000001b3ULL ^ fnv1a(stream);
+    uint64_t h = nameHash(channel_name);
+    h = h * kFnvPrime ^ nameHash(stream);
     return Rng(cfg_.seed ^ h);
 }
 

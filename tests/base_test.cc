@@ -13,6 +13,7 @@
 
 #include "base/bits.hh"
 #include "base/crc32.hh"
+#include "base/fnv1a.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "base/stats.hh"
@@ -272,5 +273,77 @@ TEST(Crc32, MatchesBitwiseReference)
         }
         ASSERT_EQ(crc32Bytes(bytes.data(), cut), ~ref)
             << cut << " bytes, trial " << trial;
+    }
+}
+
+namespace {
+
+/** Reference fnv1aMix: one xor-multiply step for each of the eight
+ *  little-endian bytes of @p v. */
+uint64_t
+byteLoopMix(uint64_t h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= kFnvPrime;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(Fnv1a, KnownAnswers)
+{
+    EXPECT_EQ(fnv1a(""), kFnvBasis);
+    // The published FNV-1a 64 vectors, from the standard basis.
+    EXPECT_EQ(fnv1a("", 0xcbf29ce484222325ull), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a", 0xcbf29ce484222325ull), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a("foobar", 0xcbf29ce484222325ull),
+              0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a, MixMatchesByteLoopOnEdgeValues)
+{
+    std::vector<uint64_t> values{0, ~0ull};
+    for (int k = 0; k < 64; ++k)
+        values.push_back(1ull << k);
+    for (int k = 1; k < 8; ++k) {
+        values.push_back((1ull << (8 * k)) - 1);
+        values.push_back(1ull << (8 * k));
+    }
+    const uint64_t starts[] = {kFnvBasis, 0, ~0ull, 0x0123456789abcdefull};
+    for (uint64_t h : starts)
+        for (uint64_t v : values)
+            ASSERT_EQ(fnv1aMix(h, v), byteLoopMix(h, v))
+                << std::hex << "h " << h << " v " << v;
+}
+
+TEST(Fnv1a, MixMatchesByteLoopOnRandomWidths)
+{
+    Rng rng(0xF1A5);
+    for (int trial = 0; trial < 100000; ++trial) {
+        unsigned width = unsigned(rng.below(65));
+        uint64_t v = width == 64 ? rng.next()
+                                 : rng.next() & ((1ull << width) - 1);
+        uint64_t h = rng.next();
+        ASSERT_EQ(fnv1aMix(h, v), byteLoopMix(h, v))
+            << std::hex << "h " << h << " v " << v;
+    }
+}
+
+TEST(Fnv1a, ChainedMixMatchesByteLoop)
+{
+    Rng rng(0xC4A1);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<uint64_t> values(trial % 37);
+        for (auto &v : values)
+            v = rng.next() >> rng.below(64);
+        uint64_t got = kFnvBasis, want = kFnvBasis;
+        for (uint64_t v : values) {
+            got = fnv1aMix(got, v);
+            want = byteLoopMix(want, v);
+        }
+        ASSERT_EQ(got, want) << values.size() << " values, trial "
+                             << trial;
     }
 }

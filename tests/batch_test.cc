@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "analyze/batching.hh"
+#include "base/fnv1a.hh"
 #include "firrtl/builder.hh"
 #include "libdn/channel.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
-#include "recovery/snapshot.hh"
 #include "ripper/partition.hh"
 #include "rtlsim/engine.hh"
 #include "target/paper_examples.hh"
@@ -227,12 +227,12 @@ statusRecorder(std::vector<uint64_t> &out)
 uint64_t
 stateSignature(MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.minTargetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+            h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
     return h;
 }

@@ -46,10 +46,10 @@
 #include <string>
 #include <vector>
 
+#include "base/fnv1a.hh"
 #include "firrtl/builder.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
-#include "recovery/snapshot.hh"
 #include "ripper/partition.hh"
 #include "svc/targets.hh"
 #include "transport/fault.hh"
@@ -61,7 +61,6 @@ using namespace fireaxe::platform;
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kCycles = 1024;
 
 struct Case
@@ -84,8 +83,8 @@ struct Run
 struct Observed
 {
     RunResult result;
-    uint64_t traceHash = kFnvOffset;
-    uint64_t finalSig = kFnvOffset;
+    uint64_t traceHash = kFnvBasis;
+    uint64_t finalSig = kFnvBasis;
     std::vector<uint64_t> waitTicks;
     std::vector<uint64_t> hostCycles;
     std::vector<double> fmr;
@@ -119,16 +118,16 @@ struct Setup
         if (c.faultRate > 0.0)
             sim->setFaultModel(transport::FaultConfig::uniform(
                 c.faultRate, 0xE11DEULL));
-        partHash.assign(nparts, kFnvOffset);
+        partHash.assign(nparts, kFnvBasis);
         for (size_t p = 0; p < nparts; ++p) {
             sim->setMonitor(int(p), [this, p](rtlsim::Simulator &s,
                                               unsigned thread,
                                               uint64_t cycle) {
                 uint64_t h = partHash[p];
-                h = recovery::fnv1aMix(h, cycle);
-                h = recovery::fnv1aMix(h, thread);
+                h = fnv1aMix(h, cycle);
+                h = fnv1aMix(h, thread);
                 for (size_t i = 0; i < s.numSignals(); ++i)
-                    h = recovery::fnv1aMix(h, s.peekIdx(int(i)));
+                    h = fnv1aMix(h, s.peekIdx(int(i)));
                 partHash[p] = h;
             });
         }
@@ -150,12 +149,12 @@ struct Setup
     fold(Observed &out) const
     {
         for (size_t p = 0; p < partHash.size(); ++p) {
-            out.traceHash = recovery::fnv1aMix(out.traceHash, partHash[p]);
+            out.traceHash = fnv1aMix(out.traceHash, partHash[p]);
             const auto &m = sim->model(int(p));
-            out.finalSig = recovery::fnv1aMix(out.finalSig,
+            out.finalSig = fnv1aMix(out.finalSig,
                                               m.minTargetCycle());
             for (size_t i = 0; i < m.sim().numSignals(); ++i)
-                out.finalSig = recovery::fnv1aMix(out.finalSig,
+                out.finalSig = fnv1aMix(out.finalSig,
                                                   m.sim().peekIdx(int(i)));
             out.ticks.push_back(m.ticks());
         }

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fnv1a.hh"
 #include "firrtl/builder.hh"
 #include "passes/flatten.hh"
 #include "platform/executor.hh"
@@ -338,12 +339,8 @@ uint64_t
 traceHash(const std::vector<uint64_t> &trace)
 {
     uint64_t h = 0xcbf29ce484222325ull;
-    for (uint64_t v : trace) {
-        for (int b = 0; b < 64; b += 8) {
-            h ^= (v >> b) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
+    for (uint64_t v : trace)
+        h = fnv1aMix(h, v);
     return h;
 }
 

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/fnv1a.hh"
 #include "firrtl/builder.hh"
 #include "obs/jsonparse.hh"
 #include "obs/metrics.hh"
@@ -33,7 +34,6 @@
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
 #include "ripper/partition.hh"
-#include "recovery/snapshot.hh"
 #include "svc/targets.hh"
 #include "target/bus_soc.hh"
 #include "transport/fault.hh"
@@ -141,10 +141,10 @@ runBigCore(const ExecConfig &base, uint64_t cycles)
     for (size_t p = 0; p < nparts; ++p) {
         sim.setMonitor(int(p), [&run, p](rtlsim::Simulator &s,
                                          unsigned, uint64_t cycle) {
-            uint64_t h = recovery::fnv1aMix(1469598103934665603ull,
+            uint64_t h = fnv1aMix(kFnvBasis,
                                             cycle);
             for (size_t i = 0; i < s.numSignals(); ++i)
-                h = recovery::fnv1aMix(h, s.peekIdx(int(i)));
+                h = fnv1aMix(h, s.peekIdx(int(i)));
             run.cycleHashes[p].push_back(h);
         });
     }
@@ -213,12 +213,12 @@ settle(MultiFpgaSim &sim, uint64_t cycles)
 uint64_t
 finalStateSignature(MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.minTargetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+            h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
     return h;
 }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fnv1a.hh"
 #include "libdn/channel.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
@@ -83,10 +84,10 @@ recorder(CycleTrace &out)
 {
     return [&out](rtlsim::Simulator &sim, unsigned thread,
                   uint64_t cycle) {
-        uint64_t v = recovery::fnv1aMix(1469598103934665603ull,
+        uint64_t v = fnv1aMix(kFnvBasis,
                                         thread);
         for (size_t i = 0; i < sim.numSignals(); ++i)
-            v = recovery::fnv1aMix(v, sim.peekIdx(int(i)));
+            v = fnv1aMix(v, sim.peekIdx(int(i)));
         auto it = out.find(cycle);
         if (it != out.end()) {
             ASSERT_EQ(it->second, v)
@@ -102,12 +103,12 @@ recorder(CycleTrace &out)
 uint64_t
 stateSignature(MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.minTargetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+            h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
     return h;
 }

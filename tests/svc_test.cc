@@ -26,11 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "base/fnv1a.hh"
 #include "obs/json.hh"
 #include "obs/jsonparse.hh"
 #include "platform/executor.hh"
 #include "platform/fpga.hh"
-#include "recovery/snapshot.hh"
 #include "svc/cache.hh"
 #include "svc/jobrunner.hh"
 #include "svc/jobspec.hh"
@@ -79,12 +79,12 @@ submitLine(const svc::JobSpec &spec)
 uint64_t
 finalStateSignature(platform::MultiFpgaSim &sim, size_t nparts)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = recovery::fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.minTargetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
-            h = recovery::fnv1aMix(h, m.sim().peekIdx(int(i)));
+            h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
     return h;
 }
