@@ -275,6 +275,17 @@ ParallelEngine::skipIdle(int p)
     // step over those without the per-edge tests; the repeated `+=`
     // keeps each edge bit-identical to a tick-by-tick loop.
     double sure = std::min(std::min(floor_t, bound), due.floorNs());
+    // Integer edges below 2^52 (any period of a whole number of ns):
+    // jump all but the last edge or two at once. Every partial sum is
+    // an integer below 2^53, so each `+=` would have been exact and
+    // e + k * step lands on the same edge.
+    if (sure < 0x1p52 && e == std::floor(e) && step == std::floor(step)) {
+        double k = std::floor((sure - e) / step) - 1.0;
+        if (k > 0.0) {
+            e += k * step;
+            n += uint64_t(k);
+        }
+    }
     while (e < sure) {
         e += step;
         ++n;
