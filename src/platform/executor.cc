@@ -49,8 +49,7 @@ planStructureHash(const ripper::PartitionPlan &plan)
 uint64_t
 contentHash(const ripper::PartitionPlan &plan)
 {
-    return fnv1aMix(designContentHash(plan),
-                              planStructureHash(plan));
+    return fnv1aMix(designContentHash(plan), planStructureHash(plan));
 }
 
 MultiFpgaSim::MultiFpgaSim(const ripper::PartitionPlan &plan,

@@ -258,11 +258,9 @@ JobRunner::execute(std::ostream *stream_sink)
         uint64_t final_sig = kFnvBasis;
         for (size_t p = 0; p < nparts; ++p) {
             const auto &m = sim_->model(int(p));
-            final_sig =
-                fnv1aMix(final_sig, m.minTargetCycle());
+            final_sig = fnv1aMix(final_sig, m.minTargetCycle());
             for (size_t i = 0; i < m.sim().numSignals(); ++i)
-                final_sig = fnv1aMix(
-                    final_sig, m.sim().peekIdx(int(i)));
+                final_sig = fnv1aMix(final_sig, m.sim().peekIdx(int(i)));
         }
         outcome_.finalSig = final_sig;
 

@@ -151,11 +151,10 @@ struct Setup
         for (size_t p = 0; p < partHash.size(); ++p) {
             out.traceHash = fnv1aMix(out.traceHash, partHash[p]);
             const auto &m = sim->model(int(p));
-            out.finalSig = fnv1aMix(out.finalSig,
-                                              m.minTargetCycle());
+            out.finalSig = fnv1aMix(out.finalSig, m.minTargetCycle());
             for (size_t i = 0; i < m.sim().numSignals(); ++i)
-                out.finalSig = fnv1aMix(out.finalSig,
-                                                  m.sim().peekIdx(int(i)));
+                out.finalSig =
+                    fnv1aMix(out.finalSig, m.sim().peekIdx(int(i)));
             out.ticks.push_back(m.ticks());
         }
     }

@@ -141,8 +141,7 @@ runBigCore(const ExecConfig &base, uint64_t cycles)
     for (size_t p = 0; p < nparts; ++p) {
         sim.setMonitor(int(p), [&run, p](rtlsim::Simulator &s,
                                          unsigned, uint64_t cycle) {
-            uint64_t h = fnv1aMix(kFnvBasis,
-                                            cycle);
+            uint64_t h = fnv1aMix(kFnvBasis, cycle);
             for (size_t i = 0; i < s.numSignals(); ++i)
                 h = fnv1aMix(h, s.peekIdx(int(i)));
             run.cycleHashes[p].push_back(h);

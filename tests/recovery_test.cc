@@ -84,8 +84,7 @@ recorder(CycleTrace &out)
 {
     return [&out](rtlsim::Simulator &sim, unsigned thread,
                   uint64_t cycle) {
-        uint64_t v = fnv1aMix(kFnvBasis,
-                                        thread);
+        uint64_t v = fnv1aMix(kFnvBasis, thread);
         for (size_t i = 0; i < sim.numSignals(); ++i)
             v = fnv1aMix(v, sim.peekIdx(int(i)));
         auto it = out.find(cycle);
