@@ -13,8 +13,10 @@
  * final-state signature and retransmits, and for one worker the
  * per-partition host-cycle, wait-tick and FMR telemetry too (see
  * expectSame); the two-worker run must also count the one-worker
- * run's transient stalls. An autosnapshot-chunked run must equal an
- * unchunked one, since chunk boundaries are quiesce points. The
+ * run's transient stalls. Two targets repeat that at a host period
+ * that is not a whole number of nanoseconds, where the walk may not
+ * jump its edges in one multiply. An autosnapshot-chunked run must
+ * equal an unchunked one, since chunk boundaries are quiesce points. The
  * deadlock test derives the watchdog edge from first principles. The
  * tick counts check that idle edges are skipped, and the progress-line
  * counts that a one-worker run reports on the edges the
@@ -70,6 +72,8 @@ struct Case
     double faultRate = 0.0;
     /** Every channel's token capacity; 0 keeps the planned one. */
     size_t capacity = 0;
+    /** Every FPGA's host clock. */
+    double mhz = 100.0;
 };
 
 struct Run
@@ -96,7 +100,6 @@ struct Observed
  *  on every partition that folds its signals into a trace hash. */
 struct Setup
 {
-    static constexpr double kMhz = 100.0;
     ripper::PartitionPlan plan;
     std::unique_ptr<MultiFpgaSim> sim;
     std::vector<uint64_t> partHash;
@@ -112,7 +115,7 @@ struct Setup
                 ch.capacity = c.capacity;
         size_t nparts = plan.partitions.size();
         sim = std::make_unique<MultiFpgaSim>(
-            plan, std::vector<FpgaSpec>(nparts, alveoU250(kMhz)),
+            plan, std::vector<FpgaSpec>(nparts, alveoU250(c.mhz)),
             transport::qsfpAurora());
         sim->setVerifyPolicy(VerifyPolicy::Off);
         if (c.faultRate > 0.0)
@@ -207,7 +210,7 @@ tickEveryEdge(const Case &c)
     s.sim->init();
     size_t nparts = s.plan.partitions.size();
     std::vector<double> next(nparts, 0.0);
-    double period = alveoU250(Setup::kMhz).hostPeriodNs();
+    double period = alveoU250(c.mhz).hostPeriodNs();
     Observed out;
     out.hostCycles.assign(nparts, 0);
     out.waitTicks.assign(nparts, 0);
@@ -287,6 +290,8 @@ describe(const Case &c)
     os << c.target << " depth " << c.depth << " faults " << c.faultRate;
     if (c.capacity)
         os << " capacity " << c.capacity;
+    if (c.mhz != 100.0)
+        os << " at " << c.mhz << " MHz";
     return os.str();
 }
 
@@ -432,6 +437,15 @@ TEST(Elision, FullOutputsMatchTickEveryEdge)
     // must not sleep past the consumer's pop.
     for (const char *target : {"bus-soc", "big-core"})
         checkAgainstOracle({target, 1, 0.0, 1});
+}
+
+TEST(Elision, FractionalPeriodMatchesTickEveryEdge)
+{
+    // At 73 MHz an edge is not a whole number of nanoseconds, so the
+    // walk must step edge by edge: e + k * step would round
+    // differently from k repeated additions.
+    for (const char *target : {"fig2", "bus-soc"})
+        checkAgainstOracle({target, 1, 0.0, 0, 73.0});
 }
 
 TEST(Elision, AutosnapshotChunksMatchUnchunkedRun)
