@@ -108,7 +108,8 @@ evalExpr(const ExprPtr &e,
         if (!hi.isConst() || !lo.isConst() || e->width == 0)
             return ConstValue::top();
         return ConstValue::of(truncate(
-            (hi.value << e->args[1]->width) | lo.value, e->width));
+            rtlsim::applyCat(hi.value, lo.value, e->args[1]->width),
+            e->width));
       }
     }
     return ConstValue::top();

@@ -82,7 +82,7 @@ LIBDNModel::defineOutputChannel(const ChannelSpec &spec)
     outPortIdx_.push_back(std::move(idx));
     for (auto &th : threads_) {
         th.outChans.resize(outSpecs_.size());
-        th.fired.resize(outSpecs_.size(), false);
+        th.fired.resize(outSpecs_.size(), 0);
     }
     return int(outSpecs_.size()) - 1;
 }
@@ -252,7 +252,7 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         // host cycle.
         if (!th.outChans[c]->tryEnqTimed(th.outToken, now))
             continue;
-        th.fired[c] = true;
+        th.fired[c] = 1;
         ++fires_;
         progress = true;
     }
@@ -262,7 +262,7 @@ LIBDNModel::threadTick(ThreadState &th, double now)
     bool all_in = std::all_of(in_avail, in_avail + num_in,
                               [](uint8_t b) { return b != 0; });
     bool all_fired = std::all_of(th.fired.begin(), th.fired.end(),
-                                 [](bool b) { return b; });
+                                 [](uint8_t b) { return b != 0; });
     if (all_in && all_fired) {
         if (monitor_)
             monitor_(*sim_, thread_id, th.cycle);
@@ -271,7 +271,7 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         sim_->step();
         ++th.cycle;
         ++advances_;
-        std::fill(th.fired.begin(), th.fired.end(), false);
+        std::fill(th.fired.begin(), th.fired.end(), 0);
         th.situationValid = false;
         progress = true;
         if (numThreads_ > 1)
@@ -338,8 +338,8 @@ LIBDNModel::saveFsm(std::ostream &os) const
        << advances_ << "\n";
     for (const ThreadState &th : threads_) {
         os << th.cycle << " " << th.fired.size();
-        for (bool f : th.fired)
-            os << " " << (f ? 1 : 0);
+        for (uint8_t f : th.fired)
+            os << " " << int(f);
         os << "\n";
         os << th.seq.regValues.size();
         for (uint64_t v : th.seq.regValues)
@@ -380,7 +380,7 @@ LIBDNModel::tryLoadFsm(std::istream &is, std::string &error)
     struct ThreadCkpt
     {
         uint64_t cycle = 0;
-        std::vector<bool> fired;
+        std::vector<uint8_t> fired;
         rtlsim::SeqState seq;
     };
     // Every length must match this partition's own state shape before

@@ -206,7 +206,8 @@ class LIBDNModel
         rtlsim::SeqState seq;
         std::vector<ChannelPtr> inChans;
         std::vector<ChannelPtr> outChans;
-        std::vector<bool> fired;
+        /** One byte per output channel: fired this target cycle. */
+        std::vector<uint8_t> fired;
         uint64_t cycle = 0;
         // Situation signature for cheap no-change detection: one
         // byte per input (head visible) then per output (could

@@ -1,7 +1,8 @@
 #include "rtlsim/compiled.hh"
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <numeric>
 
 #include "base/logging.hh"
 #include "rtlsim/ops.hh"
@@ -27,33 +28,62 @@ using CNode = CompiledProgram::CNode;
 
 namespace {
 
-/** Evaluate a fused instruction over pool-only operands (constant
- *  folding at compile time — no live signal table exists yet). */
-uint64_t
-execConstInstr(const Instr &in, const std::vector<uint64_t> &consts)
+static_assert(int(firrtl::BinOpKind::Shr) + 1 == Instr::UnBase);
+static_assert(Instr::UnBase + int(firrtl::UnOpKind::XorR) + 1 ==
+              Instr::Mux);
+
+uint32_t
+makeRef(CompiledProgram::Bank bank, size_t index)
 {
-    auto load = [&](int32_t ref) {
-        FIREAXE_ASSERT(ref < 0, "const fold over a live signal");
-        return consts[~ref];
-    };
+    FIREAXE_ASSERT(index <= CompiledProgram::kIndexMask);
+    return uint32_t(bank) << CompiledProgram::kBankShift |
+           uint32_t(index);
+}
+
+/** Load operand @p ref through the bank table (signals, constant
+ *  pool, temporaries). */
+inline uint64_t
+at(const uint64_t *const *bank, uint32_t ref)
+{
+    return bank[ref >> CompiledProgram::kBankShift]
+               [ref & CompiledProgram::kIndexMask];
+}
+
+/** Execute one instruction: a single switch on the operator, each
+ *  case calling ops.hh with a constant kind. */
+inline uint64_t
+exec(const Instr &in, const uint64_t *const *bank)
+{
+    using B = firrtl::BinOpKind;
+    using U = firrtl::UnOpKind;
+    const uint64_t a = at(bank, in.a), b = at(bank, in.b);
+    uint64_t r = 0;
     switch (in.op) {
-      case Instr::Push:
-        return load(in.a);
-      case Instr::UnF:
-        return evalUnOp(in.un, load(in.a), in.opw, in.width);
-      case Instr::BinF:
-        return evalBinOp(in.bin, load(in.a), load(in.b), in.width);
-      case Instr::MuxF:
-        return truncate(load(in.a) ? load(in.b) : load(in.c),
-                        in.width);
-      case Instr::BitsF:
-        return extractBits(load(in.a), in.hi, in.lo);
-      case Instr::CatF:
-        return truncate((load(in.a) << in.lowWidth) | load(in.b),
-                        in.width);
-      default:
-        panic("execConstInstr on stack-form opcode");
+      case int(B::Add): r = applyBinOp(B::Add, a, b); break;
+      case int(B::Sub): r = applyBinOp(B::Sub, a, b); break;
+      case int(B::Mul): r = applyBinOp(B::Mul, a, b); break;
+      case int(B::Div): r = applyBinOp(B::Div, a, b); break;
+      case int(B::Rem): r = applyBinOp(B::Rem, a, b); break;
+      case int(B::And): r = applyBinOp(B::And, a, b); break;
+      case int(B::Or):  r = applyBinOp(B::Or, a, b); break;
+      case int(B::Xor): r = applyBinOp(B::Xor, a, b); break;
+      case int(B::Eq):  r = applyBinOp(B::Eq, a, b); break;
+      case int(B::Neq): r = applyBinOp(B::Neq, a, b); break;
+      case int(B::Lt):  r = applyBinOp(B::Lt, a, b); break;
+      case int(B::Leq): r = applyBinOp(B::Leq, a, b); break;
+      case int(B::Gt):  r = applyBinOp(B::Gt, a, b); break;
+      case int(B::Geq): r = applyBinOp(B::Geq, a, b); break;
+      case int(B::Shl): r = applyBinOp(B::Shl, a, b); break;
+      case int(B::Shr): r = applyBinOp(B::Shr, a, b); break;
+      case Instr::UnBase + int(U::Not):  r = applyUnOp(U::Not, a, b); break;
+      case Instr::UnBase + int(U::AndR): r = applyUnOp(U::AndR, a, b); break;
+      case Instr::UnBase + int(U::OrR):  r = applyUnOp(U::OrR, a, b); break;
+      case Instr::UnBase + int(U::XorR): r = applyUnOp(U::XorR, a, b); break;
+      case Instr::Mux: r = applyMux(a, b, at(bank, in.c)); break;
+      case Instr::Bits: r = applyBits(a, in.shift); break;
+      case Instr::Cat: r = applyCat(a, b, in.shift); break;
     }
+    return r & in.mask;
 }
 
 } // namespace
@@ -66,171 +96,140 @@ struct ProgramBuilder
     const Simulator &sim;
     CompiledProgram prog;
 
-    int32_t
+    uint32_t
     constRef(uint64_t value)
     {
         // The pool is small; linear dedup keeps construction simple.
-        for (size_t i = 0; i < prog.consts.size(); ++i)
-            if (prog.consts[i] == value)
-                return ~int32_t(i);
-        prog.consts.push_back(value);
-        return ~int32_t(prog.consts.size() - 1);
+        size_t i = std::find(prog.consts.begin(), prog.consts.end(),
+                             value) -
+                   prog.consts.begin();
+        if (i == prog.consts.size())
+            prog.consts.push_back(value);
+        return makeRef(CompiledProgram::Const, i);
     }
 
-    void compileNode(int n);
-    void buildReaderTable();
-    void buildLevels();
+    void compileNode(const Simulator::EvalNode &node, CNode &cn);
+    void buildReaderTable(const std::vector<int> &order);
+    std::vector<int> levelOrder() const;
     void build();
 };
 
 void
-ProgramBuilder::compileNode(int n)
+ProgramBuilder::compileNode(const Simulator::EvalNode &node, CNode &cn)
 {
-    const auto &ops = sim.nodes_[n].expr.ops;
     using POp = Simulator::POp;
-
-    // Emit into a per-node scratch list with tail fusion: a consumer
-    // op whose operands are the immediately preceding leaf pushes is
-    // collapsed into one fused instruction.
-    std::vector<Instr> out;
-    out.reserve(ops.size());
-    auto leaf = [&](size_t back) -> const Instr * {
-        if (out.size() < back)
-            return nullptr;
-        const Instr &in = out[out.size() - back];
-        return in.op == Instr::Push ? &in : nullptr;
-    };
-    auto fold = [&](Instr in) {
-        // Constant-fold fused instructions over pool-only operands.
-        bool all_const = in.a < 0 &&
-                         (in.op == Instr::UnF || in.op == Instr::BitsF ||
-                                  in.b < 0) &&
-                         (in.op != Instr::MuxF || in.c < 0);
-        if (all_const && in.op != Instr::Push) {
-            Instr lit;
-            lit.op = Instr::Push;
-            lit.width = in.width;
-            lit.a = constRef(execConstInstr(in, prog.consts));
-            return lit;
-        }
-        return in;
+    auto is_const = [](uint32_t ref) {
+        return ref >> CompiledProgram::kBankShift ==
+               CompiledProgram::Const;
     };
 
-    for (const POp &op : ops) {
+    // Leaves push refs on a compile-time operand stack; each operator
+    // pops its operands and pushes the ref of its result.
+    std::vector<uint32_t> refs;
+    auto pop = [&refs] {
+        FIREAXE_ASSERT(!refs.empty(), "postfix stack underflow");
+        uint32_t ref = refs.back();
+        refs.pop_back();
+        return ref;
+    };
+    cn.start = uint32_t(prog.code.size());
+    for (const POp &op : node.expr.ops) {
         Instr in;
-        in.width = op.width;
+        in.mask = bitMask(op.width);
         switch (op.kind) {
           case POp::PushLit:
-            in.op = Instr::Push;
-            in.a = constRef(op.lit);
-            out.push_back(in);
-            break;
+            refs.push_back(constRef(op.lit));
+            continue;
           case POp::PushSig:
-            in.op = Instr::Push;
-            in.a = op.sig;
-            out.push_back(in);
-            break;
+            refs.push_back(makeRef(CompiledProgram::Sig, op.sig));
+            continue;
           case POp::Un:
-            in.un = op.un;
-            in.opw = op.lo; // operand width (interpreter convention)
-            if (const Instr *a = leaf(1)) {
-                in.op = Instr::UnF;
-                in.a = a->a;
-                out.pop_back();
-                out.push_back(fold(in));
-            } else {
-                in.op = Instr::Un;
-                out.push_back(in);
-            }
+            in.op = uint8_t(Instr::UnBase + int(op.un));
+            // op.lo carries the operand width (interpreter
+            // convention).
+            in.b = constRef(bitMask(op.lo));
+            in.a = pop();
             break;
-          case POp::Bin: {
-            in.bin = op.bin;
-            const Instr *b = leaf(1);
-            const Instr *a = b ? leaf(2) : nullptr;
-            if (a && b) {
-                in.op = Instr::BinF;
-                in.a = a->a;
-                in.b = b->a;
-                out.pop_back();
-                out.pop_back();
-                out.push_back(fold(in));
-            } else if (b && out.size() >= 2) {
-                in.op = Instr::BinXR;
-                in.b = b->a;
-                out.pop_back();
-                out.push_back(in);
-            } else {
-                in.op = Instr::Bin;
-                out.push_back(in);
-            }
+          case POp::Bin:
+            in.op = uint8_t(op.bin);
+            in.b = pop();
+            in.a = pop();
             break;
-          }
-          case POp::Mux: {
-            const Instr *f = leaf(1);
-            const Instr *t = f ? leaf(2) : nullptr;
-            const Instr *s = t ? leaf(3) : nullptr;
-            if (s && t && f) {
-                in.op = Instr::MuxF;
-                in.a = s->a;
-                in.b = t->a;
-                in.c = f->a;
-                out.pop_back();
-                out.pop_back();
-                out.pop_back();
-                out.push_back(fold(in));
-            } else {
-                in.op = Instr::Mux;
-                out.push_back(in);
-            }
+          case POp::Mux:
+            in.op = Instr::Mux;
+            in.c = pop();
+            in.b = pop();
+            in.a = pop();
             break;
-          }
           case POp::Bits:
-            in.hi = op.hi;
-            in.lo = op.lo;
-            if (const Instr *a = leaf(1)) {
-                in.op = Instr::BitsF;
-                in.a = a->a;
-                out.pop_back();
-                out.push_back(fold(in));
-            } else {
-                in.op = Instr::Bits;
-                out.push_back(in);
-            }
+            FIREAXE_ASSERT(op.hi >= op.lo && op.hi < maxBitWidth,
+                           "hi=", op.hi, " lo=", op.lo);
+            in.op = Instr::Bits;
+            in.shift = uint8_t(op.lo);
+            in.mask = bitMask(op.hi - op.lo + 1);
+            in.a = pop();
             break;
-          case POp::Cat: {
-            in.lowWidth = op.lowWidth;
-            const Instr *b = leaf(1);
-            const Instr *a = b ? leaf(2) : nullptr;
-            if (a && b) {
-                in.op = Instr::CatF;
-                in.a = a->a;
-                in.b = b->a;
-                out.pop_back();
-                out.pop_back();
-                out.push_back(fold(in));
-            } else {
-                in.op = Instr::Cat;
-                out.push_back(in);
-            }
+          case POp::Cat:
+            in.op = Instr::Cat;
+            in.shift = uint8_t(op.lowWidth);
+            in.b = pop();
+            in.a = pop();
             break;
-          }
+        }
+        if (is_const(in.a) && is_const(in.b) && is_const(in.c)) {
+            // Fold into the pool: exec() reads only the pool here.
+            const uint64_t *const pool[] = {nullptr, prog.consts.data(),
+                                            nullptr};
+            refs.push_back(constRef(exec(in, pool)));
+        } else {
+            refs.push_back(makeRef(CompiledProgram::Temp,
+                                   prog.code.size() - cn.start));
+            prog.code.push_back(in);
         }
     }
+    FIREAXE_ASSERT(refs.size() == 1, "postfix stack imbalance");
+    cn.result = refs.back();
+    cn.end = uint32_t(prog.code.size());
+    prog.numTemps = std::max(prog.numTemps, cn.end - cn.start);
+}
 
-    prog.cnodes[n].start = uint32_t(prog.code.size());
-    prog.code.insert(prog.code.end(), out.begin(), out.end());
-    prog.cnodes[n].end = uint32_t(prog.code.size());
+std::vector<int>
+ProgramBuilder::levelOrder() const
+{
+    // Levelized rank (longest producer chain), walked in the existing
+    // topo order so producers are ranked before their consumers. A
+    // stable sort by rank puts every reader strictly above each of
+    // its producers, which is what lets evalComb() make one ascending
+    // sweep.
+    const auto &nodes = sim.nodes_;
+    std::vector<int> producer(sim.signals_.size(), -1);
+    for (size_t n = 0; n < nodes.size(); ++n)
+        if (nodes[n].kind != Simulator::NodeKind::RegNext)
+            producer[nodes[n].lhs] = int(n);
+    std::vector<uint32_t> level(nodes.size(), 0);
+    for (int n : sim.evalOrder_) {
+        for (int sig : nodes[n].readSigs) {
+            int p = producer[sig];
+            if (p >= 0 && p != n)
+                level[n] = std::max(level[n], level[p] + 1);
+        }
+    }
+    std::vector<int> order(nodes.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int x, int y) { return level[x] < level[y]; });
+    return order;
 }
 
 void
-ProgramBuilder::buildReaderTable()
+ProgramBuilder::buildReaderTable(const std::vector<int> &order)
 {
     // Deduplicate each node's read set, then lay the signal→reader
-    // lists out in one CSR pair.
-    std::vector<std::vector<int>> reads(prog.cnodes.size());
+    // lists out in one CSR pair over program positions.
+    std::vector<std::vector<int>> reads(order.size());
     std::vector<uint32_t> counts(sim.signals_.size() + 1, 0);
-    for (size_t n = 0; n < prog.cnodes.size(); ++n) {
-        reads[n] = sim.nodes_[n].readSigs;
+    for (size_t n = 0; n < order.size(); ++n) {
+        reads[n] = sim.nodes_[order[n]].readSigs;
         std::sort(reads[n].begin(), reads[n].end());
         reads[n].erase(std::unique(reads[n].begin(), reads[n].end()),
                        reads[n].end());
@@ -243,30 +242,9 @@ ProgramBuilder::buildReaderTable()
     prog.sigReaders.resize(prog.sigReadersOff.back());
     std::vector<uint32_t> fill(prog.sigReadersOff.begin(),
                                prog.sigReadersOff.end() - 1);
-    for (size_t n = 0; n < prog.cnodes.size(); ++n)
+    for (size_t n = 0; n < order.size(); ++n)
         for (int sig : reads[n])
             prog.sigReaders[fill[sig]++] = int32_t(n);
-}
-
-void
-ProgramBuilder::buildLevels()
-{
-    // Longest producer chain, walked in the existing topo order so
-    // producers are ranked before their consumers. Readers always
-    // land at a strictly higher level than any of their producers,
-    // which is what lets evalComb() make a single ascending sweep.
-    uint32_t max_level = 0;
-    for (int n : sim.evalOrder_) {
-        uint32_t lvl = 0;
-        for (int sig : sim.nodes_[n].readSigs) {
-            int32_t p = prog.producer[sig];
-            if (p >= 0 && p != n)
-                lvl = std::max(lvl, prog.cnodes[p].level + 1);
-        }
-        prog.cnodes[n].level = lvl;
-        max_level = std::max(max_level, lvl);
-    }
-    prog.numLevels = max_level + 1;
 }
 
 void
@@ -279,17 +257,19 @@ ProgramBuilder::build()
     prog.numSignals = sim.signals_.size();
     prog.numMems = sim.mems_.size();
     prog.numNodes = num_nodes;
+    constRef(0); // kZeroRef
 
+    const std::vector<int> order = levelOrder();
     for (size_t n = 0; n < num_nodes; ++n) {
-        const auto &node = sim.nodes_[n];
+        const auto &node = sim.nodes_[order[n]];
         CNode &cn = prog.cnodes[n];
         cn.lhs = node.lhs;
-        cn.width = node.lhsWidth;
+        cn.mask = bitMask(node.lhsWidth);
         switch (node.kind) {
           case Simulator::NodeKind::CombAssign:
             cn.kind = CNode::Comb;
             prog.producer[node.lhs] = int32_t(n);
-            compileNode(int(n));
+            compileNode(node, cn);
             break;
           case Simulator::NodeKind::MemRead:
             cn.kind = CNode::MemRead;
@@ -300,13 +280,11 @@ ProgramBuilder::build()
           case Simulator::NodeKind::RegNext:
             cn.kind = CNode::RegNext;
             cn.regSlot = sim.regNextSlot_.at(node.lhs);
-            compileNode(int(n));
+            compileNode(node, cn);
             break;
         }
     }
-
-    buildReaderTable();
-    buildLevels();
+    buildReaderTable(order);
 }
 
 std::shared_ptr<const CompiledProgram>
@@ -341,18 +319,9 @@ CompiledEngine::CompiledEngine(
     if (!prog_)
         prog_ = compileProgram(sim_);
 
-    dirty_.assign(prog_->cnodes.size(), 0);
-    levelQueue_.assign(prog_->numLevels, {});
+    dirty_.assign((prog_->cnodes.size() + 63) / 64, 0);
+    temps_.assign(prog_->numTemps, 0);
     markAll();
-}
-
-void
-CompiledEngine::markNode(int n)
-{
-    if (!dirty_[n]) {
-        dirty_[n] = 1;
-        levelQueue_[prog_->cnodes[n].level].push_back(int32_t(n));
-    }
 }
 
 void
@@ -384,152 +353,67 @@ CompiledEngine::onMemWrite(int mem)
 void
 CompiledEngine::markAll()
 {
-    for (size_t n = 0; n < prog_->cnodes.size(); ++n)
-        markNode(int(n));
+    std::fill(dirty_.begin(), dirty_.end(), ~uint64_t(0));
+    if (size_t tail = prog_->cnodes.size() % 64)
+        dirty_.back() = bitMask(unsigned(tail));
 }
 
 uint64_t
-CompiledEngine::load(int32_t ref) const
+CompiledEngine::execNode(const CNode &cn, const uint64_t *const *bank)
 {
-    return ref >= 0 ? sim_.values_[ref] : prog_->consts[~ref];
-}
-
-uint64_t
-CompiledEngine::execInstr(const CompiledProgram::Instr &in) const
-{
-    switch (in.op) {
-      case Instr::Push:
-        return load(in.a);
-      case Instr::UnF:
-        return evalUnOp(in.un, load(in.a), in.opw, in.width);
-      case Instr::BinF:
-        return evalBinOp(in.bin, load(in.a), load(in.b), in.width);
-      case Instr::MuxF:
-        return truncate(load(in.a) ? load(in.b) : load(in.c),
-                        in.width);
-      case Instr::BitsF:
-        return extractBits(load(in.a), in.hi, in.lo);
-      case Instr::CatF:
-        return truncate((load(in.a) << in.lowWidth) | load(in.b),
-                        in.width);
-      default:
-        panic("execInstr on stack-form opcode");
-    }
-}
-
-uint64_t
-CompiledEngine::execNode(const CompiledProgram::CNode &cn) const
-{
-    // Fused single-instruction nodes (the common case after fusion)
-    // bypass the stack entirely.
-    if (cn.end - cn.start == 1)
-        return execInstr(prog_->code[cn.start]);
-
-    auto &st = stack_;
-    st.clear();
-    for (uint32_t i = cn.start; i < cn.end; ++i) {
-        const Instr &in = prog_->code[i];
-        switch (in.op) {
-          case Instr::Push:
-          case Instr::UnF:
-          case Instr::BinF:
-          case Instr::MuxF:
-          case Instr::BitsF:
-          case Instr::CatF:
-            st.push_back(execInstr(in));
-            break;
-          case Instr::BinXR: {
-            uint64_t a = st.back();
-            st.pop_back();
-            st.push_back(evalBinOp(in.bin, a, load(in.b), in.width));
-            break;
-          }
-          case Instr::Un: {
-            uint64_t a = st.back();
-            st.pop_back();
-            st.push_back(evalUnOp(in.un, a, in.opw, in.width));
-            break;
-          }
-          case Instr::Bin: {
-            uint64_t b = st.back();
-            st.pop_back();
-            uint64_t a = st.back();
-            st.pop_back();
-            st.push_back(evalBinOp(in.bin, a, b, in.width));
-            break;
-          }
-          case Instr::Mux: {
-            uint64_t f = st.back();
-            st.pop_back();
-            uint64_t t = st.back();
-            st.pop_back();
-            uint64_t s = st.back();
-            st.pop_back();
-            st.push_back(truncate(s ? t : f, in.width));
-            break;
-          }
-          case Instr::Bits: {
-            uint64_t a = st.back();
-            st.pop_back();
-            st.push_back(extractBits(a, in.hi, in.lo));
-            break;
-          }
-          case Instr::Cat: {
-            uint64_t lo = st.back();
-            st.pop_back();
-            uint64_t hi = st.back();
-            st.pop_back();
-            st.push_back(truncate((hi << in.lowWidth) | lo,
-                                  in.width));
-            break;
-          }
-        }
-    }
-    FIREAXE_ASSERT(st.size() == 1, "compiled stack imbalance");
-    return st.back();
+    if (cn.start == cn.end)
+        return at(bank, cn.result);
+    // Instruction k of the node writes temporary k; the last one is
+    // the node's result.
+    uint64_t v = 0;
+    uint64_t *t = temps_.data();
+    for (uint32_t i = cn.start; i < cn.end; ++i)
+        *t++ = v = exec(prog_->code[i], bank);
+    return v;
 }
 
 void
 CompiledEngine::evalComb()
 {
+    const CompiledProgram &p = *prog_;
+    uint64_t *values = sim_.values_.data();
+    const uint64_t *const bank[] = {values, p.consts.data(),
+                                    temps_.data()};
     uint64_t evaluated = 0;
-    for (auto &queue : levelQueue_) {
-        // Evaluating a node only marks strictly-higher levels, so an
-        // index loop over the current queue is stable.
-        for (size_t i = 0; i < queue.size(); ++i) {
-            int n = queue[i];
-            const CNode &cn = prog_->cnodes[n];
-            dirty_[n] = 0;
+    for (size_t w = 0; w < dirty_.size(); ++w) {
+        // Evaluating a node marks only nodes above it, possibly in
+        // this same word, so re-read the word after every node.
+        while (uint64_t bits = dirty_[w]) {
+            dirty_[w] = bits & (bits - 1);
+            const CNode &cn = p.cnodes[w * 64 + std::countr_zero(bits)];
             ++evaluated;
             switch (cn.kind) {
               case CNode::Comb: {
-                uint64_t v = truncate(execNode(cn), cn.width);
-                if (sim_.values_[cn.lhs] != v) {
-                    sim_.values_[cn.lhs] = v;
+                uint64_t v = execNode(cn, bank) & cn.mask;
+                if (values[cn.lhs] != v) {
+                    values[cn.lhs] = v;
                     markReaders(cn.lhs);
                 }
                 break;
               }
               case CNode::MemRead: {
                 const auto &mi = sim_.mems_[cn.mem];
-                uint64_t addr = sim_.values_[mi.raddr] % mi.depth;
+                uint64_t addr = values[mi.raddr] % mi.depth;
                 uint64_t v = sim_.memData_[cn.mem][addr];
-                if (sim_.values_[cn.lhs] != v) {
-                    sim_.values_[cn.lhs] = v;
+                if (values[cn.lhs] != v) {
+                    values[cn.lhs] = v;
                     markReaders(cn.lhs);
                 }
                 break;
               }
               case CNode::RegNext:
-                sim_.regNext_[cn.regSlot] =
-                    truncate(execNode(cn), cn.width);
+                sim_.regNext_[cn.regSlot] = execNode(cn, bank) & cn.mask;
                 break;
             }
         }
-        queue.clear();
     }
     nodesEvaluated_ += evaluated;
-    nodesSkipped_ += prog_->cnodes.size() - evaluated;
+    nodesSkipped_ += p.cnodes.size() - evaluated;
 }
 
 } // namespace fireaxe::rtlsim

@@ -4,37 +4,43 @@
  * Compiled).
  *
  * Construction performs a one-shot compilation of every EvalNode's
- * postfix program into a single contiguous bytecode buffer:
+ * postfix program into register-form (three-address) bytecode:
  *
- *  - every leaf operand (signal or literal) becomes an operand
- *    reference — non-negative refs index the simulator's live value
- *    table, negative refs index a deduplicated constant pool — so
- *    fused instructions handle signal and literal operands
- *    uniformly;
- *  - common shapes are fused into single instructions (binop over
- *    two leaves, binop with the left operand on the stack, mux over
- *    three leaves, bit-extract / unary / cat over leaves);
- *  - anything else falls back to the generic stack forms, so the
- *    engine evaluates arbitrary expressions.
+ *  - leaf operands (signals, literals) emit nothing; they become
+ *    32-bit operand refs whose top two bits name a bank — the
+ *    simulator's live value table, a deduplicated constant pool, or
+ *    the engine's per-node temporaries;
+ *  - each operator emits one `t[k] = op(a, b, c) & mask`, where k is
+ *    the instruction's position within its node and the mask of the
+ *    result width is precomputed; the opcode is the operator itself
+ *    (16 binops, 4 unops, Mux, Bits, Cat), so an instruction costs
+ *    one switch;
+ *  - an operator whose operands are all constants is folded into the
+ *    pool at compile time, so all-literal subtrees emit nothing;
+ *  - a node's value is a single result ref.
+ *
+ * Operator semantics come from rtlsim/ops.hh, shared with the
+ * interpreter, so the two engines are bit-exact by construction.
  *
  * The product of that compilation is a CompiledProgram: an immutable
  * value derived solely from the flat circuit (bytecode, per-node
- * records, constant pool, signal→reader CSR table, producer maps,
- * levelized ranks). Because it holds no live state, a program is
- * shareable: any number of Simulator instances constructed from the
- * same flat circuit can evaluate through one shared program — this
- * is the content-addressed compiled artifact the service cache
- * (src/svc) stores so a repeat submission of a known design skips
- * the compile entirely.
+ * records, constant pool, signal→reader CSR table, producer maps).
+ * Because it holds no live state, a program is shareable: any number
+ * of Simulator instances constructed from the same flat circuit can
+ * evaluate through one shared program — this is the
+ * content-addressed compiled artifact the service cache (src/svc)
+ * stores so a repeat submission of a known design skips the compile
+ * entirely.
  *
- * Evaluation is driven by activity gating. The program's CSR table
- * maps every signal to the nodes that read it; each node carries a
- * dirty bit (per engine instance) and a levelized rank (longest
- * producer chain). evalComb() drains per-level dirty queues in
- * ascending level order: re-evaluating a node whose output changed
- * marks its readers dirty, which always live at a strictly higher
- * level, so one sweep suffices. A cycle in which nothing changed
- * evaluates nothing.
+ * Evaluation is driven by activity gating. The program lays its
+ * nodes out in ascending levelized rank (longest producer chain), so
+ * every reader sits at a higher position than each of its producers.
+ * The engine keeps one dirty bit per node in that order; evalComb()
+ * sweeps the bit words upwards with count-trailing-zeros. Evaluating
+ * a node whose output changed marks its readers, which always lie
+ * above the sweep point, and the sweep re-reads the current word
+ * after every node, so one pass suffices. A cycle in which nothing
+ * changed evaluates nothing.
  *
  * Dirty sources are the simulator's mutation points: pokes that
  * change a value (also re-marking the producing node, so poking a
@@ -66,48 +72,48 @@ class Simulator;
  */
 struct CompiledProgram
 {
-    /** One bytecode instruction. Operand refs @c a/b/c: >= 0 is a
-     *  live-signal index, < 0 is ~index into the constant pool. */
+    /** Operand ref: bank in the top two bits, index below. */
+    enum Bank : uint32_t { Sig, Const, Temp };
+    static constexpr unsigned kBankShift = 30;
+    static constexpr uint32_t kIndexMask = (1u << kBankShift) - 1;
+    /** Pool slot 0 holds 0; unused operands point there. */
+    static constexpr uint32_t kZeroRef = uint32_t(Const) << kBankShift;
+
+    /** One register-form instruction, `t[k] = op(a, b, c) & mask`
+     *  with k its position within the node. */
     struct Instr
     {
+        /** Opcodes 0-15 are firrtl::BinOpKind, 16-19 are UnOpKind
+         *  (operand b is then the operand-width mask), then: */
         enum Op : uint8_t {
-            Push,  ///< push operand a
-            UnF,   ///< fused unary on operand a
-            BinF,  ///< fused binop over operands a, b
-            BinXR, ///< binop: left from stack, right = operand b
-            MuxF,  ///< fused mux: sel a, tval b, fval c
-            BitsF, ///< fused bit-extract of operand a
-            CatF,  ///< fused cat of operands a (high), b (low)
-            Un,    ///< stack unary
-            Bin,   ///< stack binop
-            Mux,   ///< stack mux
-            Bits,  ///< stack bit-extract
-            Cat,   ///< stack cat
-        } op;
-        firrtl::UnOpKind un = firrtl::UnOpKind::Not;
-        firrtl::BinOpKind bin = firrtl::BinOpKind::Add;
-        unsigned width = 0;     ///< result width
-        unsigned opw = 0;       ///< unary operand width
-        unsigned hi = 0, lo = 0;
-        unsigned lowWidth = 0;  ///< cat low-half width
-        int32_t a = 0, b = 0, c = 0;
+            UnBase = 16,
+            Mux = 20, ///< a ? b : c
+            Bits,     ///< a >> shift
+            Cat,      ///< a << shift | b
+        };
+        uint8_t op = 0;
+        uint8_t shift = 0; ///< Bits: low bit; Cat: low-half width
+        uint32_t a = kZeroRef, b = kZeroRef, c = kZeroRef;
+        uint64_t mask = 0; ///< result-width mask
     };
 
-    /** Per-node execution record, indexed like Simulator::nodes_. */
+    /** Per-node execution record, in ascending levelized rank. */
     struct CNode
     {
         enum Kind : uint8_t { Comb, MemRead, RegNext } kind;
         uint32_t start = 0, end = 0; ///< bytecode range
+        uint32_t result = 0;         ///< ref of the node's value
         int lhs = -1;                ///< destination signal
         int mem = -1;                ///< MemRead: memory index
         int regSlot = -1;            ///< RegNext: regNext_ slot
-        unsigned width = 0;          ///< destination width
-        uint32_t level = 0;          ///< levelized rank
+        uint64_t mask = 0;           ///< destination-width mask
     };
 
     std::vector<Instr> code;
     std::vector<CNode> cnodes;
     std::vector<uint64_t> consts;
+    /** Temporaries a node needs at most (its instruction count). */
+    uint32_t numTemps = 0;
     /** Signal → reading nodes, CSR layout. */
     std::vector<uint32_t> sigReadersOff;
     std::vector<int32_t> sigReaders;
@@ -116,8 +122,6 @@ struct CompiledProgram
     std::vector<int32_t> producer;
     /** Memory index → its MemRead node. */
     std::vector<int32_t> memNode;
-    /** Number of distinct levelized ranks (max level + 1). */
-    uint32_t numLevels = 1;
 
     /** Shape fingerprint of the simulator the program was compiled
      *  from — a precompiled program is only adopted when it matches
@@ -152,7 +156,7 @@ class CompiledEngine
         return prog_;
     }
 
-    /** Evaluate all dirty nodes in levelized order. */
+    /** Evaluate all dirty nodes in one ascending sweep. */
     void evalComb();
 
     /** A signal's value changed outside evalComb (poke, register
@@ -170,19 +174,20 @@ class CompiledEngine
     uint64_t nodesSkipped() const { return nodesSkipped_; }
 
   private:
-    void markNode(int n);
+    void markNode(int n)
+    {
+        dirty_[n >> 6] |= uint64_t(1) << (n & 63);
+    }
     void markReaders(int sig);
-    uint64_t load(int32_t ref) const;
-    uint64_t execInstr(const CompiledProgram::Instr &in) const;
-    uint64_t execNode(const CompiledProgram::CNode &cn) const;
+    uint64_t execNode(const CompiledProgram::CNode &cn,
+                      const uint64_t *const *bank);
 
     Simulator &sim_;
     std::shared_ptr<const CompiledProgram> prog_;
     // Mutable evaluation state, per engine instance (the program
     // itself is shared and read-only).
-    std::vector<uint8_t> dirty_;
-    std::vector<std::vector<int32_t>> levelQueue_;
-    mutable std::vector<uint64_t> stack_;
+    std::vector<uint64_t> dirty_; ///< one bit per node, program order
+    std::vector<uint64_t> temps_;
     uint64_t nodesEvaluated_ = 0;
     uint64_t nodesSkipped_ = 0;
 };

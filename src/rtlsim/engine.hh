@@ -7,12 +7,11 @@
  *  - Interpret — the original postfix interpreter: every cycle walks
  *    the full topological order and re-evaluates every node on a
  *    value stack. Simple, and the semantic reference.
- *  - Compiled  — a one-shot compiler that linearizes all node
- *    programs into a single contiguous bytecode buffer with fused
- *    common patterns, driven by activity gating: per-node dirty bits
- *    fed by a signal→reader adjacency table, so a cycle only
- *    evaluates nodes whose read set actually changed, in levelized
- *    order.
+ *  - Compiled  — a one-shot compiler that turns all node programs
+ *    into register-form bytecode in one contiguous buffer, driven by
+ *    activity gating: per-node dirty bits fed by a signal→reader
+ *    adjacency table, so a cycle only evaluates nodes whose read set
+ *    actually changed, in levelized order.
  *
  * Both engines produce identical results for every observable
  * operation (peek/poke, checkpoints, saved state, output

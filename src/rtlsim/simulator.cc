@@ -57,7 +57,6 @@ Simulator::Simulator(
         regSigs_.push_back(idx);
         regNextSlot_[idx] = int(regNext_.size());
         regNext_.push_back(r.init);
-        regHasNext_.push_back(false);
     }
     for (const auto &m : top.mems) {
         unsigned addr_w = bitsNeeded(m.depth > 0 ? m.depth - 1 : 0);
@@ -105,7 +104,7 @@ Simulator::Simulator(
             if (op.kind == POp::PushSig)
                 node.readSigs.push_back(op.sig);
         if (node.kind == NodeKind::RegNext)
-            regHasNext_[regNextSlot_.at(lhs)] = true;
+            drivenRegs_.push_back(regNextSlot_.at(lhs));
         nodes_.push_back(std::move(node));
     }
 
@@ -232,7 +231,7 @@ Simulator::evalExpr(const CompiledExpr &expr) const
             st.pop_back();
             uint64_t s = st.back();
             st.pop_back();
-            st.push_back(truncate(s ? t : f, op.width));
+            st.push_back(truncate(applyMux(s, t, f), op.width));
             break;
           }
           case POp::Bits: {
@@ -246,7 +245,8 @@ Simulator::evalExpr(const CompiledExpr &expr) const
             st.pop_back();
             uint64_t hi = st.back();
             st.pop_back();
-            st.push_back(truncate((hi << op.lowWidth) | lo, op.width));
+            st.push_back(
+                truncate(applyCat(hi, lo, op.lowWidth), op.width));
             break;
           }
         }
@@ -420,9 +420,7 @@ Simulator::step()
             memData_[m][addr] = word;
         }
     }
-    for (size_t i = 0; i < regSigs_.size(); ++i) {
-        if (!regHasNext_[i])
-            continue;
+    for (int i : drivenRegs_) {
         if (compiled_) {
             if (values_[regSigs_[i]] != regNext_[i]) {
                 values_[regSigs_[i]] = regNext_[i];

@@ -230,7 +230,7 @@ class Simulator
     std::vector<int> evalOrder_;    // node indices, topo-sorted
     std::vector<int> regSigs_;      // signal indices of registers
     std::vector<uint64_t> regNext_; // pending next values per register
-    std::vector<bool> regHasNext_;  // whether a driver exists
+    std::vector<int> drivenRegs_;   // slots of registers with a driver
     std::map<int, int> regNextSlot_; // reg signal idx -> slot
     std::vector<int> inputs_;
     std::vector<int> outputs_;

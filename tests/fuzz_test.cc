@@ -220,8 +220,10 @@ genModuleBody(firrtl::ModuleBuilder &mb, FuzzRng &rng, const GenOpts &o)
     }
 }
 
+/** Random flat circuit with @p min_wires to @p min_wires + 9 wires. */
 firrtl::Circuit
-randomFlatCircuit(uint64_t seed, GenOpts &opts_out)
+randomFlatCircuit(uint64_t seed, GenOpts &opts_out,
+                  unsigned min_wires = 8)
 {
     FuzzRng rng(seed * 0x9e3779b97f4a7c15ull + 1);
     firrtl::CircuitBuilder cb("Fuzz");
@@ -229,7 +231,7 @@ randomFlatCircuit(uint64_t seed, GenOpts &opts_out)
     GenOpts o;
     o.numInputs = 2 + unsigned(rng() % 3);
     o.numRegs = 3 + unsigned(rng() % 4);
-    o.numWires = 8 + unsigned(rng() % 10);
+    o.numWires = min_wires + unsigned(rng() % 10);
     o.numOutputs = 1 + unsigned(rng() % 3);
     o.withMem = rng() % 2 == 0;
     genModuleBody(mb, rng, o);
@@ -344,82 +346,102 @@ traceHash(const std::vector<uint64_t> &trace)
     return h;
 }
 
+/**
+ * The core differential loop: run one random circuit under both
+ * engines with an identical random stimulus trace (input pokes,
+ * pokes of driven internal signals, direct memory writes) and
+ * compare the full signal table after every evalComb() and every
+ * step().
+ */
+void
+interpretVsCompiled(uint64_t seed, unsigned min_wires)
+{
+    const uint64_t cycles = 32;
+    GenOpts opts;
+    firrtl::Circuit circuit = randomFlatCircuit(seed, opts, min_wires);
+    firrtl::Circuit flat = passes::flattenAll(circuit);
+    rtlsim::Simulator a(flat, rtlsim::EvalEngine::Interpret);
+    rtlsim::Simulator b(flat, rtlsim::EvalEngine::Compiled);
+    ASSERT_EQ(a.evalEngine(), rtlsim::EvalEngine::Interpret);
+    ASSERT_EQ(b.evalEngine(), rtlsim::EvalEngine::Compiled);
+
+    std::vector<int> inputs;
+    std::vector<int> pokeable; // any signal; exercises driven pokes
+    for (size_t i = 0; i < a.numSignals(); ++i) {
+        if (a.signal(int(i)).kind == rtlsim::SigKind::Input)
+            inputs.push_back(int(i));
+        pokeable.push_back(int(i));
+    }
+
+    FuzzRng trng(seed ^ 0xf00dfeedULL);
+    for (uint64_t cycle = 0; cycle < cycles; ++cycle) {
+        // Quiet cycles (no pokes at all) exercise the gating fast
+        // path where nothing should re-evaluate.
+        if (trng() % 4 != 0) {
+            for (int idx : inputs) {
+                if (trng() % 2) {
+                    uint64_t v = trng();
+                    a.pokeIdx(idx, v);
+                    b.pokeIdx(idx, v);
+                }
+            }
+        }
+        if (trng() % 8 == 0 && !pokeable.empty()) {
+            int idx = pokeable[trng() % pokeable.size()];
+            uint64_t v = trng();
+            a.pokeIdx(idx, v);
+            b.pokeIdx(idx, v);
+        }
+        if (opts.withMem && trng() % 8 == 0) {
+            uint64_t addr = trng() % kMemDepth;
+            uint64_t v = trng();
+            a.writeMem("m", addr, v);
+            b.writeMem("m", addr, v);
+        }
+        a.evalComb();
+        b.evalComb();
+        expectSameTables(a, b, seed, cycle, "after evalComb");
+        a.step();
+        b.step();
+        expectSameTables(a, b, seed, cycle, "after step");
+    }
+
+    // The compiled engine must account for every node on every
+    // evalComb: evaluated + skipped is a multiple of the node count.
+    uint64_t accounted = b.nodesEvaluated() + b.nodesSkipped();
+    ASSERT_EQ(accounted % b.numNodes(), 0u)
+        << "seed " << seed << ": evaluated " << b.nodesEvaluated()
+        << " + skipped " << b.nodesSkipped() << " not a multiple of "
+        << b.numNodes();
+}
+
 } // namespace
 
-/**
- * The core differential loop: for every seed, run the same random
- * circuit under both engines with an identical random stimulus trace
- * (input pokes, pokes of driven internal signals, direct memory
- * writes) and compare the full signal table after every evalComb()
- * and every step().
- */
 TEST(FuzzFlat, InterpretVsCompiledBitExact)
 {
     const uint64_t circuits = envU64("FIREAXE_FUZZ_CIRCUITS", 200);
     const uint64_t only = envU64("FIREAXE_FUZZ_SEED", 0);
-    const uint64_t cycles = 32;
-
     for (uint64_t seed = 1; seed <= circuits; ++seed) {
-        if (only && seed != only)
-            continue;
-        GenOpts opts;
-        firrtl::Circuit circuit = randomFlatCircuit(seed, opts);
-        firrtl::Circuit flat = passes::flattenAll(circuit);
-        rtlsim::Simulator a(flat, rtlsim::EvalEngine::Interpret);
-        rtlsim::Simulator b(flat, rtlsim::EvalEngine::Compiled);
-        ASSERT_EQ(a.evalEngine(), rtlsim::EvalEngine::Interpret);
-        ASSERT_EQ(b.evalEngine(), rtlsim::EvalEngine::Compiled);
+        if (!only || seed == only)
+            interpretVsCompiled(seed, 8);
+        if (HasFatalFailure())
+            return;
+    }
+}
 
-        std::vector<int> inputs;
-        std::vector<int> pokeable; // any signal; exercises driven pokes
-        for (size_t i = 0; i < a.numSignals(); ++i) {
-            if (a.signal(int(i)).kind == rtlsim::SigKind::Input)
-                inputs.push_back(int(i));
-            pokeable.push_back(int(i));
-        }
-
-        FuzzRng trng(seed ^ 0xf00dfeedULL);
-        for (uint64_t cycle = 0; cycle < cycles; ++cycle) {
-            // Quiet cycles (no pokes at all) exercise the gating
-            // fast path where nothing should re-evaluate.
-            if (trng() % 4 != 0) {
-                for (int idx : inputs) {
-                    if (trng() % 2) {
-                        uint64_t v = trng();
-                        a.pokeIdx(idx, v);
-                        b.pokeIdx(idx, v);
-                    }
-                }
-            }
-            if (trng() % 8 == 0 && !pokeable.empty()) {
-                int idx = pokeable[trng() % pokeable.size()];
-                uint64_t v = trng();
-                a.pokeIdx(idx, v);
-                b.pokeIdx(idx, v);
-            }
-            if (opts.withMem && trng() % 8 == 0) {
-                uint64_t addr = trng() % kMemDepth;
-                uint64_t v = trng();
-                a.writeMem("m", addr, v);
-                b.writeMem("m", addr, v);
-            }
-            a.evalComb();
-            b.evalComb();
-            expectSameTables(a, b, seed, cycle, "after evalComb");
-            a.step();
-            b.step();
-            expectSameTables(a, b, seed, cycle, "after step");
-        }
-
-        // The compiled engine must account for every node on every
-        // evalComb: evaluated + skipped is a multiple of the node
-        // count, and gating must have skipped something at least once
-        // (quiet cycles exist in every trace).
-        uint64_t accounted = b.nodesEvaluated() + b.nodesSkipped();
-        ASSERT_EQ(accounted % b.numNodes(), 0u)
-            << "seed " << seed << ": evaluated " << b.nodesEvaluated()
-            << " + skipped " << b.nodesSkipped()
-            << " not a multiple of " << b.numNodes();
+/** The same differential over circuits of about 200 wires, so the
+ *  compiled engine's dirty bits span several 64-node words and a
+ *  sweep re-marks nodes in words it has yet to reach. */
+TEST(FuzzFlat, InterpretVsCompiledBitExactWide)
+{
+    const uint64_t circuits =
+        envU64("FIREAXE_FUZZ_CIRCUITS", 200) / 10 + 1;
+    const uint64_t only = envU64("FIREAXE_FUZZ_SEED", 0);
+    for (uint64_t seed = 1; seed <= circuits; ++seed) {
+        if (!only || seed == only)
+            interpretVsCompiled(seed, 195);
+        if (HasFatalFailure())
+            return;
     }
 }
 
