@@ -40,8 +40,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iomanip>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -56,6 +54,7 @@
 #include "svc/targets.hh"
 #include "transport/fault.hh"
 #include "transport/link.hh"
+#include "golden.hh"
 #include "testenv.hh"
 
 using namespace fireaxe;
@@ -315,59 +314,14 @@ checkAgainstOracle(const Case &c)
 
 const std::string kGolden = FIREAXE_TEST_DATA_DIR "/elision.golden";
 
-/** "target depth faults": what a golden line starts with. */
-std::string
-goldenKey(const Case &c)
-{
-    std::ostringstream os;
-    os << c.target << ' ' << c.depth << ' ' << c.faultRate;
-    return os.str();
-}
-
-/** The key, target cycles, then trace hash, final-state signature and
- *  host time's bit pattern in hex, then retransmits. */
-std::string
-goldenLine(const Case &c, const Observed &o)
-{
-    std::ostringstream os;
-    os << goldenKey(c) << ' ' << o.result.targetCycles << std::hex
-       << std::setfill('0') << ' ' << std::setw(16) << o.traceHash
-       << ' ' << std::setw(16) << o.finalSig << ' ' << std::setw(16)
-       << std::bit_cast<uint64_t>(o.result.hostTimeNs) << std::dec
-       << ' ' << o.result.retransmits;
-    return os.str();
-}
-
-/** Diff @p got against its golden line; with FIREAXE_UPDATE_GOLDEN=1,
- *  write it there instead. */
+/** Diff the oracle's results for @p c against its golden line. */
 void
 checkGolden(const Case &c, const Observed &got)
 {
     SCOPED_TRACE(describe(c));
-    std::vector<std::string> lines;
-    std::ifstream in(kGolden);
-    for (std::string line; std::getline(in, line);)
-        lines.push_back(line);
-    in.close();
-    const std::string key = goldenKey(c) + ' ';
-    auto at = std::find_if(lines.begin(), lines.end(),
-                           [&](const std::string &line) {
-                               return line.starts_with(key);
-                           });
-    if (!testenv::updateGolden()) {
-        ASSERT_NE(at, lines.end()) << "no '" << key << "' line in "
-                                   << kGolden;
-        EXPECT_EQ(goldenLine(c, got), *at) << "observed vs " << kGolden;
-        return;
-    }
-    if (at == lines.end())
-        lines.push_back(goldenLine(c, got));
-    else
-        *at = goldenLine(c, got);
-    std::ofstream out(kGolden, std::ios::trunc);
-    for (const std::string &line : lines)
-        out << line << '\n';
-    ASSERT_TRUE(out.flush()) << kGolden;
+    golden::check(kGolden, golden::key(c.target, c.depth, c.faultRate),
+                  {got.result.targetCycles, got.traceHash, got.finalSig,
+                   got.result.hostTimeNs, got.result.retransmits});
 }
 
 class ElisionOracle : public testing::TestWithParam<const char *>
