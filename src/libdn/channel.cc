@@ -378,13 +378,16 @@ TokenChannel::saveCkpt(std::ostream &os) const
        << (faultsActive_.load(std::memory_order_relaxed) ? 1 : 0)
        << "\n";
     // Link timing and clocks. A snapshot may land mid-epoch, so the
-    // frame phase is part of the token schedule's state. The last
-    // slot held the retired stop-and-wait horizon: it is written as
-    // 0 and ignored on read, so older snapshots still resume.
+    // frame phase is part of the token schedule's state. The fifth
+    // slot held the consumer's last poll time, which only stamps a
+    // pop and which retire() raises to the pop's own time first;
+    // saved, it would record how many idle edges the consumer
+    // ticked. The last slot held the retired stop-and-wait horizon.
+    // Both are written as 0 and ignored on read, so older snapshots
+    // still resume.
     os << doubleBits(serTime()) << " " << doubleBits(latency()) << " "
        << doubleBits(serializer_->lastDepart) << " "
-       << doubleBits(producerNowNs_) << " "
-       << doubleBits(consumerNowNs_) << " " << batchPos_ << " 0\n";
+       << doubleBits(producerNowNs_) << " 0 " << batchPos_ << " 0\n";
     os << nak_.pendingSeq << " " << doubleBits(nak_.resendReadyNs)
        << " " << nak_.backoffTries << " "
        << doubleBits(nak_.backoffNs) << "\n";
@@ -493,8 +496,8 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
     is >> enq >> deq >> pushes >> next_seq >> last_delivered >>
         retired >> retired >> failed >> faults_active;
     uint64_t ser_b = 0, lat_b = 0, depart_b = 0, pnow_b = 0,
-             cnow_b = 0, batch_pos = 0;
-    is >> ser_b >> lat_b >> depart_b >> pnow_b >> cnow_b >>
+             batch_pos = 0;
+    is >> ser_b >> lat_b >> depart_b >> pnow_b >> retired >>
         batch_pos >> retired;
     NakRecovery nak;
     uint64_t resend_b = 0, backoff_b = 0;
@@ -536,7 +539,7 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
     latency_.store(bitsToDouble(lat_b), std::memory_order_relaxed);
     serializer_->lastDepart = bitsToDouble(depart_b);
     producerNowNs_ = bitsToDouble(pnow_b);
-    consumerNowNs_ = bitsToDouble(cnow_b);
+    consumerNowNs_ = 0.0;
     batchPos_ = batch_pos;
     nak_ = nak;
     txRng_ = tx_rng;

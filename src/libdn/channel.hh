@@ -661,7 +661,9 @@ class TokenChannel final
     std::unique_ptr<par::SpscRing<double>> popLog_;
     /** Producer's current host time (drain horizon). */
     mutable double producerNowNs_ = 0.0;
-    /** Consumer's current host time (pop timestamping). */
+    /** Consumer's current host time (pop timestamping). Not
+     *  checkpointed: retire() raises it to the pop's time before
+     *  deq() reads it. */
     mutable double consumerNowNs_ = 0.0;
     /** Producer-side cumulative queue pops folded in from the log. */
     mutable uint64_t accQueuePops_ = 0;

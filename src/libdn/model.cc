@@ -192,7 +192,7 @@ LIBDNModel::seedOutputs(double now)
     }
 }
 
-bool
+TickOutcome
 LIBDNModel::threadTick(ThreadState &th, double now)
 {
     // Cheap no-change check: if the channel situation is identical to
@@ -205,7 +205,7 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         th.situation[num_in + c] = !th.fired[c] &&
                                    !th.outChans[c]->full();
     if (th.situationValid && th.situation == th.lastSituation)
-        return false;
+        return {false, false, false, th.cycle};
     th.situation.swap(th.lastSituation);
     th.situationValid = true;
     // The input bits double as the visible-token mask below.
@@ -263,7 +263,8 @@ LIBDNModel::threadTick(ThreadState &th, double now)
                               [](uint8_t b) { return b != 0; });
     bool all_fired = std::all_of(th.fired.begin(), th.fired.end(),
                                  [](uint8_t b) { return b != 0; });
-    if (all_in && all_fired) {
+    bool advanced = all_in && all_fired;
+    if (advanced) {
         if (monitor_)
             monitor_(*sim_, thread_id, th.cycle);
         for (auto &ch : th.inChans)
@@ -272,7 +273,6 @@ LIBDNModel::threadTick(ThreadState &th, double now)
         ++th.cycle;
         ++advances_;
         std::fill(th.fired.begin(), th.fired.end(), 0);
-        th.situationValid = false;
         progress = true;
         if (numThreads_ > 1)
             sim_->saveState(th.seq);
@@ -280,17 +280,56 @@ LIBDNModel::threadTick(ThreadState &th, double now)
     } else if (progress && numThreads_ > 1) {
         sim_->saveState(th.seq);
     }
-    if (progress)
-        th.situationValid = false;
-    return progress;
+    if (!progress)
+        return {false, false, false, th.cycle};
+    th.situationValid = false;
+    return {true, advanced,
+            numThreads_ == 1 && settled(th, now, advanced), th.cycle};
 }
 
 bool
+LIBDNModel::settled(const ThreadState &th, double now,
+                    bool advanced) const
+{
+    // The input heads the next tick sees if nothing changes: those
+    // this tick saw and kept. An advance retired every one of them.
+    const uint8_t *in_avail = th.lastSituation.data();
+    auto kept = [&](int c) { return !advanced && in_avail[c]; };
+    size_t num_in = th.inChans.size();
+    // A head due by now that this tick did not keep is unpolled: the
+    // next tick polls it (and runs its NAK or duplicate discard).
+    for (size_t c = 0; c < num_in; ++c)
+        if (!kept(int(c)) && th.inChans[c]->headReadyTime() <= now)
+            return false;
+    // An unfired output whose dependencies stay visible may fire; one
+    // behind a full channel counts too, since a pop may free it.
+    for (size_t c = 0; c < th.outChans.size(); ++c)
+        if (!th.fired[c] &&
+            std::all_of(outDeps_[c].begin(), outDeps_[c].end(), kept))
+            return false;
+    // The fireFSM advances once every input is kept and every output
+    // has fired.
+    for (size_t c = 0; c < num_in; ++c)
+        if (!kept(int(c)))
+            return true;
+    return !std::all_of(th.fired.begin(), th.fired.end(),
+                        [](uint8_t b) { return b != 0; });
+}
+
+TickOutcome
 LIBDNModel::tick(double now)
 {
     FIREAXE_ASSERT(finalized_, "finalize() before tick()");
     ++ticks_;
-    return threadTick(threads_[curThread_], now);
+    if (numThreads_ == 1)
+        return threadTick(threads_[0], now);
+    // FAME-5: minTargetCycle() moves only when the lagging thread
+    // advances.
+    uint64_t before = minTargetCycle();
+    TickOutcome out = threadTick(threads_[curThread_], now);
+    out.cycle = minTargetCycle();
+    out.advanced = out.cycle != before;
+    return out;
 }
 
 double

@@ -50,6 +50,27 @@ using Driver =
 using Monitor =
     std::function<void(rtlsim::Simulator &, unsigned, uint64_t)>;
 
+/** What one LIBDNModel::tick() did. */
+struct TickOutcome
+{
+    /** A token moved or a target cycle completed. */
+    bool progressed = false;
+    /** minTargetCycle() moved (by one). */
+    bool advanced = false;
+    /**
+     * The tick progressed, and the next one is certain to do
+     * nothing more: no unfired output has all of its dependencies
+     * visible (full channel or not), the fireFSM cannot advance,
+     * and every input head visible at the tick's time was seen and
+     * kept by it. Until wakeTimeNs(), or a peer's move on a shared
+     * channel, tick() makes no progress. Never set with FAME-5
+     * threads.
+     */
+    bool settled = false;
+    /** minTargetCycle() after the tick. */
+    uint64_t cycle = 0;
+};
+
 /**
  * A host-decoupled simulation model of one partition.
  */
@@ -125,9 +146,10 @@ class LIBDNModel
      * dependencies are satisfied, and advance the scheduled thread's
      * target cycle when the fireFSM condition holds.
      *
-     * @return true if any token moved or a target cycle advanced.
+     * @return whether a token moved or a target cycle advanced, and
+     * whether the model has settled (see TickOutcome).
      */
-    bool tick(double now);
+    TickOutcome tick(double now);
 
     /**
      * Earliest host time after @p now at which the scheduled
@@ -135,9 +157,9 @@ class LIBDNModel
      * input head becoming visible (the raw queue head, so a
      * channel's NAK and duplicate handling run on the same
      * host edge as they would tick by tick). +inf when only
-     * another partition can change it. Between @p now and this time
-     * tick() returns false without touching any state, unless a
-     * peer moves a token on a shared channel.
+     * another partition can change it. Between @p now and this
+     * time, after a tick that made no progress or settled, tick()
+     * makes none, unless a peer moves a token on a shared channel.
      */
     double wakeTimeNs(double now) const;
 
@@ -221,7 +243,11 @@ class LIBDNModel
     };
 
     unsigned channelWidth(const ChannelSpec &spec) const;
-    bool threadTick(ThreadState &th, double now);
+    TickOutcome threadTick(ThreadState &th, double now);
+    /** After a progressing tick of @p th at @p now (which completed
+     *  a target cycle when @p advanced): whether the next tick is
+     *  certain to make no progress (TickOutcome::settled). */
+    bool settled(const ThreadState &th, double now, bool advanced) const;
 
     std::string name_;
     unsigned numThreads_;

@@ -188,11 +188,13 @@ ParallelEngine::inputBound(int p) const
     // load its clock before reading the head: a push that lands
     // between the two reads is then at or after that clock, so
     // clock + lookahead bounds it. A same-worker producer pushes only
-    // at a tick the walk floor already stops before.
+    // at a tick the walk floor already stops before. After an advance
+    // every head is unseen: one a cross-worker producer pushed behind
+    // a retired head may already be due, and then wakes p at once.
     const Part &me = parts_[size_t(p)];
     double bound = Deadlines::kInf;
     auto unseen = [&](double ready) {
-        if (ready > me.lastTick)
+        if (ready > me.seenNs)
             bound = std::min(bound, ready);
     };
     for (const ChannelDesc *cd : me.localIn)
@@ -331,12 +333,14 @@ ParallelEngine::tryTick(int p)
     // A cross-worker consumer may pop on any edge, so a partition
     // that saw such an output full keeps ticking edge by edge; a
     // same-worker one pops only at a tick, which no walk passes (see
-    // Part::drained). A tick without progress pushed nothing.
+    // Part::drained). A tick without progress pushed nothing, and a
+    // settled one left no output that a pop could let fire.
     me.fullLocal = r.progressed ? 0 : me.fullNow();
     me.lastTick = T;
-    me.asleep = !r.progressed && !saw_full;
+    me.seenNs = r.advanced ? -Deadlines::kInf : T;
+    me.asleep = (!r.progressed || r.settled) && !saw_full;
     if (me.asleep) {
-        me.idleStep = r.nextDeltaNs;
+        me.idleStep = r.idleStepNs;
         me.idle = r.idle;
     }
     if (r.progressed) {

@@ -48,7 +48,9 @@
  *    a run() returns in (the cut an autosnapshot captures) does not
  *    depend on the worker count or on thread timing.
  *  - Next-event time advance: a partition whose last tick made no
- *    progress (and found no cross-worker output full) is asleep. Its
+ *    progress, or progressed and settled (the model found that its
+ *    next tick could do nothing more), and found no cross-worker
+ *    output full is asleep. Its
  *    following ticks are certain to change nothing until an input
  *    head it has not seen becomes visible, a same-worker output it
  *    saw full drains, or one of its Deadlines falls due, so
@@ -164,14 +166,25 @@ struct TickResult
 {
     /** Host-time increment to the partition's next event. */
     double nextDeltaNs = 0.0;
-    /** The fireFSM advanced (a target cycle completed). */
+    /** Host period: the step between idle edges once the partition
+     *  sleeps, whatever nextDeltaNs is. */
+    double idleStepNs = 0.0;
+    /** A token moved or a target cycle completed. */
     bool progressed = false;
+    /** The partition's cycle count moved. With one thread, the only
+     *  kind that settles, the tick retired every input head it saw. */
+    bool advanced = false;
+    /** The tick progressed, and the next is certain to make no more
+     *  progress until an input head it has not seen becomes visible
+     *  or one of the idle deadlines falls due (libdn::TickOutcome). */
+    bool settled = false;
     /** The partition's cycle count reached the run target. */
     bool reachedTarget = false;
     /** A stop condition fired; end the run for all partitions. */
     bool stopRequested = false;
-    /** Without progress: when the partition must tick again even if
-     *  its channels stay unchanged. */
+    /** Without progress, or settled: when the partition must tick
+     *  again even if its channels stay unchanged. The default (due on
+     *  every edge) keeps it ticking edge by edge. */
     Deadlines idle;
 };
 
@@ -271,9 +284,14 @@ class ParallelEngine
         double suspectEdge = 0.0;
         /** Host time of the partition's last tick (-inf before any). */
         double lastTick = -Deadlines::kInf;
-        /** Sleep state after a tick without progress (see file
-         *  comment): the step to the next edge, and when the partition
-         *  must tick again regardless of its channels. */
+        /** Input heads ready at or before this time were seen by the
+         *  last tick: its time, or -inf after it advanced (retiring
+         *  the heads it saw). */
+        double seenNs = -Deadlines::kInf;
+        /** Sleep state after a tick without progress or one that
+         *  settled (see file comment): the host period between idle
+         *  edges, and when the partition must tick again regardless
+         *  of its channels. */
         bool asleep = false;
         double idleStep = 0.0;
         Deadlines idle;

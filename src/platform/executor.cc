@@ -491,12 +491,9 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
     std::vector<char> lead(num_parts);
     par::EngineHooks hooks;
     hooks.onTick = [&](int p, double now) -> par::TickResult {
-        uint64_t before = models_[p]->minTargetCycle();
-        bool progress = models_[p]->tick(now);
-        uint64_t after = models_[p]->minTargetCycle();
-        bool advanced = after != before;
-        double step = advanced ? period[p] * plan_.fame5Threads[p]
-                               : period[p];
+        libdn::TickOutcome t = models_[p]->tick(now);
+        double step = t.advanced ? period[p] * plan_.fame5Threads[p]
+                                 : period[p];
 
         // Progress reports and stream flushes ride on the partitions
         // of worker 0, so the report clock and the stream cursor stay
@@ -504,8 +501,8 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
         if (telemetry_) {
             // FAME-5: an advancing multi-threaded partition burns N
             // host cycles for the target cycle; any other tick, one.
-            telemetry_->onTick(size_t(p), now, after, progress,
-                               advanced ? plan_.fame5Threads[p] : 1);
+            telemetry_->onTick(size_t(p), now, t.cycle, t.progressed,
+                               t.advanced ? plan_.fame5Threads[p] : 1);
             if (lead[size_t(p)] && telemetry_->onLeadTick(now)) {
                 size_t occ = 0, cap = 0;
                 for (const auto &cs : channels_) {
@@ -522,18 +519,21 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
 
         par::TickResult r;
         r.nextDeltaNs = step;
-        r.progressed = progress;
-        if (!progress && !failed_over)
+        r.idleStepNs = period[p];
+        r.progressed = t.progressed;
+        r.advanced = t.advanced;
+        r.settled = t.settled;
+        if ((!t.progressed || t.settled) && !failed_over)
             r.idle = idleDeadlines(size_t(p),
                                    models_[p]->wakeTimeNs(now),
                                    lead[size_t(p)]);
-        r.reachedTarget = after >= target_cycles;
+        r.reachedTarget = t.cycle >= target_cycles;
         // Graceful shutdown: checked on every tick (not just target
         // advances) so a stalled partition still drains promptly.
         // The engine quiesces all workers before run() returns.
         if (stopRequested_.load(std::memory_order_relaxed))
             r.stopRequested = true;
-        if (advanced && stopCondition_) {
+        if (t.advanced && stopCondition_) {
             std::lock_guard<std::mutex> lock(stopMtx_);
             if (stopCondition_())
                 r.stopRequested = true;

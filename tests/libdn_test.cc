@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "base/logging.hh"
 #include "firrtl/builder.hh"
 #include "libdn/channel.hh"
@@ -164,6 +166,152 @@ TEST(LIBDN, WaitsForInputToken)
 namespace {
 
 /**
+ * The settle rule's model: inputs a and b, outputs x = a + 1 and
+ * y = b + 1 (each depends on its own input only), and with @p source
+ * a dependency-free output z driven by a counter. Output x's channel
+ * holds @p x_capacity tokens. Channels have no link timing, so a
+ * token enqueued at t is visible at t.
+ */
+struct TwoChannel
+{
+    std::unique_ptr<LIBDNModel> model;
+    ChannelPtr a = std::make_shared<TokenChannel>("a", 16);
+    ChannelPtr b = std::make_shared<TokenChannel>("b", 16);
+    ChannelPtr x, y = std::make_shared<TokenChannel>("y", 16);
+    ChannelPtr z = std::make_shared<TokenChannel>("z", 16);
+
+    explicit TwoChannel(bool source, size_t x_capacity = 16)
+        : x(std::make_shared<TokenChannel>("x", 16, x_capacity))
+    {
+        CircuitBuilder cb("Two");
+        auto m = cb.module("Two");
+        auto in_a = m.input("a", 16);
+        auto in_b = m.input("b", 16);
+        m.output("x", 16);
+        m.output("y", 16);
+        m.connect("x", bits(eAdd(in_a, lit(1, 16)), 15, 0));
+        m.connect("y", bits(eAdd(in_b, lit(1, 16)), 15, 0));
+        if (source) {
+            m.output("z", 16);
+            auto r = m.reg("r", 16, 0);
+            m.connect("r", bits(eAdd(r, lit(1, 16)), 15, 0));
+            m.connect("z", r);
+        }
+        model = std::make_unique<LIBDNModel>("m", cb.finish(), 1,
+                                             testenv::evalEngine());
+        model->bindInput(model->defineInputChannel({"a", {"a"}}), 0, a);
+        model->bindInput(model->defineInputChannel({"b", {"b"}}), 0, b);
+        model->bindOutput(model->defineOutputChannel({"x", {"x"}}), 0,
+                          x);
+        model->bindOutput(model->defineOutputChannel({"y", {"y"}}), 0,
+                          y);
+        if (source)
+            model->bindOutput(
+                model->defineOutputChannel({"z", {"z"}}), 0, z);
+        model->finalize();
+    }
+};
+
+} // namespace
+
+TEST(LIBDNSettle, FireOnlyTickWaitingOnInvisibleInputSettles)
+{
+    TwoChannel t(false);
+    t.a->enq({1}, 0.0);
+    t.b->enq({2}, 50.0);
+    libdn::TickOutcome o = t.model->tick(10.0);
+    EXPECT_TRUE(o.progressed);
+    EXPECT_FALSE(o.advanced);
+    EXPECT_TRUE(o.settled); // y waits on b, not visible before 50
+    EXPECT_EQ(t.x->size(), 1u);
+    EXPECT_TRUE(t.y->empty());
+    EXPECT_EQ(t.model->wakeTimeNs(10.0), 50.0);
+    EXPECT_FALSE(t.model->tick(20.0).progressed);
+    // b's head lets y fire and the cycle complete; both heads retire
+    // with nothing behind them.
+    o = t.model->tick(50.0);
+    EXPECT_TRUE(o.advanced);
+    EXPECT_TRUE(o.settled);
+    EXPECT_EQ(o.cycle, 1u);
+}
+
+TEST(LIBDNSettle, AdvanceBeforeDependencyFreeOutputDoesNotSettle)
+{
+    TwoChannel t(true);
+    t.a->enq({1}, 0.0);
+    t.b->enq({2}, 0.0);
+    libdn::TickOutcome o = t.model->tick(10.0);
+    EXPECT_TRUE(o.advanced);
+    EXPECT_FALSE(o.settled); // z fires on the next tick, input or not
+    o = t.model->tick(20.0);
+    EXPECT_TRUE(o.progressed);
+    EXPECT_EQ(t.z->size(), 2u);
+    EXPECT_TRUE(o.settled); // x and y wait on a and b
+}
+
+TEST(LIBDNSettle, RetiredHeadWithArrivedSuccessorDoesNotSettle)
+{
+    // The advance at 10 retires a's head; its successor was due at 5
+    // but no tick has polled it yet.
+    TwoChannel t(false);
+    t.a->enq({1}, 0.0);
+    t.a->enq({3}, 5.0);
+    t.b->enq({2}, 0.0);
+    libdn::TickOutcome o = t.model->tick(10.0);
+    EXPECT_TRUE(o.advanced);
+    EXPECT_FALSE(o.settled);
+    o = t.model->tick(20.0);
+    EXPECT_TRUE(o.progressed); // x fires on the successor
+    EXPECT_EQ(t.x->size(), 2u);
+
+    // A successor not yet due leaves the model settled until it is.
+    TwoChannel u(false);
+    u.a->enq({1}, 0.0);
+    u.a->enq({3}, 15.0);
+    u.b->enq({2}, 0.0);
+    o = u.model->tick(10.0);
+    EXPECT_TRUE(o.advanced);
+    EXPECT_TRUE(o.settled);
+    EXPECT_EQ(u.model->wakeTimeNs(10.0), 15.0);
+}
+
+TEST(LIBDNSettle, OutputBehindFullChannelDoesNotSettle)
+{
+    TwoChannel t(false, 1);
+    t.x->enq({0}, 0.0); // x's channel is full
+    t.a->enq({1}, 0.0);
+    t.b->enq({2}, 0.0);
+    libdn::TickOutcome o = t.model->tick(10.0);
+    EXPECT_TRUE(o.progressed); // y fires
+    EXPECT_FALSE(o.advanced);
+    EXPECT_FALSE(o.settled); // x's deps are visible: a pop frees it
+    t.x->deq();
+    o = t.model->tick(20.0);
+    EXPECT_TRUE(o.advanced);
+}
+
+TEST(LIBDNSettle, Fame5ThreadsNeverSettle)
+{
+    LIBDNModel model("m", counterPartition(), 2, testenv::evalEngine());
+    int out = model.defineOutputChannel({"out", {"out"}});
+    for (unsigned t = 0; t < 2; ++t)
+        model.bindOutput(out, t,
+                         std::make_shared<TokenChannel>("out", 16, 64));
+    model.finalize();
+    for (double now = 0.0; now < 100.0; now += 10.0) {
+        libdn::TickOutcome o = model.tick(now);
+        EXPECT_TRUE(o.progressed);
+        EXPECT_FALSE(o.settled);
+        // minTargetCycle() moves when the lagging thread advances.
+        EXPECT_EQ(o.advanced,
+                  model.targetCycle(0) == model.targetCycle(1));
+        EXPECT_EQ(o.cycle, model.minTargetCycle());
+    }
+}
+
+namespace {
+
+/**
  * Wire the Fig. 2 blocks as two LI-BDN models. @p separated selects
  * the paper's Fig. 2b channelization (separate source/sink channels)
  * versus Fig. 2a (all ports on one channel pair), which deadlocks.
@@ -229,8 +377,8 @@ struct Fig2Harness
     {
         double now = 0.0;
         for (int i = 0; i < ticks; ++i, now += 10.0) {
-            bool pa = a->tick(now);
-            bool pb = b->tick(now);
+            bool pa = a->tick(now).progressed;
+            bool pb = b->tick(now).progressed;
             progressed = progressed || pa || pb;
         }
     }

@@ -876,6 +876,80 @@ TEST(Restore, ChannelStallSlotIsIgnored)
     fs::remove_all(dir);
 }
 
+TEST(Restore, ConsumerPollTimeSlotIsIgnored)
+{
+    // A channel block's timing line once saved, fifth, the consumer's
+    // last poll time. It only stamps a pop, and retire() raises it to
+    // the pop's own time first, so it is written as 0 and ignored on
+    // read: saved, it recorded how many idle edges the consumer had
+    // ticked. Here every channel of a depth-8 faulty cut holds a
+    // far-future time instead; honoured, it would stamp every
+    // cross-worker pop after any producer's clock.
+    svc::JobSpec spec = testenv::jobSpec("bus-soc");
+    spec.batchDepth = 8;
+    spec.faultRate = 1e-3;
+    spec.seed = 1;
+    spec.cycles = 2000;
+    spec.hashFrom = 1000;
+    svc::RunOutcome golden = svc::runJob(spec);
+    ASSERT_TRUE(golden.ok) << golden.error;
+
+    std::string dir = tempDir();
+    svc::JobSpec cut = spec;
+    cut.cycles = 1000;
+    cut.hashFrom = 0;
+    cut.snapshotEvery = 1000;
+    cut.snapshotDir = dir;
+    svc::RunOutcome first = svc::runJob(cut);
+    ASSERT_TRUE(first.ok) << first.error;
+    ASSERT_EQ(first.snapshots, 1u);
+    {
+        std::string error;
+        recovery::SnapshotStore store(dir);
+        recovery::Manifest m;
+        ASSERT_TRUE(store.loadManifest(m, error)) << error;
+        std::vector<std::string> shards(m.shards.size());
+        for (size_t i = 0; i < shards.size(); ++i)
+            ASSERT_TRUE(store.readShard(m, i, shards[i], error)) << error;
+        recovery::RecoveryPoint rp;
+        ASSERT_TRUE(recovery::decodeExecShard(shards.back(),
+                                              m.numPartitions,
+                                              m.numChannels, rp, error))
+            << error;
+        ASSERT_GT(rp.channels.size(), 0u);
+        // Line 3 of each block: "ser latency last_depart producer_now
+        // consumer_now batch_pos stall".
+        for (recovery::ChannelCut &cc : rp.channels)
+            ASSERT_EQ(replaceField(cc.ckpt, 3, 4,
+                                   std::to_string(
+                                       std::bit_cast<uint64_t>(1e300))),
+                      "0");
+        shards.back() = recovery::encodeExecShard(rp);
+        uint64_t bytes = 0;
+        ASSERT_TRUE(store.commit(m, shards, bytes, error)) << error;
+    }
+
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        svc::JobSpec resume = spec;
+        resume.hashFrom = 0;
+        resume.backend = "parallel";
+        resume.workers = workers;
+        resume.snapshotDir = dir;
+        resume.resume = true;
+        svc::RunOutcome o = svc::runJob(resume);
+        ASSERT_TRUE(o.ok) << o.error;
+        EXPECT_EQ(o.resumeCycle, 1000u);
+        EXPECT_EQ(o.result.targetCycles, golden.result.targetCycles);
+        EXPECT_EQ(o.traceHash, golden.traceHash);
+        EXPECT_EQ(o.finalSig, golden.finalSig);
+        EXPECT_EQ(std::bit_cast<uint64_t>(o.result.hostTimeNs),
+                  std::bit_cast<uint64_t>(golden.result.hostTimeNs));
+        EXPECT_EQ(o.result.retransmits, golden.result.retransmits);
+    }
+    fs::remove_all(dir);
+}
+
 TEST(Restore, CheckedInSnapshotResumesBitExactly)
 {
     // tests/data/bussoc-d8-faults-c3000 was written by an earlier
