@@ -50,19 +50,18 @@
  *  - Next-event time advance: a partition whose last tick made no
  *    progress, or progressed and settled (the model found that its
  *    next tick could do nothing more), and found no cross-worker
- *    output full is asleep. Its
- *    following ticks are certain to change nothing until an input
- *    head it has not seen becomes visible, a same-worker output it
- *    saw full drains, or one of its Deadlines falls due, so
- *    its worker walks those idle edges by repeated `+= step`,
- *    credits them in one onIdle call and publishes its clock once
- *    for the whole run of edges. Input bounds are re-read on every
- *    attempt: for an empty cross-worker channel, the producer's
- *    published clock (loaded before the head is read) plus the
- *    lookahead; for a head the last tick did not see, its ready
- *    time. A walk also stops before the earliest tick another
- *    partition of the same worker may take, so a one-worker run
- *    leaves every partition where the tick-every-edge order does.
+ *    output full is asleep. Its following ticks are certain to make
+ *    no progress until an input head it has not seen becomes
+ *    visible, a same-worker output it saw full drains, or one of its
+ *    Deadlines falls due, so its worker walks those idle edges by
+ *    repeated `+= step`, credits them in one onIdle call and
+ *    publishes its clock once for the whole run of edges. Input
+ *    bounds are re-read on every attempt: for an empty cross-worker
+ *    channel, the producer's published clock (loaded before the head
+ *    is read) plus the lookahead; for a head the last tick did not
+ *    see, its ready time. A walk also stops before the earliest tick
+ *    another partition of the same worker may take, so a one-worker
+ *    run leaves every partition where the tick-every-edge order does.
  *
  * Genuine LI-BDN deadlock (a circular token dependency) manifests as
  * livelock — host clocks keep advancing while no fireFSM makes
