@@ -263,7 +263,7 @@ finalStateSignature(platform::MultiFpgaSim &sim, size_t nparts)
     uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.targetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
             h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
@@ -501,7 +501,7 @@ runResumeMeasurement(const std::string &dir, uint64_t cycles,
     uint64_t resume_cycle = 0;
     for (size_t p = 0; p < nparts; ++p)
         resume_cycle =
-            std::max(resume_cycle, sim.model(int(p)).minTargetCycle());
+            std::max(resume_cycle, sim.model(int(p)).targetCycle());
 
     t0 = std::chrono::steady_clock::now();
     auto res = sim.run(cycles);

@@ -36,7 +36,7 @@ monolithicDone(const firrtl::Circuit &soc, uint64_t limit)
     uint64_t done = 0;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t cycle) {
+        [&](rtlsim::Simulator &sim, uint64_t cycle) {
             if (done == 0 && sim.peek("done"))
                 done = cycle;
         },
@@ -55,8 +55,7 @@ partitionedDone(const firrtl::Circuit &soc, PartitionMode mode,
     MultiFpgaSim sim(plan, {alveoU250(30.0), alveoU250(30.0)},
                      transport::qsfpAurora());
     uint64_t done = 0;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned,
-                          uint64_t cycle) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t cycle) {
         if (done == 0 && s.peek("done"))
             done = cycle;
     });

@@ -48,7 +48,7 @@ runPartitioned(const firrtl::Circuit &soc, ripper::PartitionMode mode,
     sim.checkFit(true);
 
     RunOutcome out;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         out.status.push_back(s.peek("status"));
     });
     auto result = sim.run(cycles);
@@ -70,7 +70,7 @@ main()
     std::vector<uint64_t> golden;
     platform::runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             golden.push_back(sim.peek("status"));
         },
         cycles);

@@ -42,7 +42,7 @@ main()
     std::vector<uint64_t> golden;
     platform::runMonolithic(
         target, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             golden.push_back(sim.peek("obs_a"));
         },
         cycles);
@@ -53,7 +53,7 @@ main()
         {platform::alveoU250(50.0), platform::alveoU250(50.0)},
         transport::qsfpAurora());
     std::vector<uint64_t> partitioned;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         partitioned.push_back(s.peek("obs_a"));
     });
     auto result = sim.run(cycles);

@@ -53,7 +53,7 @@ main()
     std::vector<uint64_t> golden;
     platform::runMonolithic(
         core, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             golden.push_back(sim.peek("status"));
         },
         cycles);
@@ -63,7 +63,7 @@ main()
         {platform::alveoU250(10.0), platform::alveoU250(10.0)},
         transport::qsfpAurora());
     std::vector<uint64_t> partitioned;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         partitioned.push_back(s.peek("status"));
     });
     auto result = sim.run(cycles);

@@ -118,11 +118,10 @@ tokenCrc(const Token &token)
 /**
  * Serialization state of one physical link direction. Channels that
  * share a physical link (e.g. the source and sink channels of an
- * exact-mode boundary, or all FAME-5 thread channels of one FPGA
- * pair) share one serializer, so their tokens contend for link
- * bandwidth. Only ever touched from the producing partition's
- * thread: all channels sharing a serializer originate from the same
- * partition.
+ * exact-mode boundary, or every channel from one FPGA to another) share one
+ * serializer, so their tokens contend for link bandwidth. Only ever
+ * touched from the producing partition's thread: all channels sharing
+ * a serializer originate from the same partition.
  */
 struct LinkSerializer
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * The LI-BDN simulation model: a FAME-1/FAME-5-transformed target
- * partition (Sections II and VI-B of the paper), executed in software.
+ * The LI-BDN simulation model: a FAME-1-transformed target partition
+ * (Section II of the paper), executed in software.
  *
  * An LIBDNModel wraps one RTL partition (an IR circuit) in the
  * latency-insensitive machinery of Fig. 1: input/output token
@@ -10,12 +10,10 @@
  * hold a token, and a fireFSM that advances the target a cycle when
  * every input channel has a token and every output channel has fired.
  *
- * With numThreads > 1 the model becomes a FAME-5 multi-threaded
- * simulator: combinational logic (the compiled netlist) is shared
- * while sequential state is replicated per thread, and a round-robin
- * scheduler selects which thread's state to update on each host
- * cycle. This is what FireAxe uses to amortize inter-FPGA
- * communication latency across duplicate tiles.
+ * FAME-5 (Section VI-B) is a cost model above this one: a FAME-5
+ * partition holds all N duplicate tiles, flattened into one circuit
+ * (ripper's fame5Threads), and the executor charges N host cycles
+ * for each target cycle the model advances.
  */
 
 #ifndef FIREAXE_LIBDN_MODEL_HH
@@ -39,23 +37,21 @@ struct ChannelSpec
 };
 
 /** Drives external (non-channel) input ports of a partition before
- *  each combinational evaluation. Arguments: simulator, thread id,
- *  target cycle about to be simulated. */
-using Driver =
-    std::function<void(rtlsim::Simulator &, unsigned, uint64_t)>;
+ *  each combinational evaluation. Arguments: simulator, target cycle
+ *  about to be simulated. */
+using Driver = std::function<void(rtlsim::Simulator &, uint64_t)>;
 
 /** Observes a partition after its target cycle's final combinational
  *  evaluation, just before the state update. Arguments: simulator,
- *  thread id, target cycle just completed. */
-using Monitor =
-    std::function<void(rtlsim::Simulator &, unsigned, uint64_t)>;
+ *  target cycle just completed. */
+using Monitor = std::function<void(rtlsim::Simulator &, uint64_t)>;
 
 /** What one LIBDNModel::tick() did. */
 struct TickOutcome
 {
     /** A token moved or a target cycle completed. */
     bool progressed = false;
-    /** minTargetCycle() moved (by one). */
+    /** targetCycle() moved (by one). */
     bool advanced = false;
     /**
      * The tick progressed, and the next one is certain to do
@@ -63,11 +59,10 @@ struct TickOutcome
      * visible (full channel or not), the fireFSM cannot advance,
      * and every input head visible at the tick's time was seen and
      * kept by it. Until wakeTimeNs(), or a peer's move on a shared
-     * channel, tick() makes no progress. Never set with FAME-5
-     * threads.
+     * channel, tick() makes no progress.
      */
     bool settled = false;
-    /** minTargetCycle() after the tick. */
+    /** targetCycle() after the tick. */
     uint64_t cycle = 0;
 };
 
@@ -80,7 +75,6 @@ class LIBDNModel
     /**
      * @param name      Display name (e.g. "fpga0").
      * @param circuit   The partition's circuit; flattened internally.
-     * @param num_threads FAME-5 thread count (1 = plain FAME-1).
      * @param engine    Evaluation engine for the partition's target
      *                  simulator (see rtlsim/engine.hh); the choice
      *                  never changes observable behaviour.
@@ -91,7 +85,6 @@ class LIBDNModel
      *                  the same design.
      */
     LIBDNModel(std::string name, const firrtl::Circuit &circuit,
-               unsigned num_threads = 1,
                rtlsim::EvalEngine engine =
                    rtlsim::EvalEngine::Interpret,
                std::shared_ptr<const rtlsim::CompiledProgram>
@@ -103,12 +96,11 @@ class LIBDNModel
     /** Declare an output channel over the given output ports. */
     int defineOutputChannel(const ChannelSpec &spec);
 
-    /** Attach the concrete queue backing a channel slot for one
-     *  FAME-5 thread. Every slot/thread pair must be bound. Binding
-     *  fixes the channel's token word count (one word per port; see
-     *  TokenChannel::setTokenWords). */
-    void bindInput(int slot, unsigned thread, ChannelPtr channel);
-    void bindOutput(int slot, unsigned thread, ChannelPtr channel);
+    /** Attach the concrete queue backing a channel slot. Every slot
+     *  must be bound. Binding fixes the channel's token word count
+     *  (one word per port; see TokenChannel::setTokenWords). */
+    void bindInput(int slot, ChannelPtr channel);
+    void bindOutput(int slot, ChannelPtr channel);
 
     /** Total width in bits of a channel slot's ports. */
     unsigned inputChannelWidth(int slot) const;
@@ -133,18 +125,18 @@ class LIBDNModel
     void finalize();
 
     /**
-     * Fast-mode seeding (Section III-A2): evaluate each thread's
-     * outputs at reset and push one initial token into every output
-     * channel, so both sides of a combinationally-coupled boundary
-     * can simulate a cycle in parallel.
+     * Fast-mode seeding (Section III-A2): evaluate the outputs at
+     * reset and push one initial token into every output channel,
+     * so both sides of a combinationally-coupled boundary can
+     * simulate a cycle in parallel.
      */
     void seedOutputs(double now);
 
     /**
      * Execute one host clock cycle at host time @p now: poke token
      * values for ready input channels, fire any output channels whose
-     * dependencies are satisfied, and advance the scheduled thread's
-     * target cycle when the fireFSM condition holds.
+     * dependencies are satisfied, and advance the target cycle when
+     * the fireFSM condition holds.
      *
      * @return whether a token moved or a target cycle advanced, and
      * whether the model has settled (see TickOutcome).
@@ -152,14 +144,14 @@ class LIBDNModel
     TickOutcome tick(double now);
 
     /**
-     * Earliest host time after @p now at which the scheduled
-     * thread's channel situation can change on its own: the next
-     * input head becoming visible (the raw queue head, so a
-     * channel's NAK and duplicate handling run on the same
-     * host edge as they would tick by tick). +inf when only
-     * another partition can change it. Between @p now and this
-     * time, after a tick that made no progress or settled, tick()
-     * makes none, unless a peer moves a token on a shared channel.
+     * Earliest host time after @p now at which the model's channel
+     * situation can change on its own: the next input head becoming
+     * visible (the raw queue head, so a channel's NAK and duplicate
+     * handling run on the same host edge as they would tick by
+     * tick). +inf when only another partition can change it.
+     * Between @p now and this time, after a tick that made no
+     * progress or settled, tick() makes none, unless a peer moves a
+     * token on a shared channel.
      */
     double wakeTimeNs(double now) const;
 
@@ -167,14 +159,10 @@ class LIBDNModel
      *  not part of the checkpointed state). */
     uint64_t ticks() const { return ticks_; }
 
-    /** Target cycle count of a thread. */
-    uint64_t targetCycle(unsigned thread = 0) const;
-
-    /** Lowest target cycle across threads (overall progress). */
-    uint64_t minTargetCycle() const;
+    /** Target cycles completed. */
+    uint64_t targetCycle() const { return cycle_; }
 
     const std::string &name() const { return name_; }
-    unsigned numThreads() const { return numThreads_; }
     rtlsim::Simulator &sim() { return *sim_; }
     const rtlsim::Simulator &sim() const { return *sim_; }
 
@@ -186,13 +174,13 @@ class LIBDNModel
      *  sorted ascending. */
     const std::vector<int> &outputChannelDeps(int slot) const;
 
-    /** Lifetime statistics (all threads). */
+    /** Lifetime statistics. */
     uint64_t totalFires() const { return fires_; }
     uint64_t totalAdvances() const { return advances_; }
 
     /**
-     * Snapshot of one thread's LI-BDN FSM state at host time @p now,
-     * for deadlock diagnostics: which input channels the fireFSM is
+     * Snapshot of the LI-BDN FSM state at host time @p now, for
+     * deadlock diagnostics: which input channels the fireFSM is
      * still waiting on, and which output-channel FSMs have not fired
      * this target cycle.
      */
@@ -202,55 +190,37 @@ class LIBDNModel
         std::vector<std::string> waitingInputs;
         std::vector<std::string> unfiredOutputs;
     };
-    FsmState fsmState(double now, unsigned thread = 0) const;
+    FsmState fsmState(double now) const;
 
     // --- checkpointing (src/recovery) -----------------------------
 
     /**
-     * Serialize the LI-BDN FSM state (per-thread target cycle,
-     * output-fired flags, FAME-5 sequential-state copies, scheduler
-     * position, lifetime counters). The wrapped simulator's state is
+     * Serialize the LI-BDN FSM state (target cycle, output-fired
+     * flags, lifetime counters). The wrapped simulator's state is
      * checkpointed separately via sim().saveCheckpoint(); together
-     * the two streams capture the whole partition.
+     * the two streams capture the whole partition. Two slots are
+     * retired and keep their bytes: the header's thread count and
+     * scheduler position, always `1 0`, and the register and memory
+     * lines after the fired flags, always `0`.
      */
     void saveFsm(std::ostream &os) const;
 
     /**
      * Restore an FSM checkpoint written by saveFsm(). On mismatch
-     * (wrong thread count or channel shape) returns false with a
-     * diagnostic in @p error and leaves the model unchanged.
+     * (a retired slot not as saveFsm() writes it, or another channel
+     * shape) returns false with a diagnostic in @p error and leaves
+     * the model unchanged.
      */
     bool tryLoadFsm(std::istream &is, std::string &error);
 
   private:
-    struct ThreadState
-    {
-        rtlsim::SeqState seq;
-        std::vector<ChannelPtr> inChans;
-        std::vector<ChannelPtr> outChans;
-        /** One byte per output channel: fired this target cycle. */
-        std::vector<uint8_t> fired;
-        uint64_t cycle = 0;
-        // Situation signature for cheap no-change detection: one
-        // byte per input (head visible) then per output (could
-        // fire). Both buffers are reused every tick.
-        std::vector<uint8_t> situation;
-        std::vector<uint8_t> lastSituation;
-        bool situationValid = false;
-        /** Output token under construction, reused for every fire
-         *  (the channel copies it into its own reused slots). */
-        Token outToken;
-    };
-
     unsigned channelWidth(const ChannelSpec &spec) const;
-    TickOutcome threadTick(ThreadState &th, double now);
-    /** After a progressing tick of @p th at @p now (which completed
-     *  a target cycle when @p advanced): whether the next tick is
-     *  certain to make no progress (TickOutcome::settled). */
-    bool settled(const ThreadState &th, double now, bool advanced) const;
+    /** After a progressing tick at @p now (which completed a target
+     *  cycle when @p advanced): whether the next tick is certain to
+     *  make no progress (TickOutcome::settled). */
+    bool settled(double now, bool advanced) const;
 
     std::string name_;
-    unsigned numThreads_;
     std::unique_ptr<rtlsim::Simulator> sim_;
     Driver driver_;
     Monitor monitor_;
@@ -260,8 +230,20 @@ class LIBDNModel
     std::vector<std::vector<int>> inPortIdx_;  // per slot: signal idx
     std::vector<std::vector<int>> outPortIdx_;
     std::vector<std::vector<int>> outDeps_; // out slot -> in slots
-    std::vector<ThreadState> threads_;
-    unsigned curThread_ = 0;
+    std::vector<ChannelPtr> inChans_;
+    std::vector<ChannelPtr> outChans_;
+    /** One byte per output channel: fired this target cycle. */
+    std::vector<uint8_t> fired_;
+    uint64_t cycle_ = 0;
+    // Situation signature for cheap no-change detection: one byte per
+    // input (head visible) then per output (could fire). Both buffers
+    // are reused every tick.
+    std::vector<uint8_t> situation_;
+    std::vector<uint8_t> lastSituation_;
+    bool situationValid_ = false;
+    /** Output token under construction, reused for every fire (the
+     *  channel copies it into its own reused slots). */
+    Token outToken_;
     bool finalized_ = false;
     uint64_t fires_ = 0;
     uint64_t advances_ = 0;

@@ -170,8 +170,8 @@ struct TickResult
     double idleStepNs = 0.0;
     /** A token moved or a target cycle completed. */
     bool progressed = false;
-    /** The partition's cycle count moved. With one thread, the only
-     *  kind that settles, the tick retired every input head it saw. */
+    /** The partition's cycle count moved, so the tick retired every
+     *  input head it saw. */
     bool advanced = false;
     /** The tick progressed, and the next is certain to make no more
      *  progress until an input head it has not seen becomes visible

@@ -93,7 +93,7 @@ diagnoseDeadlock(double now, const recovery::LiveRun &run,
         const libdn::LIBDNModel &model = *run.models[p];
         PartitionDiagnosis pd;
         pd.name = partition_names[p];
-        pd.targetCycle = model.minTargetCycle();
+        pd.targetCycle = model.targetCycle();
         pd.fires = model.totalFires();
         pd.advances = model.totalAdvances();
         libdn::LIBDNModel::FsmState fsm = model.fsmState(now);

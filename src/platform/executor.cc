@@ -197,7 +197,7 @@ MultiFpgaSim::init()
 
     for (size_t p = 0; p < plan_.partitions.size(); ++p) {
         models_.push_back(std::make_unique<LIBDNModel>(
-            plan_.partitionNames[p], plan_.partitions[p], 1,
+            plan_.partitionNames[p], plan_.partitions[p],
             execConfig_.evalEngine,
             p < precompiled_.size() ? precompiled_[p] : nullptr));
         if (drivers_[p])
@@ -210,11 +210,10 @@ MultiFpgaSim::init()
                 plan_.partitionNames[p]);
             rtlsim::VcdWriter *vcd = vcdWriters_[p].get();
             models_[p]->setMonitor(
-                [user, vcd](rtlsim::Simulator &sim, unsigned thread,
-                            uint64_t cycle) {
+                [user, vcd](rtlsim::Simulator &sim, uint64_t cycle) {
                     vcd->sample();
                     if (user)
-                        user(sim, thread, cycle);
+                        user(sim, cycle);
                 });
         } else if (user) {
             models_[p]->setMonitor(user);
@@ -267,10 +266,10 @@ MultiFpgaSim::init()
 
         int out_slot = models_[ch.srcPart]->defineOutputChannel(
             out_spec);
-        models_[ch.srcPart]->bindOutput(out_slot, 0, chan);
+        models_[ch.srcPart]->bindOutput(out_slot, chan);
         int in_slot = models_[ch.dstPart]->defineInputChannel(
             in_spec);
-        models_[ch.dstPart]->bindInput(in_slot, 0, chan);
+        models_[ch.dstPart]->bindInput(in_slot, chan);
     }
 
     if (telemetry_) {
@@ -424,7 +423,7 @@ MultiFpgaSim::finishRun(RunResult &result, double now)
     totals.deadlocked = result.deadlocked;
     for (const auto &model : models_)
         totals.partitions.push_back(
-            {model->minTargetCycle(), model->totalFires(),
+            {model->targetCycle(), model->totalFires(),
              model->totalAdvances(), model->sim().nodesEvaluated(),
              model->sim().nodesSkipped()});
     result.metrics = telemetry_->finish(totals);
@@ -499,8 +498,8 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
         // of worker 0, so the report clock and the stream cursor stay
         // single-writer. With one worker that is every partition.
         if (telemetry_) {
-            // FAME-5: an advancing multi-threaded partition burns N
-            // host cycles for the target cycle; any other tick, one.
+            // FAME-5: an advancing N-thread partition burns N host
+            // cycles for the target cycle; any other tick, one.
             telemetry_->onTick(size_t(p), now, t.cycle, t.progressed,
                                t.advanced ? plan_.fame5Threads[p] : 1);
             if (lead[size_t(p)] && telemetry_->onLeadTick(now)) {
@@ -575,9 +574,9 @@ MultiFpgaSim::runOnce(uint64_t target_cycles)
 uint64_t
 MultiFpgaSim::minCycleAll() const
 {
-    uint64_t m = models_[0]->minTargetCycle();
+    uint64_t m = models_[0]->targetCycle();
     for (const auto &model : models_)
-        m = std::min(m, model->minTargetCycle());
+        m = std::min(m, model->targetCycle());
     return m;
 }
 
@@ -775,10 +774,10 @@ runMonolithic(const firrtl::Circuit &circuit,
     uint64_t cycle = 0;
     for (; cycle < target_cycles; ++cycle) {
         if (driver)
-            driver(sim, 0, cycle);
+            driver(sim, cycle);
         sim.evalComb();
         if (monitor)
-            monitor(sim, 0, cycle);
+            monitor(sim, cycle);
         sim.step();
         if (stop && stop())
             return cycle + 1;

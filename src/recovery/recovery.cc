@@ -15,11 +15,11 @@ void
 captureCut(const LiveRun &run, RecoveryPoint &rp)
 {
     rp.valid = true;
-    rp.minTargetCycle = run.models[0]->minTargetCycle();
+    rp.minTargetCycle = run.models[0]->targetCycle();
     rp.partitions.reserve(run.models.size());
     for (const libdn::LIBDNModel *model : run.models) {
         rp.minTargetCycle =
-            std::min(rp.minTargetCycle, model->minTargetCycle());
+            std::min(rp.minTargetCycle, model->targetCycle());
         PartitionCut pc;
         std::ostringstream sim_os;
         model->sim().saveCheckpoint(sim_os);

@@ -61,7 +61,8 @@ struct PartitionGroupSpec
     std::string name;
     /** Full '/'-separated instance paths from the top module. */
     std::set<std::string> instancePaths;
-    /** FAME-5 thread count applied to this partition's model. */
+    /** FAME-5 thread count: the executor charges this many host
+     *  cycles for each target cycle the partition advances. */
     unsigned fame5Threads = 1;
 };
 

@@ -466,41 +466,6 @@ Simulator::outputDeps(int output_idx) const
 }
 
 void
-Simulator::saveState(SeqState &out) const
-{
-    out.regValues.resize(regSigs_.size());
-    for (size_t i = 0; i < regSigs_.size(); ++i)
-        out.regValues[i] = values_[regSigs_[i]];
-    out.memContents = memData_;
-}
-
-void
-Simulator::loadState(const SeqState &in)
-{
-    FIREAXE_ASSERT(in.regValues.size() == regSigs_.size());
-    for (size_t i = 0; i < regSigs_.size(); ++i) {
-        if (compiled_) {
-            if (values_[regSigs_[i]] != in.regValues[i]) {
-                values_[regSigs_[i]] = in.regValues[i];
-                compiled_->onSignalWrite(regSigs_[i]);
-            }
-        } else {
-            values_[regSigs_[i]] = in.regValues[i];
-        }
-    }
-    if (compiled_) {
-        // Only invalidate memories whose contents actually differ —
-        // FAME-5 swaps state every host cycle, and a wholesale
-        // invalidation there would defeat the gating.
-        FIREAXE_ASSERT(in.memContents.size() == memData_.size());
-        for (size_t m = 0; m < memData_.size(); ++m)
-            if (memData_[m] != in.memContents[m])
-                compiled_->onMemWrite(int(m));
-    }
-    memData_ = in.memContents;
-}
-
-void
 Simulator::saveCheckpoint(std::ostream &os) const
 {
     os << "fireaxe-checkpoint 1\n";

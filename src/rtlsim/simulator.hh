@@ -49,14 +49,6 @@ struct Signal
     uint64_t init = 0;
 };
 
-/** Snapshot of all sequential state (registers + memory contents).
- *  Used by the FAME-5 model to hold one copy per thread. */
-struct SeqState
-{
-    std::vector<uint64_t> regValues;
-    std::vector<std::vector<uint64_t>> memContents;
-};
-
 /**
  * The interpreter. Construct from a circuit whose top module is fully
  * flat (no instances) — see passes::flattenAll().
@@ -147,10 +139,6 @@ class Simulator
      *  combinationally depends on. Source outputs (paper terminology)
      *  have empty sets. */
     const std::set<int> &outputDeps(int output_idx) const;
-
-    /** Copy out / restore sequential state (FAME-5 thread swap). */
-    void saveState(SeqState &out) const;
-    void loadState(const SeqState &in);
 
     /**
      * Serialize the full simulation state (cycle count, every signal

@@ -175,13 +175,15 @@ JobRunner::execute(std::ostream *stream_sink)
         traceHash_.assign(nparts, kFnvBasis);
         for (size_t p = 0; p < nparts; ++p) {
             sim_->setMonitor(
-                int(p), [this, p](rtlsim::Simulator &s,
-                                  unsigned thread, uint64_t cycle) {
+                int(p), [this, p](rtlsim::Simulator &s, uint64_t cycle) {
                     if (cycle < outcome_.hashFrom)
                         return;
                     uint64_t h = traceHash_[p];
                     h = fnv1aMix(h, cycle);
-                    h = fnv1aMix(h, thread);
+                    // 0 where a FAME-5 thread id once went: grid.golden,
+                    // elision.golden and every recorded trace_hash
+                    // depend on this step.
+                    h = fnv1aMix(h, 0);
                     for (size_t i = 0; i < s.numSignals(); ++i)
                         h = fnv1aMix(h, s.peekIdx(int(i)));
                     traceHash_[p] = h;
@@ -231,7 +233,7 @@ JobRunner::execute(std::ostream *stream_sink)
             for (size_t p = 0; p < nparts; ++p)
                 outcome_.resumeCycle = std::max(
                     outcome_.resumeCycle,
-                    sim_->model(int(p)).minTargetCycle());
+                    sim_->model(int(p)).targetCycle());
             outcome_.hashFrom =
                 std::max(outcome_.hashFrom, outcome_.resumeCycle);
         }
@@ -258,7 +260,7 @@ JobRunner::execute(std::ostream *stream_sink)
         uint64_t final_sig = kFnvBasis;
         for (size_t p = 0; p < nparts; ++p) {
             const auto &m = sim_->model(int(p));
-            final_sig = fnv1aMix(final_sig, m.minTargetCycle());
+            final_sig = fnv1aMix(final_sig, m.targetCycle());
             for (size_t i = 0; i < m.sim().numSignals(); ++i)
                 final_sig = fnv1aMix(final_sig, m.sim().peekIdx(int(i)));
         }

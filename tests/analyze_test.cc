@@ -598,11 +598,11 @@ TEST(AutoPartitionScoring, SpecStillRunsCycleExact)
     std::vector<uint64_t> mono, part;
     platform::runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &s, uint64_t) {
             mono.push_back(s.peek("status"));
         },
         150);
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         part.push_back(s.peek("status"));
     });
     auto run = sim.run(150);

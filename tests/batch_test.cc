@@ -217,7 +217,7 @@ combChainCircuit()
 libdn::Monitor
 statusRecorder(std::vector<uint64_t> &out)
 {
-    return [&out](rtlsim::Simulator &sim, unsigned, uint64_t) {
+    return [&out](rtlsim::Simulator &sim, uint64_t) {
         out.push_back(sim.peek("status"));
     };
 }
@@ -230,7 +230,7 @@ stateSignature(MultiFpgaSim &sim, size_t nparts)
     uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.targetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
             h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
@@ -515,7 +515,7 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
         cfg.batchDepth = depth;
         sim.setExecConfig(cfg);
         sim.setMonitor(0,
-                       [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+                       [&](rtlsim::Simulator &s, uint64_t) {
                            golden_obs.push_back(s.peek("obs_a"));
                        });
         auto r = sim.run(cycles);
@@ -551,8 +551,7 @@ TEST(BatchSnapshot, MidBatchResumeBitExactAcrossWorkerCounts)
         sim.setExecConfig(cfg);
         std::vector<std::pair<uint64_t, uint64_t>> obs;
         sim.setMonitor(0,
-                       [&](rtlsim::Simulator &s, unsigned,
-                           uint64_t cycle) {
+                       [&](rtlsim::Simulator &s, uint64_t cycle) {
                            obs.emplace_back(cycle, s.peek("obs_a"));
                        });
         ASSERT_TRUE(sim.restore(dir, error)) << error;

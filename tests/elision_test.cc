@@ -123,11 +123,10 @@ struct Setup
         partHash.assign(nparts, kFnvBasis);
         for (size_t p = 0; p < nparts; ++p) {
             sim->setMonitor(int(p), [this, p](rtlsim::Simulator &s,
-                                              unsigned thread,
                                               uint64_t cycle) {
                 uint64_t h = partHash[p];
                 h = fnv1aMix(h, cycle);
-                h = fnv1aMix(h, thread);
+                h = fnv1aMix(h, 0); // as svc/jobrunner.cc does
                 for (size_t i = 0; i < s.numSignals(); ++i)
                     h = fnv1aMix(h, s.peekIdx(int(i)));
                 partHash[p] = h;
@@ -153,7 +152,7 @@ struct Setup
         for (size_t p = 0; p < partHash.size(); ++p) {
             out.traceHash = fnv1aMix(out.traceHash, partHash[p]);
             const auto &m = sim->model(int(p));
-            out.finalSig = fnv1aMix(out.finalSig, m.minTargetCycle());
+            out.finalSig = fnv1aMix(out.finalSig, m.targetCycle());
             for (size_t i = 0; i < m.sim().numSignals(); ++i)
                 out.finalSig =
                     fnv1aMix(out.finalSig, m.sim().peekIdx(int(i)));
@@ -216,7 +215,7 @@ tickEveryEdge(const Case &c)
     double now = 0.0;
     auto done = [&] {
         for (size_t p = 0; p < nparts; ++p)
-            if (s.sim->model(int(p)).minTargetCycle() < kCycles)
+            if (s.sim->model(int(p)).targetCycle() < kCycles)
                 return false;
         return true;
     };
@@ -227,10 +226,10 @@ tickEveryEdge(const Case &c)
                 p = q;
         now = next[p];
         libdn::LIBDNModel &m = s.sim->model(int(p));
-        uint64_t before = m.minTargetCycle();
+        uint64_t before = m.targetCycle();
         bool progress = m.tick(now).progressed;
         unsigned cost =
-            m.minTargetCycle() != before ? s.plan.fame5Threads[p] : 1;
+            m.targetCycle() != before ? s.plan.fame5Threads[p] : 1;
         next[p] += period * cost;
         out.hostCycles[p] += cost;
         if (!progress)
@@ -244,7 +243,7 @@ tickEveryEdge(const Case &c)
     for (size_t p = 0; p < nparts; ++p)
         out.fmr.push_back(
             double(out.hostCycles[p]) /
-            double(s.sim->model(int(p)).minTargetCycle()));
+            double(s.sim->model(int(p)).targetCycle()));
     return out;
 }
 

@@ -220,11 +220,11 @@ TEST(AutoPartition, ResultRunsCycleExact)
     std::vector<uint64_t> mono, part;
     platform::runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &s, uint64_t) {
             mono.push_back(s.peek("status"));
         },
         200);
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         part.push_back(s.peek("status"));
     });
     auto run = sim.run(200);
@@ -413,33 +413,6 @@ TEST(Checkpoint, CrossEngineRestoreMatches)
                 << rtlsim::toString(dir.loadEngine);
             restored.step();
         }
-    }
-}
-
-/** The FAME-5 state-swap primitive (saveState/loadState) must also
- *  be portable across engines, including the activity-gated one. */
-TEST(Checkpoint, CrossEngineSeqStateSwap)
-{
-    target::BusSocConfig cfg;
-    cfg.numTiles = 2;
-    cfg.memWords = 64;
-    auto flat = passes::flattenAll(target::buildBusSoc(cfg));
-
-    rtlsim::Simulator interp(flat, rtlsim::EvalEngine::Interpret);
-    rtlsim::Simulator compiled(flat, rtlsim::EvalEngine::Compiled);
-    interp.run(53);
-
-    rtlsim::SeqState state;
-    interp.saveState(state);
-    compiled.loadState(state);
-    compiled.evalComb();
-    interp.evalComb();
-
-    for (int i = 0; i < 100; ++i) {
-        ASSERT_EQ(compiled.peek("status"), interp.peek("status"))
-            << "cycle offset " << i;
-        interp.step();
-        compiled.step();
     }
 }
 

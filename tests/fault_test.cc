@@ -41,8 +41,7 @@ u250s(size_t n, double mhz)
 libdn::Monitor
 recorder(std::vector<uint64_t> &out, const std::string &signal)
 {
-    return [&out, signal](rtlsim::Simulator &sim, unsigned,
-                          uint64_t) {
+    return [&out, signal](rtlsim::Simulator &sim, uint64_t) {
         out.push_back(sim.peek(signal));
     };
 }

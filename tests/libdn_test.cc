@@ -2,13 +2,15 @@
  * @file
  * Tests for the LI-BDN runtime: token channels with link timing,
  * decoupled models (output-FSM/fireFSM semantics), deadlock
- * behaviour with unseparated channels (paper Fig. 2a), and FAME-5
- * multithreading.
+ * behaviour with unseparated channels (paper Fig. 2a), and the FSM
+ * checkpoint format.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "base/logging.hh"
 #include "firrtl/builder.hh"
@@ -95,10 +97,10 @@ counterPartition()
 
 TEST(LIBDN, SourceOutputFiresEveryCycle)
 {
-    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
+    LIBDNModel model("m", counterPartition(), testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch = std::make_shared<TokenChannel>("out", 16, 64);
-    model.bindOutput(out, 0, ch);
+    model.bindOutput(out, ch);
     model.finalize();
 
     double now = 0.0;
@@ -115,10 +117,10 @@ TEST(LIBDN, SourceOutputFiresEveryCycle)
 
 TEST(LIBDN, BlocksWhenOutputChannelIsFull)
 {
-    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
+    LIBDNModel model("m", counterPartition(), testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch = std::make_shared<TokenChannel>("out", 16, 2);
-    model.bindOutput(out, 0, ch);
+    model.bindOutput(out, ch);
     model.finalize();
 
     double now = 0.0;
@@ -139,14 +141,14 @@ TEST(LIBDN, WaitsForInputToken)
     auto in = m.input("in", 16);
     m.output("out", 16);
     m.connect("out", bits(eAdd(in, lit(1, 16)), 15, 0));
-    LIBDNModel model("m", cb.finish(), 1, testenv::evalEngine());
+    LIBDNModel model("m", cb.finish(), testenv::evalEngine());
 
     int in_slot = model.defineInputChannel({"in", {"in"}});
     int out_slot = model.defineOutputChannel({"out", {"out"}});
     auto in_ch = std::make_shared<TokenChannel>("in", 16);
     auto out_ch = std::make_shared<TokenChannel>("out", 16, 64);
-    model.bindInput(in_slot, 0, in_ch);
-    model.bindOutput(out_slot, 0, out_ch);
+    model.bindInput(in_slot, in_ch);
+    model.bindOutput(out_slot, out_ch);
     model.finalize();
 
     // The output channel depends on the input channel.
@@ -197,17 +199,14 @@ struct TwoChannel
             m.connect("r", bits(eAdd(r, lit(1, 16)), 15, 0));
             m.connect("z", r);
         }
-        model = std::make_unique<LIBDNModel>("m", cb.finish(), 1,
+        model = std::make_unique<LIBDNModel>("m", cb.finish(),
                                              testenv::evalEngine());
-        model->bindInput(model->defineInputChannel({"a", {"a"}}), 0, a);
-        model->bindInput(model->defineInputChannel({"b", {"b"}}), 0, b);
-        model->bindOutput(model->defineOutputChannel({"x", {"x"}}), 0,
-                          x);
-        model->bindOutput(model->defineOutputChannel({"y", {"y"}}), 0,
-                          y);
+        model->bindInput(model->defineInputChannel({"a", {"a"}}), a);
+        model->bindInput(model->defineInputChannel({"b", {"b"}}), b);
+        model->bindOutput(model->defineOutputChannel({"x", {"x"}}), x);
+        model->bindOutput(model->defineOutputChannel({"y", {"y"}}), y);
         if (source)
-            model->bindOutput(
-                model->defineOutputChannel({"z", {"z"}}), 0, z);
+            model->bindOutput(model->defineOutputChannel({"z", {"z"}}), z);
         model->finalize();
     }
 };
@@ -290,25 +289,6 @@ TEST(LIBDNSettle, OutputBehindFullChannelDoesNotSettle)
     EXPECT_TRUE(o.advanced);
 }
 
-TEST(LIBDNSettle, Fame5ThreadsNeverSettle)
-{
-    LIBDNModel model("m", counterPartition(), 2, testenv::evalEngine());
-    int out = model.defineOutputChannel({"out", {"out"}});
-    for (unsigned t = 0; t < 2; ++t)
-        model.bindOutput(out, t,
-                         std::make_shared<TokenChannel>("out", 16, 64));
-    model.finalize();
-    for (double now = 0.0; now < 100.0; now += 10.0) {
-        libdn::TickOutcome o = model.tick(now);
-        EXPECT_TRUE(o.progressed);
-        EXPECT_FALSE(o.settled);
-        // minTargetCycle() moves when the lagging thread advances.
-        EXPECT_EQ(o.advanced,
-                  model.targetCycle(0) == model.targetCycle(1));
-        EXPECT_EQ(o.cycle, model.minTargetCycle());
-    }
-}
-
 namespace {
 
 /**
@@ -339,10 +319,8 @@ struct Fig2Harness
             m.connect("snk_out", bits(eAdd(sink_in, r), 15, 0));
             return cb.finish();
         };
-        a = std::make_unique<LIBDNModel>("a", mk(1), 1,
-                                         testenv::evalEngine());
-        b = std::make_unique<LIBDNModel>("b", mk(2), 1,
-                                         testenv::evalEngine());
+        a = std::make_unique<LIBDNModel>("a", mk(1), testenv::evalEngine());
+        b = std::make_unique<LIBDNModel>("b", mk(2), testenv::evalEngine());
 
         auto connect = [&](LIBDNModel &src, LIBDNModel &dst,
                            const std::vector<std::string> &src_ports,
@@ -351,9 +329,9 @@ struct Fig2Harness
             auto ch = std::make_shared<TokenChannel>(name, 16, 8);
             ch->setTiming(1.0, 3.0);
             int o = src.defineOutputChannel({name, src_ports});
-            src.bindOutput(o, 0, ch);
+            src.bindOutput(o, ch);
             int i = dst.defineInputChannel({name, dst_ports});
-            dst.bindInput(i, 0, ch);
+            dst.bindInput(i, ch);
             chans.push_back(ch);
         };
 
@@ -400,8 +378,7 @@ TEST(LIBDN, Fig2SeparatedChannelsMatchMonolithicValues)
     // r_b' = r_a + r_b. From (1, 2): (3, 3), (6, 6), (12, 12)...
     Fig2Harness h(true);
     std::vector<uint64_t> ra;
-    h.a->setMonitor([&](rtlsim::Simulator &sim, unsigned,
-                        uint64_t) {
+    h.a->setMonitor([&](rtlsim::Simulator &sim, uint64_t) {
         ra.push_back(sim.peek("src_out"));
     });
     h.run(200);
@@ -438,53 +415,6 @@ TEST(LIBDN, ExactModeUsesTwoLinkCrossingsPerCycle)
     EXPECT_LE(h.a->targetCycle(), 250u);
 }
 
-TEST(LIBDN, Fame5ThreadsAdvanceIndependentStates)
-{
-    // One counter circuit, two FAME-5 threads: shared combinational
-    // netlist, replicated sequential state, round-robin scheduling.
-    LIBDNModel model("m", counterPartition(), 2, testenv::evalEngine());
-    int out = model.defineOutputChannel({"out", {"out"}});
-    auto ch0 = std::make_shared<TokenChannel>("t0", 16, 64);
-    auto ch1 = std::make_shared<TokenChannel>("t1", 16, 64);
-    model.bindOutput(out, 0, ch0);
-    model.bindOutput(out, 1, ch1);
-    model.finalize();
-
-    double now = 0.0;
-    for (int i = 0; i < 20; ++i, now += 10.0)
-        model.tick(now);
-    // 20 host ticks round-robin across 2 threads -> 10 cycles each.
-    EXPECT_EQ(model.targetCycle(0), 10u);
-    EXPECT_EQ(model.targetCycle(1), 10u);
-    EXPECT_EQ(model.minTargetCycle(), 10u);
-    // Both threads produced the same deterministic stream.
-    for (uint64_t i = 0; i < 10; ++i) {
-        EXPECT_EQ(ch0->head()[0], i);
-        EXPECT_EQ(ch1->head()[0], i);
-        ch0->deq();
-        ch1->deq();
-    }
-}
-
-TEST(LIBDN, Fame5BlockedThreadStallsScheduler)
-{
-    LIBDNModel model("m", counterPartition(), 2, testenv::evalEngine());
-    int out = model.defineOutputChannel({"out", {"out"}});
-    auto ch0 = std::make_shared<TokenChannel>("t0", 16, 2);
-    auto ch1 = std::make_shared<TokenChannel>("t1", 16, 64);
-    model.bindOutput(out, 0, ch0);
-    model.bindOutput(out, 1, ch1);
-    model.finalize();
-
-    double now = 0.0;
-    for (int i = 0; i < 40; ++i, now += 10.0)
-        model.tick(now);
-    // Thread 0's channel fills after 2 tokens; strict round-robin
-    // then stalls thread 1 at most one cycle ahead.
-    EXPECT_EQ(model.targetCycle(0), 2u);
-    EXPECT_LE(model.targetCycle(1), 3u);
-}
-
 TEST(LIBDN, DriverSuppliesExternalInputs)
 {
     CircuitBuilder cb("Ext");
@@ -494,12 +424,11 @@ TEST(LIBDN, DriverSuppliesExternalInputs)
     auto r = m.reg("r", 16, 0);
     m.connect("r", in);
     m.connect("out", r);
-    LIBDNModel model("m", cb.finish(), 1, testenv::evalEngine());
+    LIBDNModel model("m", cb.finish(), testenv::evalEngine());
     int out = model.defineOutputChannel({"out", {"out"}});
     auto ch = std::make_shared<TokenChannel>("out", 16, 64);
-    model.bindOutput(out, 0, ch);
-    model.setDriver([](rtlsim::Simulator &sim, unsigned,
-                       uint64_t cycle) {
+    model.bindOutput(out, ch);
+    model.setDriver([](rtlsim::Simulator &sim, uint64_t cycle) {
         sim.poke("ext_in", cycle * 7);
     });
     model.finalize();
@@ -520,16 +449,107 @@ TEST(LIBDN, DriverSuppliesExternalInputs)
     EXPECT_EQ(seen[3], 14u);
 }
 
+namespace {
+
+/** A counter partition bound to its own output channel. */
+struct CounterModel
+{
+    std::shared_ptr<TokenChannel> out =
+        std::make_shared<TokenChannel>("out", 16, 64);
+    LIBDNModel model{"m", counterPartition(), testenv::evalEngine()};
+
+    CounterModel()
+    {
+        model.bindOutput(model.defineOutputChannel({"out", {"out"}}),
+                         out);
+        model.finalize();
+    }
+
+    std::string fsm() const
+    {
+        std::ostringstream os;
+        model.saveFsm(os);
+        return os.str();
+    }
+};
+
+/** An FSM checkpoint at cycle 7 with the output fired, 9 fires and 9
+ *  advances, and the given retired slots. */
+std::string
+fsmStream(const std::string &header, const std::string &regs,
+          const std::string &mems)
+{
+    return "fireaxe-fsm 1\n" + header + " 9 9\n7 1 1\n" + regs + "\n" +
+           mems + "\n";
+}
+
+} // namespace
+
+TEST(LIBDN, FsmCheckpointRetiredSlots)
+{
+    // The header's thread count and scheduler position, and the
+    // register and memory lines after the fired flags, are retired:
+    // saveFsm writes them as `1 0`, `0` and `0`, as every snapshot on
+    // disk holds them.
+    CounterModel ran;
+    for (double now = 0.0; now < 30.0; now += 10.0)
+        ran.model.tick(now);
+    EXPECT_EQ(ran.fsm(), "fireaxe-fsm 1\n1 0 3 3\n3 1 0\n0\n0\n");
+
+    // The stream with those slots as written loads, and its fired flag
+    // holds the next tick's token back.
+    CounterModel loaded;
+    std::istringstream good(fsmStream("1 0", "0", "0"));
+    std::string error;
+    ASSERT_TRUE(loaded.model.tryLoadFsm(good, error)) << error;
+    EXPECT_EQ(loaded.model.targetCycle(), 7u);
+    EXPECT_EQ(loaded.model.totalFires(), 9u);
+    loaded.model.tick(0.0);
+    EXPECT_TRUE(loaded.out->empty());
+
+    // Any other value in a retired slot is refused, and the model is
+    // left as it was: its next tick matches a never-loaded model's.
+    struct Bad
+    {
+        std::string header, regs, mems, error;
+    };
+    const Bad bad[] = {
+        {"2 0", "0", "0",
+         "FSM checkpoint header reads threads 2 cursor 0, expected 1 0"},
+        {"1 1", "0", "0",
+         "FSM checkpoint header reads threads 1 cursor 1, expected 1 0"},
+        {"1 0", "1 5", "0", "FSM checkpoint register shape mismatch"},
+        {"1 0", "0", "1\n1 5", "FSM checkpoint memory shape mismatch"},
+    };
+    CounterModel fresh;
+    const std::string fresh_fsm = fresh.fsm();
+    fresh.model.tick(0.0);
+    ASSERT_EQ(fresh.out->size(), 1u);
+    for (const Bad &b : bad) {
+        SCOPED_TRACE(b.error);
+        CounterModel m;
+        std::istringstream is(fsmStream(b.header, b.regs, b.mems));
+        EXPECT_FALSE(m.model.tryLoadFsm(is, error));
+        EXPECT_EQ(error, "partition 'm': " + b.error);
+        EXPECT_EQ(m.fsm(), fresh_fsm);
+        m.model.tick(0.0);
+        ASSERT_EQ(m.out->size(), 1u);
+        EXPECT_EQ(m.out->head(), fresh.out->head());
+        EXPECT_EQ(m.model.targetCycle(), fresh.model.targetCycle());
+        EXPECT_EQ(m.fsm(), fresh.fsm());
+    }
+}
+
 TEST(LIBDN, UnboundChannelFailsFinalize)
 {
-    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
+    LIBDNModel model("m", counterPartition(), testenv::evalEngine());
     model.defineOutputChannel({"out", {"out"}});
     EXPECT_THROW(model.finalize(), FatalError);
 }
 
 TEST(LIBDN, ChannelOverUnknownPortFails)
 {
-    LIBDNModel model("m", counterPartition(), 1, testenv::evalEngine());
+    LIBDNModel model("m", counterPartition(), testenv::evalEngine());
     EXPECT_THROW(model.defineOutputChannel({"x", {"nope"}}),
                  FatalError);
 }

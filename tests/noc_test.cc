@@ -46,7 +46,7 @@ TEST(NocSoc, GeneratesAndSimulates)
     std::vector<uint64_t> status;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             status.push_back(sim.peek("status"));
         },
         500, nullptr, testenv::evalEngine());
@@ -62,7 +62,7 @@ TEST(NocSoc, SubsystemServesMemoryTraffic)
     uint64_t heartbeat = 0;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             heartbeat = sim.peek("subsys/hb");
         },
         600, nullptr, testenv::evalEngine());
@@ -166,7 +166,7 @@ TEST(NocPartition, TwoFpgaRingIsCycleExact)
     std::vector<uint64_t> mono;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             mono.push_back(sim.peek("status"));
         },
         cycles);
@@ -180,7 +180,7 @@ TEST(NocPartition, TwoFpgaRingIsCycleExact)
     MultiFpgaSim sim(plan, u250s(2, 40.0), transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         part.push_back(s.peek("status"));
     });
     auto result = sim.run(cycles);
@@ -200,7 +200,7 @@ TEST(NocPartition, FiveFpgaRingRunsAndStaysExact)
     std::vector<uint64_t> mono;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             mono.push_back(sim.peek("status"));
         },
         cycles);
@@ -217,7 +217,7 @@ TEST(NocPartition, FiveFpgaRingRunsAndStaysExact)
     MultiFpgaSim sim(plan, u250s(5, 40.0), transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         part.push_back(s.peek("status"));
     });
     auto result = sim.run(cycles);
@@ -252,7 +252,7 @@ TEST(BidirNoc, GeneratesAndServesTraffic)
     uint64_t heartbeat = 0;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             heartbeat = sim.peek("subsys/hb");
         },
         800, nullptr, testenv::evalEngine());
@@ -273,7 +273,7 @@ TEST(BidirNoc, ShortestPathBeatsUnidirectionalRing)
         uint64_t heartbeat = 0;
         runMonolithic(
             soc, nullptr,
-            [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+            [&](rtlsim::Simulator &sim, uint64_t) {
                 heartbeat = sim.peek("subsys/hb");
             },
             1200, nullptr, testenv::evalEngine());
@@ -293,7 +293,7 @@ TEST(BidirNoc, NocPartitionStaysCycleExact)
     std::vector<uint64_t> mono;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             mono.push_back(sim.peek("status"));
         },
         cycles);
@@ -307,7 +307,7 @@ TEST(BidirNoc, NocPartitionStaysCycleExact)
     MultiFpgaSim sim(plan, u250s(2, 40.0), transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         part.push_back(s.peek("status"));
     });
     auto result = sim.run(cycles);

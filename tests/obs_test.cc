@@ -384,7 +384,7 @@ goldenStatus(const firrtl::Circuit &soc, uint64_t cycles)
     std::vector<uint64_t> mono;
     platform::runMonolithic(
         soc, nullptr,
-        [&mono](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&mono](rtlsim::Simulator &sim, uint64_t) {
             mono.push_back(sim.peek("status"));
         },
         cycles);
@@ -428,7 +428,7 @@ TEST(Telemetry, InstrumentedRunStaysBitExact)
     sim.setTelemetry(TelemetryConfig{});
     std::vector<uint64_t> part;
     sim.setMonitor(0,
-                   [&part](rtlsim::Simulator &s, unsigned, uint64_t) {
+                   [&part](rtlsim::Simulator &s, uint64_t) {
                        part.push_back(s.peek("status"));
                    });
     auto result = sim.run(cycles);

@@ -55,8 +55,7 @@ u250s(size_t n, double mhz)
 libdn::Monitor
 recorder(std::vector<uint64_t> &out, const std::string &signal)
 {
-    return [&out, signal](rtlsim::Simulator &sim, unsigned,
-                          uint64_t) {
+    return [&out, signal](rtlsim::Simulator &sim, uint64_t) {
         out.push_back(sim.peek(signal));
     };
 }
@@ -139,8 +138,7 @@ runBigCore(const ExecConfig &base, uint64_t cycles)
     BigCoreRun run;
     run.cycleHashes.resize(nparts);
     for (size_t p = 0; p < nparts; ++p) {
-        sim.setMonitor(int(p), [&run, p](rtlsim::Simulator &s,
-                                         unsigned, uint64_t cycle) {
+        sim.setMonitor(int(p), [&run, p](rtlsim::Simulator &s, uint64_t cycle) {
             uint64_t h = fnv1aMix(kFnvBasis, cycle);
             for (size_t i = 0; i < s.numSignals(); ++i)
                 h = fnv1aMix(h, s.peekIdx(int(i)));
@@ -215,7 +213,7 @@ finalStateSignature(MultiFpgaSim &sim, size_t nparts)
     uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.targetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
             h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
@@ -676,8 +674,7 @@ TEST(ParExec, StopConditionWorksAcrossWorkers)
                      transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig(3));
     std::atomic<uint64_t> seen{0};
-    sim.setMonitor(0, [&](rtlsim::Simulator &, unsigned,
-                          uint64_t cycle) { seen.store(cycle); });
+    sim.setMonitor(0, [&](rtlsim::Simulator &, uint64_t cycle) { seen.store(cycle); });
     sim.init();
     sim.setStopCondition([&]() { return seen.load() >= 50; });
     auto result = sim.run(100000);

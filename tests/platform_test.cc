@@ -36,8 +36,7 @@ u250s(size_t n, double mhz)
 libdn::Monitor
 recorder(std::vector<uint64_t> &out, const std::string &signal)
 {
-    return [&out, signal](rtlsim::Simulator &sim, unsigned,
-                          uint64_t) {
+    return [&out, signal](rtlsim::Simulator &sim, uint64_t) {
         out.push_back(sim.peek(signal));
     };
 }
@@ -183,8 +182,7 @@ TEST(Executor, Fig3FastModeIsCycleApproximate)
     MultiFpgaSim sim(plan, u250s(2, 30.0), transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig());
     uint64_t part_done = 0;
-    sim.setMonitor(1, [&](rtlsim::Simulator &s, unsigned,
-                          uint64_t cycle) {
+    sim.setMonitor(1, [&](rtlsim::Simulator &s, uint64_t cycle) {
         if (part_done == 0 && s.peek("consumer/acc_count") == 64)
             part_done = cycle;
     });
@@ -328,8 +326,7 @@ TEST(Executor, StopConditionEndsRunEarly)
     MultiFpgaSim sim(plan, u250s(2, 30.0), transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig());
     uint64_t seen = 0;
-    sim.setMonitor(0, [&](rtlsim::Simulator &, unsigned,
-                          uint64_t cycle) { seen = cycle; });
+    sim.setMonitor(0, [&](rtlsim::Simulator &, uint64_t cycle) { seen = cycle; });
     sim.init();
     sim.setStopCondition([&]() { return seen >= 50; });
     auto result = sim.run(100000);

@@ -75,7 +75,7 @@ TEST_P(ExactEquivalence, PartitionedMatchesMonolithicPerCycle)
     std::vector<uint64_t> mono;
     platform::runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &s, uint64_t) {
             mono.push_back(s.peek("status"));
         },
         cycles);
@@ -98,7 +98,7 @@ TEST_P(ExactEquivalence, PartitionedMatchesMonolithicPerCycle)
         link);
     sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         part.push_back(s.peek("status"));
     });
     auto result = sim.run(cycles);

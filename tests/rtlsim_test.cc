@@ -2,8 +2,8 @@
  * @file
  * Tests for the cycle-accurate RTL interpreter: expression
  * evaluation, register/memory semantics, the output->input
- * combinational dependency matrix (used by the LI-BDN runtime), and
- * sequential-state snapshots (used by FAME-5).
+ * combinational dependency matrix (used by the LI-BDN runtime),
+ * reset, and the compiled engine against the interpreter.
  */
 
 #include <gtest/gtest.h>
@@ -279,25 +279,6 @@ TEST(Interp, DepMatrixSeparatesSinkAndSourceOutputs)
     int a_idx = sim.signalIndex("a");
     EXPECT_EQ(sim.outputDeps(comb_o), std::set<int>{a_idx});
     EXPECT_TRUE(sim.outputDeps(reg_o).empty());
-}
-
-TEST(Interp, SeqStateSnapshotRoundTrip)
-{
-    CircuitBuilder cb("M");
-    auto m = cb.module("M");
-    m.output("count", 16);
-    auto r = m.reg("cnt", 16, 0);
-    m.connect("cnt", bits(eAdd(r, lit(1, 16)), 15, 0));
-    m.connect("count", r);
-    Simulator sim(cb.finish(), testenv::evalEngine());
-    sim.run(10);
-    rtlsim::SeqState snap;
-    sim.saveState(snap);
-    sim.run(7);
-    EXPECT_EQ(sim.peek("count"), 17u);
-    sim.loadState(snap);
-    sim.evalComb();
-    EXPECT_EQ(sim.peek("count"), 10u);
 }
 
 TEST(Interp, ResetRestoresInitialState)

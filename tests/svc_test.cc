@@ -82,7 +82,7 @@ finalStateSignature(platform::MultiFpgaSim &sim, size_t nparts)
     uint64_t h = kFnvBasis;
     for (size_t p = 0; p < nparts; ++p) {
         auto &m = sim.model(int(p));
-        h = fnv1aMix(h, m.minTargetCycle());
+        h = fnv1aMix(h, m.targetCycle());
         for (size_t i = 0; i < m.sim().numSignals(); ++i)
             h = fnv1aMix(h, m.sim().peekIdx(int(i)));
     }
@@ -417,8 +417,7 @@ TEST(SvcStop, RequestStopQuiescesWithResumableSnapshot)
         platform::MultiFpgaSim sim(plan, fpgas,
                                    transport::qsfpAurora());
         sim.setExecConfig(testenv::execConfig());
-        sim.setMonitor(0, [&sim](rtlsim::Simulator &, unsigned,
-                                 uint64_t cycle) {
+        sim.setMonitor(0, [&sim](rtlsim::Simulator &, uint64_t cycle) {
             if (cycle >= 1000)
                 sim.requestStop();
         });
@@ -628,7 +627,7 @@ TEST(SvcService, DrainStopsInFlightJobAndLeavesResumableSnapshot)
     // The stop may land anywhere — including cycle 0 if the drain
     // won the race with the first cycle. Wherever it quiesced, the
     // snapshot must resume and run on cleanly.
-    uint64_t resumed_at = sim.model(0).minTargetCycle();
+    uint64_t resumed_at = sim.model(0).targetCycle();
     auto r = sim.run(resumed_at + 500);
     EXPECT_FALSE(r.deadlocked);
     EXPECT_EQ(r.targetCycles, resumed_at + 500);

@@ -36,7 +36,7 @@ monolithicDoneCycle(const firrtl::Circuit &soc, uint64_t limit)
     uint64_t done_cycle = 0;
     runMonolithic(
         soc, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t cycle) {
+        [&](rtlsim::Simulator &sim, uint64_t cycle) {
             if (done_cycle == 0 && sim.peek("done"))
                 done_cycle = cycle;
         },
@@ -58,8 +58,7 @@ partitionedDoneCycle(const firrtl::Circuit &soc, PartitionMode mode,
                      transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig());
     uint64_t done_cycle = 0;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned,
-                          uint64_t cycle) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t cycle) {
         if (done_cycle == 0 && s.peek("done"))
             done_cycle = cycle;
     });
@@ -205,7 +204,7 @@ TEST(BigCore, SplitCoreExactModeIsCycleExact)
     std::vector<uint64_t> mono;
     runMonolithic(
         core, nullptr,
-        [&](rtlsim::Simulator &sim, unsigned, uint64_t) {
+        [&](rtlsim::Simulator &sim, uint64_t) {
             mono.push_back(sim.peek("status"));
         },
         cycles);
@@ -220,7 +219,7 @@ TEST(BigCore, SplitCoreExactModeIsCycleExact)
                      transport::qsfpAurora());
     sim.setExecConfig(testenv::execConfig());
     std::vector<uint64_t> part;
-    sim.setMonitor(0, [&](rtlsim::Simulator &s, unsigned, uint64_t) {
+    sim.setMonitor(0, [&](rtlsim::Simulator &s, uint64_t) {
         part.push_back(s.peek("status"));
     });
     auto result = sim.run(cycles);
