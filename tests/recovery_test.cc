@@ -993,6 +993,81 @@ TEST(Restore, CheckedInSnapshotResumesBitExactly)
     }
 }
 
+TEST(Restore, FaultFreeSnapshotBytesArePinned)
+{
+    // tests/data/bussoc-d8-c3000 was written with `fireaxe-run
+    // --target bus-soc --batch-depth 8 --seed 1 --cycles 3000
+    // --snapshot-every 3000 --engine interpret`. No channel carries a
+    // fault model, so this pins the fault-free token path's snapshot
+    // bytes: a fresh run under either engine must write every shard
+    // byte for byte, and the manifest too, up to its informational
+    // engine name. Resumed to 6,000 cycles under either worker count,
+    // the pinned snapshot must equal an uninterrupted run.
+    const std::string pinned = FIREAXE_TEST_DATA_DIR "/bussoc-d8-c3000";
+    auto slurp = [](const std::string &path) {
+        std::ifstream is(path, std::ios::binary);
+        EXPECT_TRUE(is) << path;
+        std::ostringstream os;
+        os << is.rdbuf();
+        return os.str();
+    };
+    svc::JobSpec spec = testenv::jobSpec("bus-soc");
+    spec.batchDepth = 8;
+    spec.seed = 1;
+
+    for (const char *engine : {"interpret", "compiled"}) {
+        SCOPED_TRACE(std::string("engine ") + engine);
+        std::string dir = tempDir();
+        svc::JobSpec snap = spec;
+        snap.engine = engine;
+        snap.cycles = 3000;
+        snap.snapshotEvery = 3000;
+        snap.snapshotDir = dir;
+        svc::RunOutcome o = svc::runJob(snap);
+        ASSERT_TRUE(o.ok) << o.error;
+        EXPECT_EQ(o.result.retransmits, 0u);
+        size_t files = 0;
+        for (const auto &entry : fs::directory_iterator(pinned)) {
+            std::string name = entry.path().filename().string();
+            std::string want = slurp(entry.path().string());
+            if (name == "manifest.fasnap")
+                replaceField(want, 1, 3, engine);
+            EXPECT_EQ(slurp(dir + "/" + name), want) << name;
+            ++files;
+        }
+        EXPECT_EQ(files, 4u);
+        fs::remove_all(dir);
+    }
+
+    svc::JobSpec full = spec;
+    full.cycles = 6000;
+    full.hashFrom = 3000;
+    svc::RunOutcome golden = svc::runJob(full);
+    ASSERT_TRUE(golden.ok) << golden.error;
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        std::string dir = tempDir();
+        fs::copy(pinned, dir);
+        svc::JobSpec resume = spec;
+        resume.cycles = 6000;
+        resume.backend = "parallel";
+        resume.workers = workers;
+        resume.snapshotDir = dir;
+        resume.resume = true;
+        svc::RunOutcome o = svc::runJob(resume);
+        ASSERT_TRUE(o.ok) << o.error;
+        EXPECT_EQ(o.exec.workers, workers);
+        EXPECT_EQ(o.restores, 1u);
+        EXPECT_EQ(o.resumeCycle, 3000u);
+        EXPECT_EQ(o.result.targetCycles, golden.result.targetCycles);
+        EXPECT_EQ(o.traceHash, golden.traceHash);
+        EXPECT_EQ(o.finalSig, golden.finalSig);
+        EXPECT_EQ(std::bit_cast<uint64_t>(o.result.hostTimeNs),
+                  std::bit_cast<uint64_t>(golden.result.hostTimeNs));
+        fs::remove_all(dir);
+    }
+}
+
 TEST(Restore, OversizedBlockLengthFailsBeforeAllocating)
 {
     // A channel block that declares more bytes than its shard holds
