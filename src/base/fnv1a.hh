@@ -65,15 +65,16 @@ fnv1a(std::string_view bytes, uint64_t basis = kFnvBasis)
 }
 
 /** Fold the eight little-endian bytes of @p v into running hash @p h:
- *  the first m-1 of its m significant bytes take the usual step, the
- *  last one multiplies by kFnvPrime^(9-m), and v == 0 by the 8th
- *  power. */
+ *  the first m-1 of its m significant bytes take the usual step, and
+ *  the last one multiplies by kFnvPrime^(9-m). A value below 256 has
+ *  at most one significant byte, so it folds in one step, v == 0
+ *  included. */
 inline uint64_t
 fnv1aMix(uint64_t h, uint64_t v)
 {
     using fnv1a_detail::kPow;
-    if (v == 0)
-        return h * kPow[8];
+    if (v < 256)
+        return (h ^ v) * kPow[8];
     int m = 8 - std::countl_zero(v) / 8;
     for (int i = 0; i < m - 1; ++i) {
         h ^= (v >> (8 * i)) & 0xFF;
