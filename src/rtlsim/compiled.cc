@@ -17,8 +17,10 @@ CompiledProgram::byteSize() const
            code.capacity() * sizeof(Instr) +
            cnodes.capacity() * sizeof(CNode) +
            consts.capacity() * sizeof(uint64_t) +
-           sigReadersOff.capacity() * sizeof(uint32_t) +
-           sigReaders.capacity() * sizeof(int32_t) +
+           readersOff.capacity() * sizeof(uint32_t) +
+           readers.capacity() * sizeof(WordMask) +
+           copiesOff.capacity() * sizeof(uint32_t) +
+           copies.capacity() * sizeof(Copy) +
            producer.capacity() * sizeof(int32_t) +
            memNode.capacity() * sizeof(int32_t);
 }
@@ -32,31 +34,17 @@ static_assert(int(firrtl::BinOpKind::Shr) + 1 == Instr::UnBase);
 static_assert(Instr::UnBase + int(firrtl::UnOpKind::XorR) + 1 ==
               Instr::Mux);
 
-uint32_t
-makeRef(CompiledProgram::Bank bank, size_t index)
-{
-    FIREAXE_ASSERT(index <= CompiledProgram::kIndexMask);
-    return uint32_t(bank) << CompiledProgram::kBankShift |
-           uint32_t(index);
-}
-
-/** Load operand @p ref through the bank table (signals, constant
- *  pool, temporaries). */
-inline uint64_t
-at(const uint64_t *const *bank, uint32_t ref)
-{
-    return bank[ref >> CompiledProgram::kBankShift]
-               [ref & CompiledProgram::kIndexMask];
-}
-
 /** Execute one instruction: a single switch on the operator, each
- *  case calling ops.hh with a constant kind. */
+ *  case calling ops.hh with a constant kind. @p load maps an operand
+ *  to its value (an arena read at run time, a pool read when folding
+ *  at compile time). */
+template <class Load>
 inline uint64_t
-exec(const Instr &in, const uint64_t *const *bank)
+exec(const Instr &in, Load load)
 {
     using B = firrtl::BinOpKind;
     using U = firrtl::UnOpKind;
-    const uint64_t a = at(bank, in.a), b = at(bank, in.b);
+    const uint64_t a = load(in.a), b = load(in.b);
     uint64_t r = 0;
     switch (in.op) {
       case int(B::Add): r = applyBinOp(B::Add, a, b); break;
@@ -79,7 +67,7 @@ exec(const Instr &in, const uint64_t *const *bank)
       case Instr::UnBase + int(U::AndR): r = applyUnOp(U::AndR, a, b); break;
       case Instr::UnBase + int(U::OrR):  r = applyUnOp(U::OrR, a, b); break;
       case Instr::UnBase + int(U::XorR): r = applyUnOp(U::XorR, a, b); break;
-      case Instr::Mux: r = applyMux(a, b, at(bank, in.c)); break;
+      case Instr::Mux: r = applyMux(a, b, load(in.c)); break;
       case Instr::Bits: r = applyBits(a, in.shift); break;
       case Instr::Cat: r = applyCat(a, b, in.shift); break;
     }
@@ -90,11 +78,27 @@ exec(const Instr &in, const uint64_t *const *bank)
 
 /** One-shot program builder; reads only the simulator's compiled
  *  node programs, never its live values. Defined at namespace scope
- *  (single TU) so Simulator can befriend it. */
+ *  (single TU) so Simulator can befriend it.
+ *
+ *  While compiling, an operand is a ref whose top two bits name its
+ *  bank (signal, pool slot, or temporary), because the pool's size
+ *  is not known until every node is compiled; relocate() then turns
+ *  every ref into its arena index. */
 struct ProgramBuilder
 {
+    enum Bank : uint32_t { Sig, Const, Temp };
+    static constexpr unsigned kBankShift = 30;
+    static constexpr uint32_t kIndexMask = (1u << kBankShift) - 1;
+
     const Simulator &sim;
     CompiledProgram prog;
+
+    static uint32_t
+    makeRef(Bank bank, size_t index)
+    {
+        FIREAXE_ASSERT(index <= kIndexMask);
+        return uint32_t(bank) << kBankShift | uint32_t(index);
+    }
 
     uint32_t
     constRef(uint64_t value)
@@ -105,11 +109,12 @@ struct ProgramBuilder
                    prog.consts.begin();
         if (i == prog.consts.size())
             prog.consts.push_back(value);
-        return makeRef(CompiledProgram::Const, i);
+        return makeRef(Const, i);
     }
 
     void compileNode(const Simulator::EvalNode &node, CNode &cn);
-    void buildReaderTable(const std::vector<int> &order);
+    void relocate();
+    void buildReaderTables(const std::vector<int> &order);
     std::vector<int> levelOrder() const;
     void build();
 };
@@ -119,9 +124,9 @@ ProgramBuilder::compileNode(const Simulator::EvalNode &node, CNode &cn)
 {
     using POp = Simulator::POp;
     auto is_const = [](uint32_t ref) {
-        return ref >> CompiledProgram::kBankShift ==
-               CompiledProgram::Const;
+        return ref >> kBankShift == Const;
     };
+    const uint32_t zero = constRef(0); // unused operands read pool 0
 
     // Leaves push refs on a compile-time operand stack; each operator
     // pops its operands and pushes the ref of its result.
@@ -135,13 +140,14 @@ ProgramBuilder::compileNode(const Simulator::EvalNode &node, CNode &cn)
     cn.start = uint32_t(prog.code.size());
     for (const POp &op : node.expr.ops) {
         Instr in;
+        in.a = in.b = in.c = zero;
         in.mask = bitMask(op.width);
         switch (op.kind) {
           case POp::PushLit:
             refs.push_back(constRef(op.lit));
             continue;
           case POp::PushSig:
-            refs.push_back(makeRef(CompiledProgram::Sig, op.sig));
+            refs.push_back(makeRef(Sig, op.sig));
             continue;
           case POp::Un:
             in.op = uint8_t(Instr::UnBase + int(op.un));
@@ -177,13 +183,13 @@ ProgramBuilder::compileNode(const Simulator::EvalNode &node, CNode &cn)
             break;
         }
         if (is_const(in.a) && is_const(in.b) && is_const(in.c)) {
-            // Fold into the pool: exec() reads only the pool here.
-            const uint64_t *const pool[] = {nullptr, prog.consts.data(),
-                                            nullptr};
-            refs.push_back(constRef(exec(in, pool)));
+            // Fold into the pool.
+            uint64_t v = exec(in, [this](uint32_t ref) {
+                return prog.consts[ref & kIndexMask];
+            });
+            refs.push_back(constRef(v));
         } else {
-            refs.push_back(makeRef(CompiledProgram::Temp,
-                                   prog.code.size() - cn.start));
+            refs.push_back(makeRef(Temp, prog.code.size() - cn.start));
             prog.code.push_back(in);
         }
     }
@@ -191,6 +197,26 @@ ProgramBuilder::compileNode(const Simulator::EvalNode &node, CNode &cn)
     cn.result = refs.back();
     cn.end = uint32_t(prog.code.size());
     prog.numTemps = std::max(prog.numTemps, cn.end - cn.start);
+}
+
+void
+ProgramBuilder::relocate()
+{
+    prog.constBase = uint32_t(prog.numSignals);
+    prog.tempBase = prog.constBase + uint32_t(prog.consts.size());
+    FIREAXE_ASSERT(prog.arenaSize() <= kIndexMask, "arena too large");
+    const uint32_t base[] = {0, prog.constBase, prog.tempBase};
+    auto flat = [&](uint32_t &ref) {
+        ref = base[ref >> kBankShift] + (ref & kIndexMask);
+    };
+    for (Instr &in : prog.code) {
+        flat(in.a);
+        flat(in.b);
+        flat(in.c);
+    }
+    for (CNode &cn : prog.cnodes)
+        if (cn.kind != CNode::MemRead)
+            flat(cn.result);
 }
 
 std::vector<int>
@@ -222,29 +248,48 @@ ProgramBuilder::levelOrder() const
 }
 
 void
-ProgramBuilder::buildReaderTable(const std::vector<int> &order)
+ProgramBuilder::buildReaderTables(const std::vector<int> &order)
 {
-    // Deduplicate each node's read set, then lay the signal→reader
-    // lists out in one CSR pair over program positions.
-    std::vector<std::vector<int>> reads(order.size());
-    std::vector<uint32_t> counts(sim.signals_.size() + 1, 0);
+    // A copy node runs no instruction and its value is a signal: it
+    // is folded into that signal's writes instead of sitting on its
+    // reader list. Every other node reads each signal once, by its
+    // program position, so each signal's reader list comes out
+    // ascending and groups into (word, mask) pairs in one pass.
+    const size_t num_sigs = sim.signals_.size();
+    std::vector<std::vector<uint32_t>> readers(num_sigs);
+    std::vector<std::vector<CompiledProgram::Copy>> copies(num_sigs);
     for (size_t n = 0; n < order.size(); ++n) {
-        reads[n] = sim.nodes_[order[n]].readSigs;
-        std::sort(reads[n].begin(), reads[n].end());
-        reads[n].erase(std::unique(reads[n].begin(), reads[n].end()),
-                       reads[n].end());
-        for (int sig : reads[n])
-            ++counts[sig];
+        const CNode &cn = prog.cnodes[n];
+        std::vector<int> reads = sim.nodes_[order[n]].readSigs;
+        if (cn.kind == CNode::Comb && cn.start == cn.end &&
+            cn.result < prog.constBase) {
+            FIREAXE_ASSERT(reads.size() == 1 &&
+                           reads[0] == int(cn.result));
+            copies[cn.result].push_back(
+                {cn.mask, int32_t(cn.lhs), uint32_t(n)});
+            continue;
+        }
+        std::sort(reads.begin(), reads.end());
+        reads.erase(std::unique(reads.begin(), reads.end()),
+                    reads.end());
+        for (int sig : reads)
+            readers[sig].push_back(uint32_t(n));
     }
-    prog.sigReadersOff.assign(sim.signals_.size() + 1, 0);
-    for (size_t s = 0; s < sim.signals_.size(); ++s)
-        prog.sigReadersOff[s + 1] = prog.sigReadersOff[s] + counts[s];
-    prog.sigReaders.resize(prog.sigReadersOff.back());
-    std::vector<uint32_t> fill(prog.sigReadersOff.begin(),
-                               prog.sigReadersOff.end() - 1);
-    for (size_t n = 0; n < order.size(); ++n)
-        for (int sig : reads[n])
-            prog.sigReaders[fill[sig]++] = int32_t(n);
+    prog.readersOff.assign(1, 0);
+    prog.copiesOff.assign(1, 0);
+    for (size_t s = 0; s < num_sigs; ++s) {
+        const size_t first = prog.readers.size();
+        for (uint32_t n : readers[s]) {
+            if (prog.readers.size() == first ||
+                prog.readers.back().word != n >> 6)
+                prog.readers.push_back({0, n >> 6});
+            prog.readers.back().mask |= uint64_t(1) << (n & 63);
+        }
+        prog.readersOff.push_back(uint32_t(prog.readers.size()));
+        prog.copies.insert(prog.copies.end(), copies[s].begin(),
+                           copies[s].end());
+        prog.copiesOff.push_back(uint32_t(prog.copies.size()));
+    }
 }
 
 void
@@ -257,7 +302,7 @@ ProgramBuilder::build()
     prog.numSignals = sim.signals_.size();
     prog.numMems = sim.mems_.size();
     prog.numNodes = num_nodes;
-    constRef(0); // kZeroRef
+    constRef(0); // pool slot 0 holds 0
 
     const std::vector<int> order = levelOrder();
     for (size_t n = 0; n < num_nodes; ++n) {
@@ -284,7 +329,8 @@ ProgramBuilder::build()
             break;
         }
     }
-    buildReaderTable(order);
+    relocate();
+    buildReaderTables(order);
 }
 
 std::shared_ptr<const CompiledProgram>
@@ -319,35 +365,63 @@ CompiledEngine::CompiledEngine(
     if (!prog_)
         prog_ = compileProgram(sim_);
 
-    dirty_.assign((prog_->cnodes.size() + 63) / 64, 0);
-    temps_.assign(prog_->numTemps, 0);
+    const CompiledProgram &p = *prog_;
+    sim_.values_.resize(p.arenaSize());
+    std::copy(p.consts.begin(), p.consts.end(),
+              sim_.values_.begin() + p.constBase);
+    dirty_.assign((p.cnodes.size() + 63) / 64, 0);
     markAll();
 }
 
 void
 CompiledEngine::markReaders(int sig)
 {
-    for (uint32_t i = prog_->sigReadersOff[sig];
-         i < prog_->sigReadersOff[sig + 1]; ++i)
-        markNode(prog_->sigReaders[i]);
+    const CompiledProgram &p = *prog_;
+    for (uint32_t i = p.readersOff[sig]; i < p.readersOff[sig + 1]; ++i)
+        dirty_[p.readers[i].word] |= p.readers[i].mask;
+}
+
+void
+CompiledEngine::written(int sig)
+{
+    markReaders(sig);
+    const CompiledProgram &p = *prog_;
+    uint32_t i = p.copiesOff[sig], end = p.copiesOff[sig + 1];
+    if (i == end)
+        return;
+    uint64_t *v = sim_.values_.data();
+    for (; i < end; ++i) {
+        const CompiledProgram::Copy &c = p.copies[i];
+        uint64_t val = v[sig] & c.mask;
+        if (v[c.sig] != val) {
+            v[c.sig] = val;
+            written(c.sig);
+        }
+    }
 }
 
 void
 CompiledEngine::onSignalWrite(int sig)
 {
+    // A poke takes effect at the next evalComb(), so mark the copy
+    // nodes instead of folding into them now: until then, every
+    // peek reads what the interpreter's would.
     markReaders(sig);
+    const CompiledProgram &p = *prog_;
+    for (uint32_t i = p.copiesOff[sig]; i < p.copiesOff[sig + 1]; ++i)
+        markNode(p.copies[i].node);
     // A driven signal whose value was overwritten from the outside
-    // (poke) must be recomputed by its driver on the next evalComb,
-    // exactly as the interpreter's full sweep would.
-    if (prog_->producer[sig] >= 0)
-        markNode(prog_->producer[sig]);
+    // must be recomputed by its driver on the next evalComb, exactly
+    // as the interpreter's full sweep would.
+    if (p.producer[sig] >= 0)
+        markNode(uint32_t(p.producer[sig]));
 }
 
 void
 CompiledEngine::onMemWrite(int mem)
 {
     if (prog_->memNode[mem] >= 0)
-        markNode(prog_->memNode[mem]);
+        markNode(uint32_t(prog_->memNode[mem]));
 }
 
 void
@@ -359,26 +433,31 @@ CompiledEngine::markAll()
 }
 
 uint64_t
-CompiledEngine::execNode(const CNode &cn, const uint64_t *const *bank)
+CompiledEngine::execNode(const CNode &cn, uint64_t *v)
 {
     if (cn.start == cn.end)
-        return at(bank, cn.result);
+        return v[cn.result];
     // Instruction k of the node writes temporary k; the last one is
     // the node's result.
-    uint64_t v = 0;
-    uint64_t *t = temps_.data();
+    const CompiledProgram &p = *prog_;
+    uint64_t val = 0;
+    uint64_t *t = v + p.tempBase;
     for (uint32_t i = cn.start; i < cn.end; ++i)
-        *t++ = v = exec(prog_->code[i], bank);
-    return v;
+        *t++ = val = exec(p.code[i], [v](uint32_t r) { return v[r]; });
+    return val;
 }
 
 void
 CompiledEngine::evalComb()
 {
     const CompiledProgram &p = *prog_;
-    uint64_t *values = sim_.values_.data();
-    const uint64_t *const bank[] = {values, p.consts.data(),
-                                    temps_.data()};
+    uint64_t *v = sim_.values_.data();
+    auto set = [&](int sig, uint64_t val) {
+        if (v[sig] != val) {
+            v[sig] = val;
+            written(sig);
+        }
+    };
     uint64_t evaluated = 0;
     for (size_t w = 0; w < dirty_.size(); ++w) {
         // Evaluating a node marks only nodes above it, possibly in
@@ -388,26 +467,17 @@ CompiledEngine::evalComb()
             const CNode &cn = p.cnodes[w * 64 + std::countr_zero(bits)];
             ++evaluated;
             switch (cn.kind) {
-              case CNode::Comb: {
-                uint64_t v = execNode(cn, bank) & cn.mask;
-                if (values[cn.lhs] != v) {
-                    values[cn.lhs] = v;
-                    markReaders(cn.lhs);
-                }
+              case CNode::Comb:
+                set(cn.lhs, execNode(cn, v) & cn.mask);
                 break;
-              }
               case CNode::MemRead: {
                 const auto &mi = sim_.mems_[cn.mem];
-                uint64_t addr = values[mi.raddr] % mi.depth;
-                uint64_t v = sim_.memData_[cn.mem][addr];
-                if (values[cn.lhs] != v) {
-                    values[cn.lhs] = v;
-                    markReaders(cn.lhs);
-                }
+                uint64_t addr = v[mi.raddr] % mi.depth;
+                set(cn.lhs, sim_.memData_[cn.mem][addr]);
                 break;
               }
               case CNode::RegNext:
-                sim_.regNext_[cn.regSlot] = execNode(cn, bank) & cn.mask;
+                sim_.regNext_[cn.regSlot] = execNode(cn, v) & cn.mask;
                 break;
             }
         }

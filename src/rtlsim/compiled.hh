@@ -4,33 +4,39 @@
  * Compiled).
  *
  * Construction performs a one-shot compilation of every EvalNode's
- * postfix program into register-form (three-address) bytecode:
+ * postfix program into register-form (three-address) bytecode over
+ * one flat value arena: the simulator's value table, whose head
+ * holds the signals and whose tail holds a deduplicated constant
+ * pool and the per-node temporaries,
+ *
+ *    [0, constBase)          signals (numSignals(), peekIdx, checkpoints)
+ *    [constBase, tempBase)   constant pool (pool slot 0 holds 0)
+ *    [tempBase, arenaSize)   temporaries, reused by every node
  *
  *  - leaf operands (signals, literals) emit nothing; they become
- *    32-bit operand refs whose top two bits name a bank — the
- *    simulator's live value table, a deduplicated constant pool, or
- *    the engine's per-node temporaries;
+ *    32-bit arena indices;
  *  - each operator emits one `t[k] = op(a, b, c) & mask`, where k is
  *    the instruction's position within its node and the mask of the
  *    result width is precomputed; the opcode is the operator itself
  *    (16 binops, 4 unops, Mux, Bits, Cat), so an instruction costs
- *    one switch;
+ *    one switch and each operand one load;
  *  - an operator whose operands are all constants is folded into the
  *    pool at compile time, so all-literal subtrees emit nothing;
- *  - a node's value is a single result ref.
+ *  - a node's value is a single result index.
  *
  * Operator semantics come from rtlsim/ops.hh, shared with the
  * interpreter, so the two engines are bit-exact by construction.
  *
  * The product of that compilation is a CompiledProgram: an immutable
  * value derived solely from the flat circuit (bytecode, per-node
- * records, constant pool, signal→reader CSR table, producer maps).
+ * records, constant pool, reader and copy tables, producer maps).
  * Because it holds no live state, a program is shareable: any number
  * of Simulator instances constructed from the same flat circuit can
  * evaluate through one shared program — this is the
  * content-addressed compiled artifact the service cache (src/svc)
  * stores so a repeat submission of a known design skips the compile
- * entirely.
+ * entirely, and its engine only copies the constant pool into its
+ * arena.
  *
  * Evaluation is driven by activity gating. The program lays its
  * nodes out in ascending levelized rank (longest producer chain), so
@@ -40,7 +46,16 @@
  * a node whose output changed marks its readers, which always lie
  * above the sweep point, and the sweep re-reads the current word
  * after every node, so one pass suffices. A cycle in which nothing
- * changed evaluates nothing.
+ * changed evaluates nothing. A signal's readers are stored as
+ * (word, mask) pairs, so marking them costs one OR per 64-node word.
+ *
+ * Copy nodes (`y = x`: no instruction, result a signal) are folded
+ * into their source: wherever evalComb() or a register latch writes
+ * x, it also writes `y = x & mask` and marks y's readers, following
+ * chains of copies. The copy node itself stays in the program, off
+ * x's reader list, so a poke of y, a poke of x (which marks it rather
+ * than folding, so nothing moves before the next evalComb()) and
+ * markAll() still evaluate it exactly as the interpreter would.
  *
  * Dirty sources are the simulator's mutation points: pokes that
  * change a value (also re-marking the producing node, so poking a
@@ -72,15 +87,9 @@ class Simulator;
  */
 struct CompiledProgram
 {
-    /** Operand ref: bank in the top two bits, index below. */
-    enum Bank : uint32_t { Sig, Const, Temp };
-    static constexpr unsigned kBankShift = 30;
-    static constexpr uint32_t kIndexMask = (1u << kBankShift) - 1;
-    /** Pool slot 0 holds 0; unused operands point there. */
-    static constexpr uint32_t kZeroRef = uint32_t(Const) << kBankShift;
-
     /** One register-form instruction, `t[k] = op(a, b, c) & mask`
-     *  with k its position within the node. */
+     *  with k its position within the node; a, b and c are arena
+     *  indices. */
     struct Instr
     {
         /** Opcodes 0-15 are firrtl::BinOpKind, 16-19 are UnOpKind
@@ -93,7 +102,7 @@ struct CompiledProgram
         };
         uint8_t op = 0;
         uint8_t shift = 0; ///< Bits: low bit; Cat: low-half width
-        uint32_t a = kZeroRef, b = kZeroRef, c = kZeroRef;
+        uint32_t a = 0, b = 0, c = 0;
         uint64_t mask = 0; ///< result-width mask
     };
 
@@ -102,21 +111,44 @@ struct CompiledProgram
     {
         enum Kind : uint8_t { Comb, MemRead, RegNext } kind;
         uint32_t start = 0, end = 0; ///< bytecode range
-        uint32_t result = 0;         ///< ref of the node's value
+        uint32_t result = 0;         ///< arena index of the value
         int lhs = -1;                ///< destination signal
         int mem = -1;                ///< MemRead: memory index
         int regSlot = -1;            ///< RegNext: regNext_ slot
         uint64_t mask = 0;           ///< destination-width mask
     };
 
+    /** Dirty bits to set in one 64-node word of the program. */
+    struct WordMask
+    {
+        uint64_t mask = 0;
+        uint32_t word = 0;
+    };
+
+    /** A folded copy node `sig = source & mask`. */
+    struct Copy
+    {
+        uint64_t mask = 0;
+        int32_t sig = -1;   ///< the copy's destination signal
+        uint32_t node = 0;  ///< the copy node's program position
+    };
+
     std::vector<Instr> code;
     std::vector<CNode> cnodes;
+    /** Constant pool, copied into the arena at [constBase, tempBase). */
     std::vector<uint64_t> consts;
-    /** Temporaries a node needs at most (its instruction count). */
+    /** Arena layout: signals, then the pool, then numTemps
+     *  temporaries (the most instructions of any one node). */
+    uint32_t constBase = 0;
+    uint32_t tempBase = 0;
     uint32_t numTemps = 0;
-    /** Signal → reading nodes, CSR layout. */
-    std::vector<uint32_t> sigReadersOff;
-    std::vector<int32_t> sigReaders;
+    /** Signal → its reading nodes other than folded copies, as
+     *  (word, mask) pairs in CSR layout. */
+    std::vector<uint32_t> readersOff;
+    std::vector<WordMask> readers;
+    /** Signal → the copy nodes folded into it, CSR layout. */
+    std::vector<uint32_t> copiesOff;
+    std::vector<Copy> copies;
     /** Signal → combinational producer node (CombAssign/MemRead),
      *  -1 when none (inputs, registers). */
     std::vector<int32_t> producer;
@@ -129,6 +161,9 @@ struct CompiledProgram
     size_t numSignals = 0;
     size_t numMems = 0;
     size_t numNodes = 0;
+
+    /** Value-table length the program evaluates over. */
+    size_t arenaSize() const { return size_t(tempBase) + numTemps; }
 
     /** Approximate resident bytes (cache accounting). */
     size_t byteSize() const;
@@ -143,7 +178,9 @@ class CompiledEngine
      * fingerprint matches, adopt it and skip compilation entirely (a
      * mismatched program is ignored with a warning and a fresh
      * compile — a cache handing over the wrong artifact must never
-     * corrupt results). Everything starts dirty either way.
+     * corrupt results). Either way, grow sim's value table to the
+     * program's arena and copy the constant pool in. Everything
+     * starts dirty.
      */
     explicit CompiledEngine(
         Simulator &sim,
@@ -159,10 +196,14 @@ class CompiledEngine
     /** Evaluate all dirty nodes in one ascending sweep. */
     void evalComb();
 
-    /** A signal's value changed outside evalComb (poke, register
-     *  latch, state restore): mark its readers — and, if a
-     *  combinational driver exists, the driver itself — dirty. */
+    /** A poke changed a signal: mark its readers, its copy nodes
+     *  and, if a combinational driver exists, the driver itself. */
     void onSignalWrite(int sig);
+
+    /** A register latched a new value in step(): mark its readers
+     *  and fold it into its copies now (evalComb() follows before
+     *  anything can observe them). */
+    void onRegisterLatch(int sig) { written(sig); }
 
     /** A memory's contents changed: mark its read node dirty. */
     void onMemWrite(int mem);
@@ -174,20 +215,21 @@ class CompiledEngine
     uint64_t nodesSkipped() const { return nodesSkipped_; }
 
   private:
-    void markNode(int n)
+    void markNode(uint32_t n)
     {
         dirty_[n >> 6] |= uint64_t(1) << (n & 63);
     }
     void markReaders(int sig);
-    uint64_t execNode(const CompiledProgram::CNode &cn,
-                      const uint64_t *const *bank);
+    /** Signal @p sig took a new value: mark its readers and write
+     *  its folded copies, transitively. */
+    void written(int sig);
+    uint64_t execNode(const CompiledProgram::CNode &cn, uint64_t *v);
 
     Simulator &sim_;
     std::shared_ptr<const CompiledProgram> prog_;
     // Mutable evaluation state, per engine instance (the program
     // itself is shared and read-only).
     std::vector<uint64_t> dirty_; ///< one bit per node, program order
-    std::vector<uint64_t> temps_;
     uint64_t nodesEvaluated_ = 0;
     uint64_t nodesSkipped_ = 0;
 };

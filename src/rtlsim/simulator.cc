@@ -424,7 +424,7 @@ Simulator::step()
         if (compiled_) {
             if (values_[regSigs_[i]] != regNext_[i]) {
                 values_[regSigs_[i]] = regNext_[i];
-                compiled_->onSignalWrite(regSigs_[i]);
+                compiled_->onRegisterLatch(regSigs_[i]);
             }
         } else {
             values_[regSigs_[i]] = regNext_[i];
@@ -532,7 +532,9 @@ Simulator::tryLoadCheckpoint(std::istream &is, std::string &error)
     if (!is)
         return fail("truncated checkpoint stream");
 
-    values_ = std::move(values);
+    // The compiled engine's arena tail (constant pool, temporaries)
+    // follows the signals in values_ and must survive the load.
+    std::copy(values.begin(), values.end(), values_.begin());
     memData_ = std::move(mem_data);
     cycle_ = cycle;
     // Register next-value slots were computed from pre-checkpoint

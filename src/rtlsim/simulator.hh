@@ -211,6 +211,8 @@ class Simulator
 
     std::vector<Signal> signals_;
     std::map<std::string, int> signalIdx_;
+    /** Signal values; the compiled engine appends its arena tail
+     *  (constant pool, temporaries) after numSignals() of them. */
     std::vector<uint64_t> values_;
     std::vector<MemInfo> mems_;
     std::vector<std::vector<uint64_t>> memData_;

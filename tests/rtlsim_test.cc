@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -446,6 +447,98 @@ TEST(Compiled, CountersAccountEveryNode)
 }
 
 /**
+ * Copy nodes (`y = x`) are folded into every write of their source:
+ * a chain of copies that narrows, copies of a register, of a memory
+ * read and of a poked input, a poke of a copy itself (the next
+ * evalComb() must overwrite it), and checkpoint loads, which must
+ * keep the arena tail after the signals. Every signal must match the
+ * interpreter after each poke, evalComb() and step().
+ */
+TEST(Compiled, FoldedCopiesTrackTheirSource)
+{
+    CircuitBuilder cb("M");
+    auto m = cb.module("M");
+    auto a = m.input("a", 16);
+    auto in = m.input("in", 8);
+    auto r = m.reg("r", 8, 3);
+    m.mem("ram", 4, 8);
+    m.wire("x", 16);
+    m.wire("y", 16);
+    m.wire("z", 4);
+    m.wire("cr", 8);
+    m.wire("cm", 8);
+    m.wire("ci", 8);
+    m.wire("ci2", 3);
+    m.output("o", 12);
+    m.connect("x", bits(eAdd(a, lit(1, 16)), 15, 0));
+    m.connect("y", m.sig("x"));
+    m.connect("z", m.sig("y")); // 16 bits into 4
+    m.connect("r", bits(eAdd(r, in), 7, 0));
+    m.connect("cr", r);
+    m.connect("ram.raddr", bits(r, 1, 0));
+    m.connect("ram.waddr", bits(in, 1, 0));
+    m.connect("ram.wdata", m.sig("cr"));
+    m.connect("ram.wen", lit(1, 1));
+    m.connect("cm", m.sig("ram.rdata"));
+    m.connect("ci", in);
+    m.connect("ci2", m.sig("ci")); // 8 bits into 3
+    m.connect("o", eXor(cat(m.sig("z"), m.sig("cm")),
+                        cat(m.sig("ci2"), m.sig("cr"))));
+    Circuit c = cb.finish();
+    Simulator interp(c, rtlsim::EvalEngine::Interpret);
+    Simulator comp(c, rtlsim::EvalEngine::Compiled);
+    // y, z, cr, ram.wdata, cm, ci and ci2.
+    EXPECT_EQ(comp.compiledProgram()->copies.size(), 7u);
+
+    auto expect_same = [&](const std::string &when) {
+        for (size_t i = 0; i < interp.numSignals(); ++i)
+            ASSERT_EQ(interp.peekIdx(int(i)), comp.peekIdx(int(i)))
+                << "signal '" << interp.signal(int(i)).name << "' "
+                << when;
+        ASSERT_EQ((comp.nodesEvaluated() + comp.nodesSkipped()) %
+                      comp.numNodes(),
+                  0u)
+            << when;
+    };
+    expect_same("after construction");
+    std::string ckpt;
+    for (uint64_t cyc = 0; cyc < 48; ++cyc) {
+        const std::string at = " at cycle " + std::to_string(cyc);
+        for (Simulator *sim : {&interp, &comp}) {
+            sim->poke("a", (cyc * 4099) ^ 0x5a5a);
+            if (cyc % 3 != 1)
+                sim->poke("in", cyc * 37 + 1);
+            if (cyc % 5 == 2) {
+                sim->poke("y", 0xBEEF);
+                sim->poke("ci", 0x77);
+            }
+        }
+        expect_same("after pokes" + at);
+        interp.evalComb();
+        comp.evalComb();
+        expect_same("after evalComb" + at);
+        if (cyc == 20) {
+            std::ostringstream os;
+            interp.saveCheckpoint(os);
+            ckpt = os.str();
+        }
+        interp.step();
+        comp.step();
+        expect_same("after step" + at);
+        if (cyc == 30) {
+            // Rewind both to cycle 20; the compiled side must keep
+            // its constant pool and temporaries across the load.
+            for (Simulator *sim : {&interp, &comp}) {
+                std::istringstream is(ckpt);
+                std::string error;
+                ASSERT_TRUE(sim->tryLoadCheckpoint(is, error)) << error;
+            }
+            expect_same("after checkpoint load" + at);
+        }
+    }
+}
+
+/**
  * Every operator under both engines at the edge widths 1, 32, 63
  * and 64: all 16 binops, the 4 unops, Mux, Bits and Cat, over signal
  * and literal operands, shift amounts 0, 63, 64 and 200, Div/Rem by
@@ -531,9 +624,10 @@ TEST(Compiled, EveryOperatorMatchesInterpreterAtEdgeWidths)
         // All-literal operators fold: some nodes carry a pool result.
         using Prog = rtlsim::CompiledProgram;
         size_t pool_results = 0;
-        for (const Prog::CNode &cn : comp.compiledProgram()->cnodes)
-            if (cn.start == cn.end &&
-                cn.result >> Prog::kBankShift == Prog::Const)
+        const Prog &prog = *comp.compiledProgram();
+        for (const Prog::CNode &cn : prog.cnodes)
+            if (cn.start == cn.end && cn.result >= prog.constBase &&
+                cn.result < prog.tempBase)
                 ++pool_results;
         EXPECT_GT(pool_results, 0u) << "width " << w;
 
