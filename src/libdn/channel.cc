@@ -20,7 +20,7 @@ TokenChannel::TokenChannel(std::string name, unsigned width_bits,
       faults_(std::move(faults)),
       txRng_(faults_.channelRng(name_, "tx")),
       rxRng_(faults_.channelRng(name_, "rx")),
-      faultsActive_(faults_.enabled())
+      faultsActive_(faults_.enabled()), lean_(!faults_.enabled())
 {}
 
 transport::FaultEvent
@@ -40,10 +40,13 @@ TokenChannel::tryEnq(const Token &token, double ready_time)
     if (full())
         return false;
     uint64_t seq = nextSeq_++;
-    uint32_t crc = tokenCrc(token);
-    rtxBuf_.pushBackWith([&](Entry &e) {
-        fillEntry(e, token, 0.0, seq, crc, ready_time);
-    });
+    uint32_t crc = 0;
+    if (!lean_) {
+        crc = tokenCrc(token);
+        rtxBuf_.pushBackWith([&](Entry &e) {
+            fillEntry(e, token, 0.0, seq, crc, ready_time);
+        });
+    }
     queue_.pushBackWith([&](Entry &e) {
         fillEntry(e, token, ready_time, seq, crc, ready_time);
     });
@@ -63,9 +66,12 @@ TokenChannel::tryEnqTimed(const Token &token, double now)
     unsigned depth = batchDepth();
 
     uint64_t seq = nextSeq_++;
-    uint32_t crc = tokenCrc(token);
-    rtxBuf_.pushBackWith(
-        [&](Entry &e) { fillEntry(e, token, 0.0, seq, crc, now); });
+    uint32_t crc = 0;
+    if (!lean_) {
+        crc = tokenCrc(token);
+        rtxBuf_.pushBackWith(
+            [&](Entry &e) { fillEntry(e, token, 0.0, seq, crc, now); });
+    }
     ++enqCount_;
 
     if (depth > 1 && batchPos_ + 1 < depth) {
@@ -206,7 +212,9 @@ TokenChannel::poll(double now) const
             continue;
         }
         if (!e.verified) {
-            if (tokenCrc(e.payload) != e.crc) {
+            // Nothing can corrupt a lean channel's tokens, so its
+            // head passes without a CRC.
+            if (!lean_ && tokenCrc(e.payload) != e.crc) {
                 // CRC mismatch: NAK and wait for retransmission.
                 rxStats_.add("crc_errors");
                 rxStats_.add("naks");
@@ -298,7 +306,7 @@ TokenChannel::deq()
     ++deqCount_;
     // Delivery is the in-process acknowledgment: retire the
     // producer-side copies up to the delivered sequence number.
-    while (!rtxBuf_.empty() &&
+    while (!lean_ && !rtxBuf_.empty() &&
            rtxBuf_.front().seq <= lastDelivered_)
         rtxBuf_.popFront();
     if (concurrent_)
@@ -354,16 +362,24 @@ TokenChannel::saveCkpt(std::ostream &os) const
 {
     FIREAXE_ASSERT(!concurrent_, "channel '", name_,
                    "' checkpoint requires a quiesce point");
-    auto writeRing = [&](const par::SpscRing<Entry> &ring) {
+    // A lean channel keeps neither CRCs nor a retransmit ring, so
+    // it writes what the full path would hold: each token's CRC, and
+    // a ring of unverified copies of its queue (every queued token
+    // is unacked, and nothing ever rewrites one in flight).
+    auto writeRing = [&](const par::SpscRing<Entry> &ring,
+                         bool rtx_copies) {
         os << ring.size() << "\n";
         for (size_t i = 0; i < ring.size(); ++i) {
             const Entry &e = ring.at(i);
             os << e.payload.size();
             for (uint64_t w : e.payload)
                 os << " " << w;
-            os << " " << doubleBits(e.readyTime) << " " << e.seq << " "
-               << e.crc << " " << (e.verified ? 1 : 0) << " "
-               << doubleBits(e.enqTime) << "\n";
+            bool verified = e.verified && !rtx_copies;
+            os << " " << doubleBits(rtx_copies ? 0.0 : e.readyTime)
+               << " " << e.seq << " "
+               << (lean_ ? tokenCrc(e.payload) : e.crc) << " "
+               << (verified ? 1 : 0) << " " << doubleBits(e.enqTime)
+               << "\n";
         }
     };
     os << "fireaxe-chan 3\n";
@@ -395,8 +411,11 @@ TokenChannel::saveCkpt(std::ostream &os) const
     writeRng(os, rxRng_);
     writeCounters(os, txStats_);
     writeCounters(os, rxStats_);
-    writeRing(queue_);
-    writeRing(rtxBuf_);
+    writeRing(queue_, false);
+    if (lean_)
+        writeRing(queue_, true);
+    else
+        writeRing(rtxBuf_, false);
     os << "end\n";
 }
 
@@ -527,7 +546,24 @@ TokenChannel::tryLoadCkpt(std::istream &is, std::string &error)
     is >> trailer;
     if (trailer != "end")
         return fail("truncated checkpoint (no end marker)");
+    // A lean channel writes its retransmit ring from the queue at
+    // save time, so it can hold only a stream in which the two agree.
+    // A stream with fault-recovery state in it (a NAK in flight, a
+    // link-layer duplicate, a corrupted token), as a run with faults
+    // may write, moves the channel to the full path for good.
+    bool lean = lean_ && nak.pendingSeq == 0 &&
+                rtx_entries.size() == queue_entries.size();
+    for (size_t i = 0; lean && i < rtx_entries.size(); ++i) {
+        const Entry &q = queue_entries[i];
+        const Entry &r = rtx_entries[i];
+        lean = q.seq == r.seq && q.payload == r.payload &&
+               q.enqTime == r.enqTime && q.crc == tokenCrc(q.payload) &&
+               r.crc == q.crc && r.readyTime == 0.0 && !r.verified;
+    }
+    if (lean)
+        rtx_entries.clear();
 
+    lean_ = lean;
     enqCount_ = enq;
     deqCount_ = deq;
     qPushes_ = pushes;
@@ -563,7 +599,7 @@ TokenChannel::checkCkpt(std::istream &is, std::string &error) const
 {
     // Load into a throwaway twin: the same parse and checks, and this
     // channel stays untouched.
-    TokenChannel twin(name_, widthBits_, capacity_);
+    TokenChannel twin(name_, widthBits_, capacity_, faults_);
     twin.tokenWords_ = tokenWords_;
     return twin.tryLoadCkpt(is, error);
 }

@@ -38,6 +38,17 @@
  * what keeps a partitioned run bit-matching the monolithic reference
  * with only the simulation rate degrading.
  *
+ * A channel built without a fault model is *lean*: nothing can drop,
+ * corrupt or duplicate its tokens, so it computes no CRC, keeps no
+ * retransmit copies, and passes every head without a check. It
+ * still numbers its tokens, and its checkpoint computes each CRC and
+ * writes the retransmit ring from the queue at save time, so a
+ * snapshot's bytes do not depend on the shortcut. A channel built
+ * with a fault model keeps the full path for life, failover
+ * included, and a lean channel that restores a snapshot holding
+ * fault-recovery state (one written by a run with faults) takes the
+ * full path from then on.
+ *
  * ## Threading
  *
  * Storage is a lock-free SPSC ring (par::SpscRing): each channel has
@@ -472,9 +483,14 @@ class TokenChannel final
      */
     void failover(double ser_time, double latency);
 
-    /** Unacked producer-side copies currently buffered; never more
-     *  than size(). */
-    size_t retransmitBufferSize() const { return rtxBuf_.size(); }
+    /** Unacked tokens the producer could resend; never more than
+     *  size(). A lean channel keeps no copies, and every token in
+     *  its queue is unacked. */
+    size_t
+    retransmitBufferSize() const
+    {
+        return lean_ ? queue_.size() : rtxBuf_.size();
+    }
 
     /**
      * Consumer-side NAK recovery state: the retransmission currently
@@ -530,7 +546,9 @@ class TokenChannel final
         Token payload; ///< as seen on the wire (possibly corrupted)
         double readyTime = 0.0;
         uint64_t seq = 0;
-        uint32_t crc = 0; ///< computed by the producer pre-transmit
+        /** Computed by the producer pre-transmit; 0 on a lean
+         *  channel, which computes it only when saving. */
+        uint32_t crc = 0;
         /** CRC already checked good (a payload changes after
          *  transmission only when a NAK rewrites the entry, which
          *  clears this flag, so one check per delivery suffices). */
@@ -633,6 +651,11 @@ class TokenChannel final
     /** Consumer-side fault stream (NAK-driven resends). */
     mutable Rng rxRng_;
     mutable std::atomic<bool> faultsActive_;
+    /** Built without a fault model, so nothing can drop, corrupt or
+     *  duplicate a token: the channel keeps no CRC and no retransmit
+     *  ring. Set at construction (a channel that fails over keeps
+     *  the full path); only loading fault-recovery state clears it. */
+    bool lean_;
     mutable std::atomic<bool> failed_{false};
     mutable CounterSet txStats_;
     mutable CounterSet rxStats_;

@@ -78,6 +78,71 @@ TEST(Channel, SharedSerializerSerializesAcrossChannels)
     EXPECT_DOUBLE_EQ(b.headReadyTime(), 120.0);
 }
 
+/**
+ * A channel without a fault model keeps no CRC and no retransmit
+ * copies, but its checkpoint must still round-trip through a channel
+ * that has one, and it must take over a snapshot written mid-NAK by
+ * a faulty channel (a run resumed with faults switched off) and
+ * finish that recovery with the pristine token.
+ */
+TEST(Channel, FaultFreeChannelRestoresEitherPath)
+{
+    transport::FaultConfig fc;
+    fc.seed = 23;
+    fc.corruptRate = 0.5;
+    const transport::FaultModel corrupting(fc);
+
+    // Fault-free save, loaded by a full-path channel: same bytes.
+    TokenChannel lean("c", 64, 16);
+    lean.setTiming(10.0, 100.0);
+    for (uint64_t i = 0; i < 5; ++i)
+        lean.enqTimed({i}, 10.0 * double(i));
+    ASSERT_TRUE(lean.headReady(200.0));
+    lean.deq();
+    EXPECT_EQ(lean.retransmitBufferSize(), 4u);
+    std::ostringstream lean_os;
+    lean.saveCkpt(lean_os);
+    TokenChannel full("c", 64, 16, corrupting);
+    std::istringstream lean_is(lean_os.str());
+    std::string error;
+    ASSERT_TRUE(full.tryLoadCkpt(lean_is, error)) << error;
+    EXPECT_EQ(full.retransmitBufferSize(), 4u);
+    std::ostringstream full_os;
+    full.saveCkpt(full_os);
+    EXPECT_EQ(full_os.str(), lean_os.str());
+
+    // A faulty channel mid-NAK, restored into a fault-free one.
+    TokenChannel faulty("n", 64, 16, corrupting);
+    faulty.setTiming(10.0, 100.0);
+    double now = 0.0;
+    for (uint64_t i = 0; faulty.nakRecovery().pendingSeq == 0 && i < 100;
+         ++i) {
+        ASSERT_TRUE(faulty.tryEnqTimed({i}, now));
+        now += 150.0;
+        while (faulty.headReady(now))
+            faulty.deq();
+    }
+    const uint64_t pending = faulty.nakRecovery().pendingSeq;
+    ASSERT_NE(pending, 0u) << "fault schedule raised no NAK";
+    std::ostringstream faulty_os;
+    faulty.saveCkpt(faulty_os);
+    TokenChannel resumed("n", 64, 16);
+    resumed.setTiming(10.0, 100.0);
+    std::istringstream faulty_is(faulty_os.str());
+    ASSERT_TRUE(resumed.tryLoadCkpt(faulty_is, error)) << error;
+    EXPECT_EQ(resumed.retransmitBufferSize(),
+              faulty.retransmitBufferSize());
+    std::ostringstream resumed_os;
+    resumed.saveCkpt(resumed_os);
+    EXPECT_EQ(resumed_os.str(), faulty_os.str());
+    while (!resumed.headReady(now))
+        now += 500.0;
+    EXPECT_EQ(resumed.head(), Token{pending - 1}); // payload i, seq i+1
+    resumed.deq();
+    EXPECT_EQ(resumed.nakRecovery().pendingSeq, 0u);
+    EXPECT_EQ(resumed.retransmitBufferSize(), resumed.size());
+}
+
 namespace {
 
 /** A free-running counter partition with one output channel. */
