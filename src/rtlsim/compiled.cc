@@ -252,43 +252,61 @@ ProgramBuilder::buildReaderTables(const std::vector<int> &order)
 {
     // A copy node runs no instruction and its value is a signal: it
     // is folded into that signal's writes instead of sitting on its
-    // reader list. Every other node reads each signal once, by its
-    // program position, so each signal's reader list comes out
-    // ascending and groups into (word, mask) pairs in one pass.
+    // reader list. Every other node sets its bit in one (word, mask)
+    // pair per signal it reads. Nodes are visited by ascending program
+    // position, so a signal's pairs come out in ascending word order,
+    // and a read in the word of the signal's last pair (a repeated
+    // read too) ORs into that pair. One pass counts, the second fills.
     const size_t num_sigs = sim.signals_.size();
-    std::vector<std::vector<uint32_t>> readers(num_sigs);
-    std::vector<std::vector<CompiledProgram::Copy>> copies(num_sigs);
+    auto is_copy = [&](const CNode &cn) {
+        return cn.kind == CNode::Comb && cn.start == cn.end &&
+               cn.result < prog.constBase;
+    };
+    constexpr uint32_t kNone = ~uint32_t(0);
+    std::vector<uint32_t> last_word(num_sigs, kNone);
+    prog.readersOff.assign(num_sigs + 1, 0);
+    prog.copiesOff.assign(num_sigs + 1, 0);
     for (size_t n = 0; n < order.size(); ++n) {
         const CNode &cn = prog.cnodes[n];
-        std::vector<int> reads = sim.nodes_[order[n]].readSigs;
-        if (cn.kind == CNode::Comb && cn.start == cn.end &&
-            cn.result < prog.constBase) {
+        const std::vector<int> &reads = sim.nodes_[order[n]].readSigs;
+        if (is_copy(cn)) {
             FIREAXE_ASSERT(reads.size() == 1 &&
                            reads[0] == int(cn.result));
-            copies[cn.result].push_back(
-                {cn.mask, int32_t(cn.lhs), uint32_t(n)});
+            ++prog.copiesOff[cn.result + 1];
             continue;
         }
-        std::sort(reads.begin(), reads.end());
-        reads.erase(std::unique(reads.begin(), reads.end()),
-                    reads.end());
         for (int sig : reads)
-            readers[sig].push_back(uint32_t(n));
+            if (last_word[sig] != n >> 6) {
+                last_word[sig] = uint32_t(n >> 6);
+                ++prog.readersOff[sig + 1];
+            }
     }
-    prog.readersOff.assign(1, 0);
-    prog.copiesOff.assign(1, 0);
-    for (size_t s = 0; s < num_sigs; ++s) {
-        const size_t first = prog.readers.size();
-        for (uint32_t n : readers[s]) {
-            if (prog.readers.size() == first ||
-                prog.readers.back().word != n >> 6)
-                prog.readers.push_back({0, n >> 6});
-            prog.readers.back().mask |= uint64_t(1) << (n & 63);
+    for (size_t sig = 0; sig < num_sigs; ++sig) {
+        prog.readersOff[sig + 1] += prog.readersOff[sig];
+        prog.copiesOff[sig + 1] += prog.copiesOff[sig];
+    }
+    prog.readers.resize(prog.readersOff.back());
+    prog.copies.resize(prog.copiesOff.back());
+    std::vector<uint32_t> readers_end(prog.readersOff.begin(),
+                                      prog.readersOff.end() - 1);
+    std::vector<uint32_t> copies_end(prog.copiesOff.begin(),
+                                     prog.copiesOff.end() - 1);
+    std::fill(last_word.begin(), last_word.end(), kNone);
+    for (size_t n = 0; n < order.size(); ++n) {
+        const CNode &cn = prog.cnodes[n];
+        if (is_copy(cn)) {
+            prog.copies[copies_end[cn.result]++] = {
+                cn.mask, int32_t(cn.lhs), uint32_t(n)};
+            continue;
         }
-        prog.readersOff.push_back(uint32_t(prog.readers.size()));
-        prog.copies.insert(prog.copies.end(), copies[s].begin(),
-                           copies[s].end());
-        prog.copiesOff.push_back(uint32_t(prog.copies.size()));
+        for (int sig : sim.nodes_[order[n]].readSigs) {
+            if (last_word[sig] != n >> 6) {
+                last_word[sig] = uint32_t(n >> 6);
+                prog.readers[readers_end[sig]++].word = uint32_t(n >> 6);
+            }
+            prog.readers[readers_end[sig] - 1].mask |= uint64_t(1)
+                                                       << (n & 63);
+        }
     }
 }
 
